@@ -8,7 +8,7 @@ budget; the Euler map also constrains the initial region because the
 quartic cost makes the explicit update unstable for large states.
 """
 
-from distopt import euler_simulate, simulate
+from distopt import simulate
 from distopt.errors import NumericalBlowup
 from distopt.scenarios import presets, preset_dict, scenario_from_dict
 
@@ -16,7 +16,7 @@ fig4a = presets("fig4a")   # sampled communication, beta = 2, Delta = 0.2 s
 fig4b = presets("fig4b")   # Euler discretization, beta = 1, Delta = 0.2 s
 
 tr_a = simulate(fig4a)
-tr_b = euler_simulate(fig4b)
+tr_b = simulate(fig4b)
 print("same communication stride (0.2 s), same start inside [-0.5, 0.5]:")
 print(f"  sampled communication (beta = 2): max err(60) = {tr_a.err[-1].max():.2e}")
 print(f"  Euler discretization  (beta = 1): max err(60) = {tr_b.err[-1].max():.2e}")
@@ -26,7 +26,7 @@ print()
 for beta in (1.0, 3.0, 6.0):
     cfg = preset_dict("fig4b") | {"beta": beta}
     try:
-        tr = euler_simulate(scenario_from_dict(cfg))
+        tr = simulate(scenario_from_dict(cfg))
         print(f"  Euler with beta = {beta}: max err(60) = {tr.err[-1].max():.2e}")
     except NumericalBlowup as exc:
         print(f"  Euler with beta = {beta}: diverged ({exc})")

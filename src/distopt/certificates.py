@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import NetworkCost, minimize_global, with_estimated_constants
-from .errors import Infeasible, MissingLipschitz, NotConnected, ValidationError
-from .graph import WeightedDigraph, complement_basis, out_laplacian, spectral_summary
-from .schedulers import DistributedEvent
+from .costs import NetworkCost, with_estimated_constants
+from .dynamics import AlgorithmParams, equilibrium
+from .errors import Infeasible, MissingLipschitz, ValidationError
+from .graph import WeightedDigraph, reduced_laplacian, spectral_summary
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,8 @@ def kappa(alpha: float, beta: float, eps: float, delta: float, phi: float,
 
     kappa = 2 (eps delta lam2 + 2 phi alpha beta lam2^2 eps^2 (1-eps))
             / (alpha beta phi lamN^2 + 2 lam2 alpha^2 (1+phi)^2).
-    Strictly below one for every valid input combination; an assertion
-    guards against invalid upstream data.
+    Strictly below one for every valid input combination; a value of one
+    or more raises ValidationError, as it indicates invalid upstream data.
     """
     if not (0.0 < eps < 1.0):
         raise ValidationError(f"eps must lie in (0, 1), got {eps}")
@@ -121,7 +121,8 @@ def kappa(alpha: float, beta: float, eps: float, delta: float, phi: float,
         raise ValidationError("phi and delta must be positive")
     value = (2 * (eps * delta * lambda_2 + 2 * phi * alpha * beta * lambda_2**2 * eps**2 * (1 - eps))
              / (alpha * beta * phi * lambda_N**2 + 2 * lambda_2 * alpha**2 * (1 + phi) ** 2))
-    assert value < 1.0, f"kappa = {value} >= 1 indicates invalid inputs upstream"
+    if not value < 1.0:
+        raise ValidationError(f"kappa = {value} >= 1 indicates invalid inputs upstream")
     return value
 
 
@@ -168,12 +169,7 @@ def matrix_E(alpha: float, beta: float, phi: float, g: WeightedDigraph,
     """
     if not (alpha > 0 and beta > 0 and phi > 0):
         raise ValidationError("alpha, beta and phi must be positive")
-    basis = complement_basis(g.n)
-    red = basis.R.T @ out_laplacian(g) @ basis.R
-    eigs = np.linalg.eigvalsh(0.5 * (red + red.T))
-    if eigs[0] <= 1e-10:
-        raise NotConnected("reduced Laplacian is singular; graph is not connected")
-    red_inv = np.linalg.inv(red)
+    red_inv = np.linalg.inv(reduced_laplacian(g))
     nd = (g.n - 1) * d
     top = 0.5 * alpha * (phi + 1) * np.eye(d)
     lower_right = (1.0 / alpha) * np.eye(nd) + (phi + 1) / beta * np.kron(red_inv, np.eye(d))
@@ -245,6 +241,13 @@ def tau_i_lower_bounds(alpha: float, beta: float, eps, costs: NetworkCost,
     Raises Infeasible when gamma' <= 0 and MissingLipschitz when some
     agent lacks a global gradient Lipschitz constant.
     """
+    return _tau_i_and_theta(alpha, beta, eps, costs, g, x0, v0, phi, gamma_prime_value,
+                            lamF_min, lamF_max)[0]
+
+
+def _tau_i_and_theta(alpha, beta, eps, costs, g, x0, v0, phi, gamma_prime_value,
+                     lamF_min, lamF_max) -> tuple[np.ndarray, float]:
+    """:func:`tau_i_lower_bounds` together with the trajectory bound theta."""
     if gamma_prime_value <= 0:
         raise Infeasible(f"gamma' = {gamma_prime_value:.6g} <= 0")
     eps = np.atleast_1d(np.asarray(eps, dtype=float))
@@ -256,9 +259,7 @@ def tau_i_lower_bounds(alpha: float, beta: float, eps, costs: NetworkCost,
         missing = [a.name or str(i) for i, a in enumerate(costs.agents) if a.M is None]
         raise MissingLipschitz(f"no global gradient Lipschitz constant for: {', '.join(missing)}")
     eta = min(7.0 / 16.0, gamma_prime_value / 9.0)
-    x_star = minimize_global(costs)
-    x_bar = np.tile(x_star, (n, 1))
-    v_bar = -alpha * costs.grad_stack(x_bar)
+    x_bar, v_bar = equilibrium(costs, AlgorithmParams(alpha, beta))
     x0 = np.asarray(x0, dtype=float).reshape(n, -1)
     v0 = np.asarray(v0, dtype=float).reshape(n, -1)
     p0 = math.sqrt(float(np.sum((x0 - x_bar) ** 2)) + float(np.sum((v0 - v_bar) ** 2)))
@@ -270,7 +271,7 @@ def tau_i_lower_bounds(alpha: float, beta: float, eps, costs: NetworkCost,
         aM = alpha * Ms[i]
         c = 2.0 * math.sqrt(dout[i]) * (aM + 2 * beta * dout[i] + 1.0) * theta
         out[i] = math.log1p(aM * eps[i] / c) / aM
-    return out
+    return out, theta
 
 
 def maximize_tau(alpha: float, beta: float, bounds: ConvexityBounds, lambda_2: float,
@@ -421,15 +422,14 @@ def certify(scenario) -> CertificateReport:
     eta = min(7.0 / 16.0, gp_val / 9.0) if gp_val > 0 else None
     theta = tau_i = ss_bound = r_dist = None
     eps_vec = None
-    if isinstance(getattr(scenario, "scheme", None), DistributedEvent):
+    if scenario.scheme.kind == "distributed_event":
         eps_vec = np.asarray(scenario.scheme.eps, dtype=float)
     elif analysis.eps_vec is not None:
         eps_vec = np.asarray(analysis.eps_vec, dtype=float)
     if eps_vec is not None and feasible_distributed:
         ss_bound = steady_state_bound(phi, alpha, beta, lamF_min, lamF_max, eta, eps_vec)
-        tau_i = tau_i_lower_bounds(alpha, beta, eps_vec, costs_est, graph, scenario.x0,
-                                   scenario.v0, phi, gp_val, lamF_min, lamF_max)
-        theta = (lamF_max / lamF_min) * _p0_norm(costs_est, alpha, scenario.x0, scenario.v0) + ss_bound
+        tau_i, theta = _tau_i_and_theta(alpha, beta, eps_vec, costs_est, graph, scenario.x0,
+                                        scenario.v0, phi, gp_val, lamF_min, lamF_max)
         r_dist = eta / lamF_max
 
     report = CertificateReport(
@@ -455,12 +455,3 @@ def certify(scenario) -> CertificateReport:
     )
     return report
 
-
-def _p0_norm(costs: NetworkCost, alpha: float, x0, v0) -> float:
-    x_star = minimize_global(costs)
-    n = costs.n_agents
-    x_bar = np.tile(x_star, (n, 1))
-    v_bar = -alpha * costs.grad_stack(x_bar)
-    x0 = np.asarray(x0, dtype=float).reshape(n, -1)
-    v0 = np.asarray(v0, dtype=float).reshape(n, -1)
-    return math.sqrt(float(np.sum((x0 - x_bar) ** 2)) + float(np.sum((v0 - v_bar) ** 2)))

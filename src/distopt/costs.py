@@ -77,10 +77,6 @@ class NetworkCost:
         """True when some member lacks a global gradient Lipschitz constant."""
         return any(a.M is None for a in self.agents)
 
-    def value_total(self, xs: np.ndarray) -> float:
-        """Separable objective sum_i f^i(x^i) for stacked states (N, d)."""
-        return float(sum(a.value(xs[i]) for i, a in enumerate(self.agents)))
-
     @cached_property
     def _scalar_gradients(self):
         funcs = tuple(a.scalar_gradient for a in self.agents)
@@ -107,9 +103,6 @@ class NetworkCost:
             except OverflowError:
                 out[i] = math.copysign(math.inf, float(xs[i, 0]))
         return out
-
-    def global_value(self, x: np.ndarray) -> float:
-        return float(sum(a.value(x) for a in self.agents))
 
     def global_gradient(self, x: np.ndarray) -> np.ndarray:
         return np.sum([a.gradient(x) for a in self.agents], axis=0)

@@ -14,15 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import NetworkCost
-from .dynamics import Trace
+from .dynamics import AlgorithmParams, Trace, equilibrium
 from .errors import (
     DimMismatch,
     InsufficientSampling,
     InsufficientVisibility,
-    NotConnected,
     ValidationError,
 )
-from .graph import DisagreementBasis, WeightedDigraph, complement_basis, out_laplacian
+from .graph import DisagreementBasis, WeightedDigraph, complement_basis, reduced_laplacian
 
 
 @dataclass(frozen=True)
@@ -120,13 +119,8 @@ def lasalle_function(coords: AnalysisCoordinates, alpha: float, beta: float,
 
 
 def _reduced_inv_quad(g: WeightedDigraph, w2: np.ndarray) -> float:
-    basis = complement_basis(g.n)
-    red = basis.R.T @ out_laplacian(g) @ basis.R
-    eigs = np.linalg.eigvalsh(0.5 * (red + red.T))
-    if eigs[0] <= 1e-10:
-        raise NotConnected("reduced Laplacian is singular; graph is not connected")
     w2m = w2.reshape(g.n - 1, -1)
-    return float(np.sum(w2m * np.linalg.solve(red, w2m)))
+    return float(np.sum(w2m * np.linalg.solve(reduced_laplacian(g), w2m)))
 
 
 _FUNCTIONS = ("digraph", "undirected", "lasalle")
@@ -145,8 +139,6 @@ def lyapunov_series(trace: Trace, which: str, *, g: WeightedDigraph, nc: Network
         raise ValidationError(f"unknown function id {which!r}; pick from {_FUNCTIONS}")
     if which in ("digraph", "undirected") and phi is None:
         raise ValidationError(f"function {which!r} needs phi")
-    from .dynamics import AlgorithmParams, equilibrium
-
     beta = trace.beta if beta is None else beta
     eq = equilibrium(nc, AlgorithmParams(alpha, beta))
     basis = complement_basis(trace.n_agents)
@@ -293,8 +285,6 @@ def conservation_violation(trace: Trace) -> float:
 
 def isometry_violation(trace: Trace, nc: NetworkCost, alpha: float, beta: float) -> float:
     """Worst gap between ||z|| and ||x - x_bar|| along the trace."""
-    from .dynamics import AlgorithmParams, equilibrium
-
     eq = equilibrium(nc, AlgorithmParams(alpha, beta))
     basis = complement_basis(trace.n_agents)
     worst = 0.0

@@ -73,7 +73,6 @@ class Scenario:
     schedule: dynamics.SwitchingSchedule | None = None
     analysis: AnalysisOptions = field(default_factory=AnalysisOptions)
     out_dir: str | None = None
-    source: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if (self.graph is None) == (self.schedule is None):
@@ -196,7 +195,6 @@ def scenario_from_dict(cfg: dict, seed: int | None = None) -> Scenario:
         schedule=schedule,
         analysis=analysis,
         out_dir=cfg.get("out"),
-        source=dict(cfg),
     )
 
 
@@ -269,30 +267,29 @@ def presets(name: str) -> Scenario:
 def run(scenario: Scenario, out_dir=None, with_certificate: bool = False) -> dict:
     """Execute a scenario and write trace.csv, events.csv and summary.json.
 
-    Returns the summary dict.  On numerical blowup the partial outputs are
-    still written and the exception re-raised for the caller to map to an
-    exit status.
+    Returns the summary dict.  With ``with_certificate`` the certificate is
+    evaluated first, so a certificate error leaves no output directory
+    behind.  On numerical blowup the partial outputs are still written and
+    the exception re-raised for the caller to map to an exit status.
     """
+    certificate = certificates.certify(scenario).to_dict() if with_certificate else None
     out = Path(out_dir if out_dir is not None else (scenario.out_dir or "out"))
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     try:
-        if isinstance(scenario.scheme, schedulers.EulerScheme):
-            trace = dynamics.euler_simulate(scenario)
-        else:
-            trace = dynamics.simulate(scenario)
+        trace = dynamics.simulate(scenario)
     except DistoptError as exc:
         partial = getattr(exc, "trace", None)
         if partial is not None and partial.t.size:
             _write_outputs(partial, scenario, out, time.perf_counter() - t0,
-                           status="blowup", with_certificate=False)
+                           status="blowup", certificate=None)
         raise
     return _write_outputs(trace, scenario, out, time.perf_counter() - t0,
-                          status="ok", with_certificate=with_certificate)
+                          status="ok", certificate=certificate)
 
 
 def _write_outputs(trace, scenario, out: Path, wall: float, status: str,
-                   with_certificate: bool) -> dict:
+                   certificate: dict | None) -> dict:
     trace.to_csv(out / "trace.csv")
     trace.events_to_csv(out / "events.csv")
     stats = schedulers.event_stats(trace)
@@ -319,8 +316,8 @@ def _write_outputs(trace, scenario, out: Path, wall: float, status: str,
             "agents": [[float(v) for v in ln_err[:, i]] for i in range(trace.n_agents)],
         },
     }
-    if with_certificate:
-        summary["certificate"] = certificates.certify(scenario).to_dict()
+    if certificate is not None:
+        summary["certificate"] = certificate
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
@@ -334,10 +331,4 @@ def certify_cmd(scenario: Scenario) -> certificates.CertificateReport:
 
 def scheme_feasible(report: certificates.CertificateReport, scheme) -> bool:
     """Verdict relevant to the scenario's own communication scheme."""
-    if isinstance(scheme, schedulers.Periodic):
-        return report.feasible["periodic"]
-    if isinstance(scheme, schedulers.CentralizedEvent):
-        return report.feasible["centralized_event"]
-    if isinstance(scheme, schedulers.DistributedEvent):
-        return report.feasible["distributed_event"]
-    return report.feasible["digraph_rate"]
+    return report.feasible.get(scheme.kind, report.feasible["digraph_rate"])

@@ -10,7 +10,8 @@ detection lags the continuous-time law by at most one step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import ClassVar, get_args
 
 import numpy as np
 
@@ -24,11 +25,14 @@ GRID_SLACK = 1e-9  # absorbs float noise when node times are k*h products
 class Continuous:
     """Neighbor information available at every instant (no events)."""
 
+    kind: ClassVar[str] = "continuous"
+
 
 @dataclass(frozen=True)
 class Periodic:
     """All agents broadcast synchronously every ``delta`` seconds from t = 0."""
 
+    kind: ClassVar[str] = "periodic"
     delta: float
 
     def __post_init__(self):
@@ -41,6 +45,7 @@ class CentralizedEvent:
     """Synchronous broadcasts when the drift condition fails, at least
     ``tau`` apart.  Requires ``0 < kappa < 1``."""
 
+    kind: ClassVar[str] = "centralized_event"
     kappa: float
     tau: float
 
@@ -55,6 +60,7 @@ class CentralizedEvent:
 class DistributedEvent:
     """Asynchronous per-agent triggers with thresholds ``eps`` (all positive)."""
 
+    kind: ClassVar[str] = "distributed_event"
     eps: np.ndarray
 
     def __post_init__(self):
@@ -69,6 +75,7 @@ class DistributedEvent:
 class EulerScheme:
     """Forward-Euler discretization with stride ``delta`` (implicit broadcasts)."""
 
+    kind: ClassVar[str] = "euler"
     delta: float
 
     def __post_init__(self):
@@ -78,41 +85,46 @@ class EulerScheme:
 
 CommScheme = Continuous | Periodic | CentralizedEvent | DistributedEvent | EulerScheme
 
+SCHEMES = {cls.kind: cls for cls in get_args(CommScheme)}
+
 
 def scheme_dict(scheme: CommScheme) -> dict:
     """JSON-friendly description of a scheme."""
-    if isinstance(scheme, Continuous):
-        return {"kind": "continuous"}
-    if isinstance(scheme, Periodic):
-        return {"kind": "periodic", "delta": scheme.delta}
-    if isinstance(scheme, CentralizedEvent):
-        return {"kind": "centralized_event", "kappa": scheme.kappa, "tau": scheme.tau}
-    if isinstance(scheme, DistributedEvent):
-        return {"kind": "distributed_event", "eps": [float(e) for e in scheme.eps]}
-    if isinstance(scheme, EulerScheme):
-        return {"kind": "euler", "delta": scheme.delta}
-    raise ValidationError(f"unknown scheme {scheme!r}")
+    if type(scheme) not in SCHEMES.values():
+        raise ValidationError(f"unknown scheme {scheme!r}")
+    out = {"kind": scheme.kind}
+    for f in fields(scheme):
+        value = getattr(scheme, f.name)
+        out[f.name] = [float(e) for e in value] if isinstance(value, np.ndarray) else value
+    return out
 
 
 def scheme_from_dict(d: dict, n_agents: int | None = None) -> CommScheme:
-    """Inverse of :func:`scheme_dict`; scalar eps broadcasts to all agents."""
+    """Inverse of :func:`scheme_dict`; scalar eps broadcasts to all agents.
+
+    Raises ValidationError naming ``scheme.<field>`` when a field is
+    missing or not numeric, and when ``d`` is not a dict.
+    """
+    if not isinstance(d, dict):
+        raise ValidationError(f"scheme must be an object with a 'kind', got {d!r}")
     kind = d.get("kind")
-    if kind == "continuous":
-        return Continuous()
-    if kind == "periodic":
-        return Periodic(delta=float(d["delta"]))
-    if kind == "centralized_event":
-        return CentralizedEvent(kappa=float(d["kappa"]), tau=float(d["tau"]))
-    if kind == "distributed_event":
-        eps = d["eps"]
-        if np.isscalar(eps):
+    if kind not in SCHEMES:
+        raise ValidationError(f"unknown scheme kind {kind!r}")
+    cls = SCHEMES[kind]
+    args = {}
+    for f in fields(cls):
+        if f.name not in d:
+            raise ValidationError(f"scheme.{f.name} is missing for kind {kind!r}")
+        value = d[f.name]
+        if f.name == "eps" and np.isscalar(value):
             if n_agents is None:
                 raise ValidationError("scalar eps needs a known agent count")
-            eps = np.full(n_agents, float(eps))
-        return DistributedEvent(eps=np.asarray(eps, dtype=float))
-    if kind == "euler":
-        return EulerScheme(delta=float(d["delta"]))
-    raise ValidationError(f"unknown scheme kind {kind!r}")
+            value = [value] * n_agents
+        try:
+            args[f.name] = np.asarray(value, dtype=float) if f.name == "eps" else float(value)
+        except (TypeError, ValueError):
+            raise ValidationError(f"scheme.{f.name} must be numeric, got {value!r}") from None
+    return cls(**args)
 
 
 def periodic_due(t: float, delta: float, last: float, slack: float = GRID_SLACK) -> bool:
@@ -148,10 +160,7 @@ def centralized_trigger_check(state, x_at_last: np.ndarray, kappa: float,
     since the last broadcast exceeds kappa times the centered current
     state: ||Pi (x(t_last) - x(t))||^2 > kappa ||Pi x(t)||^2.
     """
-    if not (0.0 < kappa < 1.0):
-        raise ValidationError(f"kappa must lie in (0, 1), got {kappa}")
-    if not tau > 0:
-        raise ValidationError(f"tau must be positive, got {tau}")
+    CentralizedEvent(kappa=kappa, tau=tau)  # validates 0 < kappa < 1 and tau > 0
     return _centralized_due(state.x, x_at_last, kappa, t_last, tau, state.t)
 
 
@@ -164,12 +173,17 @@ def distributed_trigger_check(agent: int, state, g: WeightedDigraph, eps_i: floa
     """
     if not eps_i > 0:
         raise ValidationError(f"eps_i must be positive, got {eps_i}")
-    w = g.weights[agent]
-    drift = state.x_hat[agent] - state.x[agent]
-    lhs = 4.0 * float(w.sum()) * float(drift @ drift)
-    diffs = state.x_hat[agent][None, :] - state.x_hat
-    rhs = float(w @ np.sum(diffs * diffs, axis=1)) + eps_i**2
-    return lhs > rhs
+    return _agent_fires(agent, state.x, state.x_hat, g.weights, eps_i**2,
+                        float(g.weights[agent].sum()))
+
+
+def _agent_fires(i: int, x: np.ndarray, x_hat: np.ndarray, weights: np.ndarray,
+                 eps2_i: float, dout_i: float) -> bool:
+    """The distributed law for agent i (see :func:`distributed_trigger_check`)."""
+    drift = x_hat[i] - x[i]
+    diffs = x_hat[i][None, :] - x_hat
+    return (4.0 * dout_i * float(drift @ drift)
+            > float(weights[i] @ np.sum(diffs * diffs, axis=1)) + eps2_i)
 
 
 def _cascade(x: np.ndarray, x_hat: np.ndarray, weights: np.ndarray,
@@ -199,11 +213,7 @@ def _cascade(x: np.ndarray, x_hat: np.ndarray, weights: np.ndarray,
         for i in range(n):
             if i in fired:
                 continue
-            drift = x_hat[i] - x[i]
-            lhs_i = 4.0 * dout[i] * float(drift @ drift)
-            diffs_i = x_hat[i][None, :] - x_hat
-            rhs_i = float(weights[i] @ np.sum(diffs_i * diffs_i, axis=1)) + eps2[i]
-            if lhs_i > rhs_i:
+            if _agent_fires(i, x, x_hat, weights, eps2[i], dout[i]):
                 x_hat[i] = x[i]
                 fired.append(i)
                 any_new = True
@@ -219,9 +229,7 @@ def cascade_resolve(state, g: WeightedDigraph, eps) -> list[int]:
     ``state.x_hat`` are refreshed in place and ``state.last_event``
     updated.
     """
-    eps = np.atleast_1d(np.asarray(eps, dtype=float))
-    if not (eps > 0).all():
-        raise ValidationError("every eps_i must be strictly positive")
+    eps = DistributedEvent(eps=eps).eps
     fired = _cascade(state.x, state.x_hat, g.weights, eps**2)
     for i in fired:
         state.last_event[i] = state.t
@@ -234,7 +242,9 @@ class EventStats:
 
     ``min_gaps[i]`` is the horizon length when agent i logged fewer than
     two events.  ``zeno_flag`` is the sampled accumulation proxy: it is set
-    when some gap is at most twice the integration step.
+    when some gap spans at most two integration steps, compared against
+    ``2 h + GRID_SLACK`` because a gap of two nodes, ``(k+2) h - k h``, can
+    round to just above ``2 h``.
     """
 
     counts: np.ndarray
@@ -260,6 +270,6 @@ def event_stats(trace) -> EventStats:
         counts=counts,
         min_gaps=min_gaps,
         global_min_gap=global_min,
-        zeno_flag=bool(counts.sum() > 0 and global_min <= 2.0 * trace.h),
+        zeno_flag=bool(counts.sum() > 0 and global_min <= 2.0 * trace.h + GRID_SLACK),
         horizon=horizon,
     )

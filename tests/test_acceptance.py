@@ -35,7 +35,6 @@ from distopt.dynamics import (
     AlgorithmParams,
     continuous_field,
     equilibrium,
-    euler_simulate,
     linear_system_matrix,
     simulate,
     NetworkState,
@@ -43,7 +42,7 @@ from distopt.dynamics import (
 from distopt.errors import InsufficientVisibility
 from distopt.graph import preset_graph, spectral_summary
 from distopt.scenarios import PRESET_NAMES, AnalysisOptions, preset_dict, presets, scenario_from_dict
-from distopt.schedulers import CentralizedEvent, DistributedEvent, EulerScheme, Periodic, event_stats
+from distopt.schedulers import CentralizedEvent, DistributedEvent, Periodic, event_stats
 
 
 def _check(num: int, desc: str, ok: bool, detail: str = "") -> None:
@@ -73,13 +72,12 @@ def ring_certificates():
 def _timed_run(sc):
     """Wall time of the integration; min of two tries when the first
     exceeds the budget, to shield the measurement from transient load."""
-    runner = euler_simulate if isinstance(sc.scheme, EulerScheme) else simulate
     t0 = time.perf_counter()
-    trace = runner(sc)
+    trace = simulate(sc)
     elapsed = time.perf_counter() - t0
     if elapsed >= 5.0:
         t0 = time.perf_counter()
-        trace = runner(sc)
+        trace = simulate(sc)
         elapsed = min(elapsed, time.perf_counter() - t0)
     return trace, elapsed
 
@@ -365,7 +363,7 @@ def test_criterion_13_euler_comparison():
     results = {}
     for name in ("fig4a", "fig4b"):
         sc = presets(name)
-        trace = euler_simulate(sc) if isinstance(sc.scheme, EulerScheme) else simulate(sc)
+        trace = simulate(sc)
         results[name] = float(trace.err[-1].max())
     ok = all(err <= 1e-4 for err in results.values())
     _check(13, "sampled-communication and Euler runs both converge to 1e-4 by t = 60",

@@ -150,6 +150,12 @@ class TestKappa:
             lN = l2 + rng.uniform(0.0, 5.0)
             assert kappa(a, b, eps, delta, phi, l2, lN) < 1.0
 
+    def test_value_above_one_raises(self):
+        # evaluates to 100.005 / 2.0502 = 48.8; a ValidationError, not an
+        # assert, so the check also holds under python -O
+        with pytest.raises(ValidationError, match="kappa"):
+            kappa(1, 1, 0.5, 100, 0.01, 1, 1)
+
 
 class TestMatrixF:
     def test_worked_example_against_dense_solver(self):

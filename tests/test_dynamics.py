@@ -12,7 +12,6 @@ from distopt.dynamics import (
     SwitchingSchedule,
     continuous_field,
     equilibrium,
-    euler_simulate,
     linear_system_matrix,
     rk4_step,
     sampled_field,
@@ -261,7 +260,7 @@ class TestEuler:
         x_bar, v_bar = equilibrium(quad_pair_nc, AlgorithmParams(1.0, 1.0))
         sc = make_scenario(quad_pair, graph=k2, scheme=EulerScheme(delta=0.2),
                            t_final=4.0, x0=x_bar, v0=v_bar, stride=1)
-        trace = euler_simulate(sc)
+        trace = simulate(sc)
         assert np.abs(trace.x - x_bar[None]).max() <= 1e-12
 
     def test_first_order_accuracy(self, k2, quad_pair):
@@ -273,7 +272,7 @@ class TestEuler:
         for delta in (0.02, 0.01):
             sc = make_scenario(quad_pair, graph=k2, scheme=EulerScheme(delta=delta),
                                t_final=1.0, stride=round(1.0 / delta), x0=x0)
-            tr = euler_simulate(sc)
+            tr = simulate(sc)
             errs.append(np.abs(tr.x[-1] - ref.x[-1]).max())
         ratio = errs[1] / errs[0]
         assert 0.3 <= ratio <= 0.7  # halving the step about halves the error
@@ -282,14 +281,14 @@ class TestEuler:
         sc = make_scenario(quad_pair, graph=k2, scheme=EulerScheme(delta=2.5),
                            t_final=200.0, x0=np.array([[5.0], [-5.0]]), stride=1)
         with pytest.raises(NumericalBlowup) as excinfo:
-            euler_simulate(sc)
+            simulate(sc)
         partial = excinfo.value.trace
         assert partial is not None and partial.t.size >= 1
 
     def test_conservation_under_euler(self, k2, quad_pair):
         sc = make_scenario(quad_pair, graph=k2, scheme=EulerScheme(delta=0.1),
                            t_final=20.0, stride=1)
-        trace = euler_simulate(sc)
+        trace = simulate(sc)
         assert np.abs(trace.v.sum(axis=1)).max() <= 1e-9
 
 

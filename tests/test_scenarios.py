@@ -61,6 +61,16 @@ class TestParsing:
         with pytest.raises(ValidationError):
             scenario_from_dict(cfg)
 
+    def test_missing_scheme_field_names_it(self):
+        cfg = dict(MINIMAL) | {"scheme": {"kind": "periodic"}}
+        with pytest.raises(ValidationError, match=r"scheme\.delta"):
+            scenario_from_dict(cfg)
+
+    def test_non_numeric_scheme_field_names_it(self):
+        cfg = dict(MINIMAL) | {"scheme": {"kind": "periodic", "delta": "abc"}}
+        with pytest.raises(ValidationError, match=r"scheme\.delta"):
+            scenario_from_dict(cfg)
+
     def test_missing_costs_rejected(self):
         with pytest.raises(ValidationError):
             scenario_from_dict({"graph": {"preset": "k2"}})
@@ -215,6 +225,22 @@ class TestCli:
     def test_run_validation_error(self, tmp_path, capsys):
         path = write_json(tmp_path, self.quick_cfg() | {"v0": [1.0, 0.0]})
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("scheme, named", [({"kind": "periodic"}, "scheme.delta"),
+                                               ({"kind": "periodic", "delta": "abc"}, "scheme.delta"),
+                                               ("periodic", "scheme must be an object")])
+    def test_run_bad_scheme_exits_2(self, tmp_path, capsys, scheme, named):
+        path = write_json(tmp_path, self.quick_cfg() | {"scheme": scheme})
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_run_certify_error_writes_nothing(self, tmp_path):
+        # catalog costs without analysis.box: certify fails before anything runs
+        cfg = preset_dict("fig3a") | {"t_final": 0.2}
+        path = write_json(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out), "--certify"]) == 2
+        assert not out.exists() or not any(out.iterdir())
 
     def test_run_parse_error(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -171,6 +172,15 @@ class TestEventStats:
                            t_final=0.1, h=1e-3)
         stats = event_stats(simulate(sc))
         assert stats.zeno_flag
+
+    @pytest.mark.parametrize("nodes_apart, flagged", [(2, True), (3, False)])
+    def test_zeno_proxy_at_two_node_gap_despite_rounding(self, nodes_apart, flagged):
+        # (1 + 2) h - 1 h rounds to just above 2 h at h = 2e-4
+        h = 2e-4
+        trace = SimpleNamespace(n_agents=1, h=h, t=np.array([0.0, 5 * h]),
+                                event_agents=np.array([0, 0]),
+                                event_times=np.array([1 * h, (1 + nodes_apart) * h]))
+        assert event_stats(trace).zeno_flag is flagged
 
 
 class TestTraceEventConsistency:
