@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from . import scenarios
+from . import certificates, scenarios
 from .errors import DistoptError, NumericalBlowup
 from .graph import (
     is_strongly_connected,
@@ -65,7 +65,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_certify(args) -> int:
     scenario = scenarios.parse_scenario(args.scenario)
-    report = scenarios.certify_cmd(scenario)
+    report = certificates.certify(scenario)
     print(json.dumps(report.to_dict(), indent=2))
     return EXIT_OK if scenarios.scheme_feasible(report, scenario.scheme) else EXIT_INFEASIBLE
 

@@ -28,7 +28,7 @@ class CostModel:
     Lipschitz constant when known.  ``locally_lipschitz`` marks costs whose
     gradient is Lipschitz only on compact sets; such costs carry no global
     ``M``.  ``value`` maps a (d,) array to a float, ``gradient`` to a (d,)
-    array.  For d = 1 the optional scalar callables avoid array overhead in
+    array.  For d = 1 the optional scalar gradient avoids array overhead in
     inner simulation loops.
     """
 
@@ -39,7 +39,6 @@ class CostModel:
     M: float | None = None
     locally_lipschitz: bool = False
     name: str = ""
-    scalar_value: Callable[[float], float] | None = field(default=None, repr=False, compare=False)
     scalar_gradient: Callable[[float], float] | None = field(default=None, repr=False, compare=False)
 
 
@@ -117,7 +116,6 @@ def _entry(name, value, grad, m=None, M=None, locally_lipschitz=False):
         M=M,
         locally_lipschitz=locally_lipschitz,
         name=name,
-        scalar_value=value,
         scalar_gradient=grad,
     )
 
@@ -208,7 +206,6 @@ def quadratic_cost(a, b: float = 0.0) -> CostModel:
         a0 = float(a[0])
         model = replace(
             model,
-            scalar_value=lambda x: 0.5 * (x * x + x * a0 + b),
             scalar_gradient=lambda x: x + 0.5 * a0,
         )
     return model

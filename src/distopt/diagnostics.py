@@ -31,7 +31,8 @@ class AnalysisCoordinates:
     ``z1``/``w1`` are the consensus components of x - x_bar and v - v_bar;
     ``z_rest``/``w_rest`` the disagreement components, flattened with the
     agent index slow.  With zero-sum initial v, ``w1`` stays identically
-    zero along trajectories.
+    zero along trajectories.  Coordinates of a (K, N, d) stack of states
+    carry a leading sample axis.
     """
 
     z1: np.ndarray
@@ -40,15 +41,23 @@ class AnalysisCoordinates:
     w_rest: np.ndarray
 
     @property
-    def p_norm_sq(self) -> float:
+    def p_norm_sq(self) -> float | np.ndarray:
         """Squared norm of (z, w_rest), the certificate state."""
-        return float(self.z1 @ self.z1 + self.z_rest @ self.z_rest
-                     + self.w_rest @ self.w_rest)
+        return _per_state(_sq(self.z1) + _sq(self.z_rest) + _sq(self.w_rest))
+
+
+def _sq(a: np.ndarray) -> np.ndarray:  # squared norm over the last axis
+    return (a * a).sum(axis=-1)
+
+
+def _per_state(value):  # a float for one state, the (K,) array for a stack
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def to_analysis_coords(x: np.ndarray, v: np.ndarray, equilibrium_point,
                        basis: DisagreementBasis) -> AnalysisCoordinates:
-    """Map raw (N, d) states into deviation coordinates.
+    """Map raw (N, d) states, or a (K, N, d) stack of them, into deviation
+    coordinates.
 
     ``equilibrium_point`` is the (x_bar, v_bar) pair.  The transform is
     orthonormal: ||(z1, z_rest)|| = ||x - x_bar||.
@@ -56,22 +65,22 @@ def to_analysis_coords(x: np.ndarray, v: np.ndarray, equilibrium_point,
     x_bar, v_bar = equilibrium_point
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    if x.shape != x_bar.shape or v.shape != v_bar.shape:
+    if x.ndim not in (2, 3) or x.shape[-2:] != x_bar.shape or v.shape != x.shape:
         raise DimMismatch(f"state shape {x.shape}/{v.shape} != equilibrium "
                           f"{x_bar.shape}/{v_bar.shape}")
-    if basis.r.shape[0] != x.shape[0]:
-        raise DimMismatch(f"basis size {basis.r.shape[0]} != agent count {x.shape[0]}")
+    if basis.r.shape[0] != x.shape[-2]:
+        raise DimMismatch(f"basis size {basis.r.shape[0]} != agent count {x.shape[-2]}")
     y = x - x_bar
     u = v - v_bar
     return AnalysisCoordinates(
         z1=basis.r @ y,
-        z_rest=(basis.R.T @ y).ravel(),
+        z_rest=(basis.R.T @ y).reshape(*y.shape[:-2], -1),
         w1=basis.r @ u,
-        w_rest=(basis.R.T @ u).ravel(),
+        w_rest=(basis.R.T @ u).reshape(*u.shape[:-2], -1),
     )
 
 
-def lyapunov_digraph(coords: AnalysisCoordinates, alpha: float, phi: float) -> float:
+def lyapunov_digraph(coords: AnalysisCoordinates, alpha: float, phi: float) -> float | np.ndarray:
     """Quadratic energy certified to decay over balanced digraphs.
 
     V = alpha (phi+1)/18 ||z1||^2 + phi alpha / 2 ||z2||^2
@@ -81,13 +90,12 @@ def lyapunov_digraph(coords: AnalysisCoordinates, alpha: float, phi: float) -> f
     if not (alpha > 0 and phi > 0):
         raise ValidationError("alpha and phi must be positive")
     z1, z2, w2 = coords.z1, coords.z_rest, coords.w_rest
-    mix = alpha * z2 + w2
-    return float((alpha * (phi + 1) / 18.0) * (z1 @ z1) + 0.5 * phi * alpha * (z2 @ z2)
-                 + (mix @ mix) / (2.0 * alpha))
+    return _per_state((alpha * (phi + 1) / 18.0) * _sq(z1) + 0.5 * phi * alpha * _sq(z2)
+                      + _sq(alpha * z2 + w2) / (2.0 * alpha))
 
 
 def lyapunov_undirected(coords: AnalysisCoordinates, alpha: float, beta: float,
-                        phi: float, g: WeightedDigraph) -> float:
+                        phi: float, g: WeightedDigraph) -> float | np.ndarray:
     """Energy for connected undirected topologies (needs phi >= 1).
 
     Adds the inverse-reduced-Laplacian term
@@ -99,14 +107,13 @@ def lyapunov_undirected(coords: AnalysisCoordinates, alpha: float, beta: float,
     if phi < 1:
         raise ValidationError(f"phi must be at least 1, got {phi}")
     z1, z2, w2 = coords.z1, coords.z_rest, coords.w_rest
-    mix = alpha * z2 + w2
-    return float(0.5 * alpha * (phi + 1) * (z1 @ z1) + 0.5 * phi * alpha * (z2 @ z2)
-                 + (mix @ mix) / (2.0 * alpha)
-                 + 0.5 * (phi + 1) / beta * _reduced_inv_quad(g, w2))
+    return _per_state(0.5 * alpha * (phi + 1) * _sq(z1) + 0.5 * phi * alpha * _sq(z2)
+                      + _sq(alpha * z2 + w2) / (2.0 * alpha)
+                      + 0.5 * (phi + 1) / beta * _reduced_inv_quad(g, w2))
 
 
 def lasalle_function(coords: AnalysisCoordinates, alpha: float, beta: float,
-                     g: WeightedDigraph) -> float:
+                     g: WeightedDigraph) -> float | np.ndarray:
     """Invariance-principle energy for merely convex local costs.
 
     V = ||z||^2 / 2 + w2' (R'LR)^{-1} w2 / (2 alpha beta); non-increasing
@@ -115,15 +122,22 @@ def lasalle_function(coords: AnalysisCoordinates, alpha: float, beta: float,
     if not (alpha > 0 and beta > 0):
         raise ValidationError("alpha and beta must be positive")
     z1, z2, w2 = coords.z1, coords.z_rest, coords.w_rest
-    return float(0.5 * (z1 @ z1 + z2 @ z2) + _reduced_inv_quad(g, w2) / (2.0 * alpha * beta))
+    return _per_state(0.5 * (_sq(z1) + _sq(z2))
+                      + _reduced_inv_quad(g, w2) / (2.0 * alpha * beta))
 
 
-def _reduced_inv_quad(g: WeightedDigraph, w2: np.ndarray) -> float:
-    w2m = w2.reshape(g.n - 1, -1)
-    return float(np.sum(w2m * np.linalg.solve(reduced_laplacian(g), w2m)))
+def _reduced_inv_quad(g: WeightedDigraph, w2: np.ndarray) -> np.ndarray:
+    """w2' (R'LR)^{-1} w2 for one flattened ``w_rest`` or a stack of them;
+    the reduced Laplacian is built once per call."""
+    w2m = w2.reshape(*w2.shape[:-1], g.n - 1, -1)
+    return np.sum(w2m * np.linalg.solve(reduced_laplacian(g), w2m), axis=(-2, -1))
 
 
-_FUNCTIONS = ("digraph", "undirected", "lasalle")
+_ENERGIES = {
+    "digraph": lambda c, g, alpha, beta, phi: lyapunov_digraph(c, alpha, phi),
+    "undirected": lambda c, g, alpha, beta, phi: lyapunov_undirected(c, alpha, beta, phi, g),
+    "lasalle": lambda c, g, alpha, beta, phi: lasalle_function(c, alpha, beta, g),
+}
 
 
 def lyapunov_series(trace: Trace, which: str, *, g: WeightedDigraph, nc: NetworkCost,
@@ -135,25 +149,14 @@ def lyapunov_series(trace: Trace, which: str, *, g: WeightedDigraph, nc: Network
     squared norm of the certificate state (z, w_rest).  The equilibrium
     comes from the centralized oracle.
     """
-    if which not in _FUNCTIONS:
-        raise ValidationError(f"unknown function id {which!r}; pick from {_FUNCTIONS}")
+    if which not in _ENERGIES:
+        raise ValidationError(f"unknown function id {which!r}; pick from {tuple(_ENERGIES)}")
     if which in ("digraph", "undirected") and phi is None:
         raise ValidationError(f"function {which!r} needs phi")
     beta = trace.beta if beta is None else beta
     eq = equilibrium(nc, AlgorithmParams(alpha, beta))
-    basis = complement_basis(trace.n_agents)
-    V = np.empty(trace.t.size)
-    p_sq = np.empty(trace.t.size)
-    for k in range(trace.t.size):
-        coords = to_analysis_coords(trace.x[k], trace.v[k], eq, basis)
-        p_sq[k] = coords.p_norm_sq
-        if which == "digraph":
-            V[k] = lyapunov_digraph(coords, alpha, phi)
-        elif which == "undirected":
-            V[k] = lyapunov_undirected(coords, alpha, beta, phi, g)
-        else:
-            V[k] = lasalle_function(coords, alpha, beta, g)
-    return V, p_sq
+    coords = to_analysis_coords(trace.x, trace.v, eq, complement_basis(trace.n_agents))
+    return _ENERGIES[which](coords, g, alpha, beta, phi), coords.p_norm_sq
 
 
 @dataclass(frozen=True)
@@ -286,11 +289,7 @@ def conservation_violation(trace: Trace) -> float:
 def isometry_violation(trace: Trace, nc: NetworkCost, alpha: float, beta: float) -> float:
     """Worst gap between ||z|| and ||x - x_bar|| along the trace."""
     eq = equilibrium(nc, AlgorithmParams(alpha, beta))
-    basis = complement_basis(trace.n_agents)
-    worst = 0.0
-    for k in range(trace.t.size):
-        coords = to_analysis_coords(trace.x[k], trace.v[k], eq, basis)
-        z_norm = math.sqrt(float(coords.z1 @ coords.z1 + coords.z_rest @ coords.z_rest))
-        y_norm = float(np.linalg.norm(trace.x[k] - eq[0]))
-        worst = max(worst, abs(z_norm - y_norm))
-    return worst
+    coords = to_analysis_coords(trace.x, trace.v, eq, complement_basis(trace.n_agents))
+    z_norm = np.sqrt(_sq(coords.z1) + _sq(coords.z_rest))
+    y_norm = np.linalg.norm((trace.x - eq[0]).reshape(trace.t.size, -1), axis=1)
+    return float(np.abs(z_norm - y_norm).max(initial=0.0))

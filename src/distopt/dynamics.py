@@ -260,15 +260,22 @@ def _oracle_or_none(nc: NetworkCost):
         return None
 
 
+def grid_steps(span: float, h: float, name: str) -> int:
+    """Number of steps of size ``h`` in ``span``; raises ValidationError
+    naming ``name`` unless ``span`` is a positive multiple of ``h``."""
+    steps = round(span / h)
+    if steps < 1 or abs(steps * h - span) > 1e-9:
+        raise ValidationError(f"{name} {span} must be a positive multiple of the step {h}")
+    return steps
+
+
 def _resolve_topology(scenario, h: float):
     """Return (graphs, laplacians, order, steps_per_dwell)."""
     sched = getattr(scenario, "schedule", None)
     if sched is None:
         g = scenario.graph
         return (g,), (out_laplacian(g),), (0,), None
-    spd = round(sched.dwell / h)
-    if spd < 1 or abs(spd * h - sched.dwell) > 1e-9:
-        raise ValidationError(f"dwell {sched.dwell} must be a positive multiple of h = {h}")
+    spd = grid_steps(sched.dwell, h, "dwell")
     laps = tuple(out_laplacian(g) for g in sched.graphs)
     return sched.graphs, laps, sched.order, spd
 
@@ -300,8 +307,9 @@ def simulate(scenario: "Scenario") -> Trace:
     the next node is taken, so recorded samples always reflect
     post-broadcast state.  Topology switching happens between steps only.
 
-    Raises BadInitialization when sum_i v^i(0) != 0 and NumericalBlowup
-    (carrying the partial trace) when the state escapes the finite range.
+    Raises BadInitialization when sum_i v^i(0) != 0, ValidationError when
+    ``t_final`` or a dwell is not a positive multiple of the step, and
+    NumericalBlowup (carrying the partial trace) when the state escapes the finite range.
     """
     nc = scenario.network
     n, d = nc.n_agents, nc.dim
@@ -317,13 +325,11 @@ def simulate(scenario: "Scenario") -> Trace:
     h = float(scheme.delta if euler else scenario.h)
     if not h > 0:
         raise ValidationError(f"h must be positive, got {h}")
-    n_steps = round(scenario.t_final / h)
+    n_steps = grid_steps(scenario.t_final, h, "t_final")
     graphs, laps, order, spd = _resolve_topology(scenario, h)
     x, v = _initial_arrays(scenario, n, d)
     x_hat = x.copy()
-    x_star = getattr(scenario, "x_star", None)
-    if x_star is None:
-        x_star = _oracle_or_none(nc)
+    x_star = _oracle_or_none(nc)
 
     ks = _sample_steps(n_steps, scenario.stride)
     n_smp = len(ks)

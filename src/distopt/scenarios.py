@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import certificates, dynamics, schedulers
+from . import certificates, diagnostics, dynamics, schedulers
 from .costs import CostModel, NetworkCost, catalog, network_cost, quadratic_cost
 from .errors import (
     DistoptError,
@@ -81,6 +81,8 @@ class Scenario:
             raise ValidationError(f"t_final must be positive, got {self.t_final}")
         if not self.h > 0:
             raise ValidationError(f"h must be positive, got {self.h}")
+        euler = getattr(self.scheme, "kind", None) == "euler"
+        dynamics.grid_steps(self.t_final, self.scheme.delta if euler else self.h, "t_final")
         if self.stride < 1:
             raise ValidationError(f"stride must be at least 1, got {self.stride}")
         n = len(self.costs)
@@ -99,22 +101,30 @@ class Scenario:
         return network_cost(self.costs)
 
 
-def _cost_from_dict(spec: dict) -> CostModel:
-    kind = spec.get("kind")
+def _required(spec: dict, key: str, where: str):
+    """``spec[key]``, or a ValidationError naming the field ``where``."""
+    if key not in spec:
+        raise ValidationError(f"{where} is missing")
+    return spec[key]
+
+
+def _cost_from_dict(spec: dict, where: str) -> CostModel:
+    kind = spec.get("kind") if isinstance(spec, dict) else None
     if kind == "catalog":
-        return catalog(spec["name"])
+        return catalog(_required(spec, "name", f"{where}.name"))
     if kind == "quadratic":
-        return quadratic_cost(spec["a"], float(spec.get("b", 0.0)))
-    raise ValidationError(f"unknown cost kind {kind!r} in {spec}")
+        return quadratic_cost(_required(spec, "a", f"{where}.a"), float(spec.get("b", 0.0)))
+    raise ValidationError(f"unknown cost kind {kind!r} in {where} = {spec!r}")
 
 
-def _graph_from_dict(spec: dict) -> WeightedDigraph:
+def _graph_from_dict(spec: dict, where: str) -> WeightedDigraph:
     if "preset" in spec:
         return preset_graph(spec["preset"])
     if "file" in spec:
         return load_graph(spec["file"])
     if "edges" in spec:
-        return build_digraph(int(spec["n"]), [tuple(e) for e in spec["edges"]])
+        n = int(_required(spec, "n", f"{where}.n"))
+        return build_digraph(n, [tuple(e) for e in spec["edges"]])
     raise ValidationError(f"graph spec needs 'preset', 'file' or 'edges': {spec}")
 
 
@@ -140,10 +150,9 @@ def scenario_from_dict(cfg: dict, seed: int | None = None) -> Scenario:
     ``seed`` overrides the seed in the dict (used by the CLI's --seed).
     Raises ValidationError naming the offending field.
     """
-    try:
-        costs = tuple(_cost_from_dict(c) for c in cfg["costs"])
-    except KeyError:
-        raise ValidationError("scenario is missing 'costs'") from None
+    if not cfg.get("costs"):
+        raise ValidationError("scenario needs a non-empty 'costs' list")
+    costs = tuple(_cost_from_dict(c, f"costs[{i}]") for i, c in enumerate(cfg["costs"]))
     n = len(costs)
     d = costs[0].dim
     graph = schedule = None
@@ -152,14 +161,15 @@ def scenario_from_dict(cfg: dict, seed: int | None = None) -> Scenario:
         if "presets" in sw:
             graphs = tuple(preset_graph(p) for p in sw["presets"])
         else:
-            graphs = tuple(_graph_from_dict(gd) for gd in sw["graphs"])
+            graphs = tuple(_graph_from_dict(gd, f"switching.graphs[{i}]")
+                           for i, gd in enumerate(_required(sw, "graphs", "switching.graphs")))
         schedule = dynamics.SwitchingSchedule(
             graphs=graphs,
-            dwell=float(sw["dwell"]),
+            dwell=float(_required(sw, "dwell", "switching.dwell")),
             order=tuple(sw.get("order", ())),
         )
     elif "graph" in cfg:
-        graph = _graph_from_dict(cfg["graph"])
+        graph = _graph_from_dict(cfg["graph"], "graph")
     else:
         raise ValidationError("scenario needs 'graph' or 'switching'")
 
@@ -309,7 +319,7 @@ def _write_outputs(trace, scenario, out: Path, wall: float, status: str,
         "min_inter_event": [None if not math.isfinite(gp) else float(gp) for gp in stats.min_gaps],
         "global_min_gap": None if not math.isfinite(stats.global_min_gap) else stats.global_min_gap,
         "zeno_flag": stats.zeno_flag,
-        "conservation_max": float(np.abs(trace.v.sum(axis=1)).max()) if trace.t.size else None,
+        "conservation_max": diagnostics.conservation_violation(trace) if trace.t.size else None,
         "wall_time_s": wall,
         "ln_err": {
             "t": [float(tt) for tt in trace.t],
@@ -322,11 +332,6 @@ def _write_outputs(trace, scenario, out: Path, wall: float, status: str,
         json.dump(summary, fh, indent=2)
         fh.write("\n")
     return summary
-
-
-def certify_cmd(scenario: Scenario) -> certificates.CertificateReport:
-    """Certificate report for a scenario (CLI `sim certify`)."""
-    return certificates.certify(scenario)
 
 
 def scheme_feasible(report: certificates.CertificateReport, scheme) -> bool:

@@ -127,17 +127,17 @@ def scheme_from_dict(d: dict, n_agents: int | None = None) -> CommScheme:
     return cls(**args)
 
 
-def periodic_due(t: float, delta: float, last: float, slack: float = GRID_SLACK) -> bool:
+def periodic_due(t: float, delta: float, last: float) -> bool:
     """True when the next synchronous broadcast is due.
 
     ``last`` is the previous broadcast time (-inf or NaN for "never", which
-    makes t = 0 due).  The slack absorbs node times formed as k*h products.
+    makes t = 0 due).  ``GRID_SLACK`` absorbs node times formed as k*h products.
     """
     if not delta > 0:
         raise ValidationError(f"delta must be positive, got {delta}")
     if last is None or not math.isfinite(last):
         return True
-    return t - last >= delta - slack
+    return t - last >= delta - GRID_SLACK
 
 
 def _centered(y: np.ndarray) -> np.ndarray:
@@ -173,53 +173,44 @@ def distributed_trigger_check(agent: int, state, g: WeightedDigraph, eps_i: floa
     """
     if not eps_i > 0:
         raise ValidationError(f"eps_i must be positive, got {eps_i}")
-    return _agent_fires(agent, state.x, state.x_hat, g.weights, eps_i**2,
-                        float(g.weights[agent].sum()))
+    return bool(_distributed_due(state.x, state.x_hat, g.weights, eps_i**2, g.out_degrees)[agent])
 
 
-def _agent_fires(i: int, x: np.ndarray, x_hat: np.ndarray, weights: np.ndarray,
-                 eps2_i: float, dout_i: float) -> bool:
-    """The distributed law for agent i (see :func:`distributed_trigger_check`)."""
-    drift = x_hat[i] - x[i]
-    diffs = x_hat[i][None, :] - x_hat
-    return (4.0 * dout_i * float(drift @ drift)
-            > float(weights[i] @ np.sum(diffs * diffs, axis=1)) + eps2_i)
+def _distributed_due(x: np.ndarray, x_hat: np.ndarray, weights: np.ndarray, eps2,
+                     dout: np.ndarray) -> np.ndarray:
+    """The distributed law (see :func:`distributed_trigger_check`) as a mask
+    over all agents.  The eps floor alone settles most nodes, so pairwise
+    disagreement is formed only when some drift passes it."""
+    drift = x_hat - x
+    lhs = 4.0 * dout * (drift * drift).sum(axis=1)
+    due = lhs > eps2
+    if np.count_nonzero(due):  # cheaper than due.any() on a few agents
+        diffs = x_hat[:, None, :] - x_hat[None, :, :]
+        due &= lhs > (weights * (diffs * diffs).sum(axis=2)).sum(axis=1) + eps2
+    return due
 
 
 def _cascade(x: np.ndarray, x_hat: np.ndarray, weights: np.ndarray,
-             eps2: np.ndarray, dout: np.ndarray | None = None) -> list[int]:
+             eps2: np.ndarray, dout: np.ndarray) -> list[int]:
     """Resolve simultaneous triggers at one node; mutates ``x_hat``.
 
     Sweeps agents in ascending order, refreshing broadcast values
-    immediately, until a full sweep fires nothing.  A refreshed agent has
-    zero drift and cannot re-fire at the same node, so at most N sweeps
-    run; the guard exists for defensive termination only.
+    immediately, until a full sweep fires nothing: each sweep fires the
+    first due agent at or after its position, then moves past it.  A
+    refreshed agent has zero drift and cannot re-fire at the same node, so
+    at most N sweeps run.
     """
-    n = x.shape[0]
-    if dout is None:
-        dout = weights.sum(axis=1)
-    # vectorized prechecks: the eps floor alone, then the full condition
-    delta = x_hat - x
-    lhs = 4.0 * dout * (delta * delta).sum(axis=1)
-    if (lhs <= eps2).all():
-        return []
-    diffs = x_hat[:, None, :] - x_hat[None, :, :]
-    rhs = (weights * (diffs * diffs).sum(axis=2)).sum(axis=1) + eps2
-    if (lhs <= rhs).all():
-        return []
     fired: list[int] = []
-    for _ in range(n + 1):
-        any_new = False
-        for i in range(n):
-            if i in fired:
-                continue
-            if _agent_fires(i, x, x_hat, weights, eps2[i], dout[i]):
-                x_hat[i] = x[i]
-                fired.append(i)
-                any_new = True
-        if not any_new:
-            return sorted(fired)
-    raise AssertionError("cascade did not settle within N sweeps")
+    due = _distributed_due(x, x_hat, weights, eps2, dout)
+    while np.count_nonzero(due):  # a sweep from agent 0 fires iff some agent is due
+        start = 0
+        while (ahead := due[start:].nonzero()[0]).size:
+            i = start + int(ahead[0])
+            x_hat[i] = x[i]
+            fired.append(i)
+            due = _distributed_due(x, x_hat, weights, eps2, dout)
+            start = i + 1
+    return sorted(fired)
 
 
 def cascade_resolve(state, g: WeightedDigraph, eps) -> list[int]:
@@ -230,7 +221,7 @@ def cascade_resolve(state, g: WeightedDigraph, eps) -> list[int]:
     updated.
     """
     eps = DistributedEvent(eps=eps).eps
-    fired = _cascade(state.x, state.x_hat, g.weights, eps**2)
+    fired = _cascade(state.x, state.x_hat, g.weights, eps**2, g.out_degrees)
     for i in fired:
         state.last_event[i] = state.t
     return fired

@@ -290,11 +290,9 @@ def test_criterion_09_distributed_events(k2, quad_pair):
 def test_criterion_10_convex_only_lasalle(k2):
     quartic = CostModel(dim=1, value=lambda x: float(x[0] ** 4),
                         gradient=lambda x: 4.0 * x**3, name="x4",
-                        scalar_value=lambda x: x**4,
                         scalar_gradient=lambda x: 4 * x**3)
     shifted = CostModel(dim=1, value=lambda x: float((x[0] - 1) ** 4),
                         gradient=lambda x: 4.0 * (x - 1) ** 3, name="(x-1)^4",
-                        scalar_value=lambda x: (x - 1) ** 4,
                         scalar_gradient=lambda x: 4 * (x - 1) ** 3)
     costs = (quartic, shifted)
     sc = make_scenario(costs, graph=k2, t_final=100.0, seed=2)

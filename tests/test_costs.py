@@ -92,7 +92,6 @@ class TestCatalog:
         for name in CATALOG_NAMES:
             model = catalog(name)
             assert model.scalar_gradient(1.7) == model.gradient(np.array([1.7]))[0]
-            assert model.scalar_value(-2.3) == model.value(np.array([-2.3]))
 
 
 class TestQuadraticFamily:

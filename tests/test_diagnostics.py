@@ -5,7 +5,7 @@ import pytest
 
 from conftest import make_scenario
 from distopt.certificates import matrix_E_extreme, matrix_F, matrix_F_extremes
-from distopt.costs import CostModel, network_cost
+from distopt.costs import CostModel, network_cost, quadratic_cost
 from distopt.diagnostics import (
     AnalysisCoordinates,
     conservation_violation,
@@ -185,11 +185,9 @@ class TestDecayCheck:
     def test_lasalle_monotone_on_convex_run(self, k2):
         quartic = CostModel(dim=1, value=lambda x: float(x[0] ** 4),
                             gradient=lambda x: 4.0 * x**3, name="x4",
-                            scalar_value=lambda x: x**4,
                             scalar_gradient=lambda x: 4 * x**3)
         shifted = CostModel(dim=1, value=lambda x: float((x[0] - 1) ** 4),
                             gradient=lambda x: 4.0 * (x - 1) ** 3, name="(x-1)^4",
-                            scalar_value=lambda x: (x - 1) ** 4,
                             scalar_gradient=lambda x: 4 * (x - 1) ** 3)
         nc = network_cost([quartic, shifted])
         sc = make_scenario([quartic, shifted], graph=k2, t_final=10.0,
@@ -253,3 +251,43 @@ class TestHelpers:
     def test_isometry_violation(self, k2, quad_pair, quad_pair_nc):
         trace = simulate(make_scenario(quad_pair, graph=k2, t_final=2.0))
         assert isometry_violation(trace, quad_pair_nc, 1.0, 1.0) <= 1e-10
+
+
+class TestWholeTrace:
+    """The whole-trace evaluations agree with evaluating one state at a time."""
+
+    @pytest.fixture
+    def ring_run(self):
+        costs = [quadratic_cost([2.0 * (i - 5)]) for i in range(1, 11)]
+        g = preset_graph("cycle10")
+        trace = simulate(make_scenario(costs, graph=g, t_final=2.0, stride=1, seed=3))
+        return trace, g, network_cost(costs)
+
+    @pytest.mark.parametrize("which, phi", [("digraph", 9.0), ("undirected", 2.0),
+                                            ("lasalle", None)])
+    def test_lyapunov_series_matches_per_sample(self, ring_run, which, phi):
+        trace, g, nc = ring_run
+        V, p_sq = lyapunov_series(trace, which, g=g, nc=nc, alpha=1.0, phi=phi)
+        eq = equilibrium(nc, AlgorithmParams(1.0, 1.0))
+        basis = complement_basis(10)
+        energy = {"digraph": lambda c: lyapunov_digraph(c, 1.0, phi),
+                  "undirected": lambda c: lyapunov_undirected(c, 1.0, 1.0, phi, g),
+                  "lasalle": lambda c: lasalle_function(c, 1.0, 1.0, g)}[which]
+        coords = [to_analysis_coords(trace.x[k], trace.v[k], eq, basis)
+                  for k in range(trace.t.size)]
+        assert all(isinstance(energy(c), float) for c in coords[:2])
+        assert V.shape == p_sq.shape == trace.t.shape
+        assert np.allclose(V, [energy(c) for c in coords], rtol=1e-12, atol=0.0)
+        assert np.allclose(p_sq, [c.p_norm_sq for c in coords], rtol=1e-12, atol=0.0)
+
+    def test_isometry_violation_matches_per_sample(self, ring_run):
+        # both sides are rounding gaps, quantized to ulps of ||x - x_bar||
+        trace, g, nc = ring_run
+        eq = equilibrium(nc, AlgorithmParams(1.0, 1.0))
+        basis = complement_basis(10)
+        worst = 0.0
+        for k in range(trace.t.size):
+            c = to_analysis_coords(trace.x[k], trace.v[k], eq, basis)
+            z_norm = math.sqrt(float(c.z1 @ c.z1 + c.z_rest @ c.z_rest))
+            worst = max(worst, abs(z_norm - float(np.linalg.norm(trace.x[k] - eq[0]))))
+        assert isometry_violation(trace, nc, 1.0, 1.0) == pytest.approx(worst, rel=1e-12)

@@ -75,6 +75,17 @@ class TestParsing:
         with pytest.raises(ValidationError):
             scenario_from_dict({"graph": {"preset": "k2"}})
 
+    def test_t_final_off_the_step_grid_rejected(self):
+        # 0.2005 with h = 1e-3 would otherwise be cut to 0.2
+        with pytest.raises(ValidationError, match="t_final"):
+            scenario_from_dict(dict(MINIMAL) | {"t_final": 0.2005})
+
+    def test_t_final_checked_against_the_euler_step(self):
+        cfg = dict(MINIMAL) | {"scheme": {"kind": "euler", "delta": 0.3}, "t_final": 1.0}
+        with pytest.raises(ValidationError, match="t_final"):
+            scenario_from_dict(cfg)
+        assert scenario_from_dict(cfg | {"t_final": 1.2}).t_final == 1.2
+
     def test_cost_graph_size_mismatch(self):
         cfg = dict(MINIMAL) | {"graph": {"preset": "k2"}}
         with pytest.raises(ValidationError):
@@ -233,6 +244,29 @@ class TestCli:
         path = write_json(tmp_path, self.quick_cfg() | {"scheme": scheme})
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change, named", [
+        ({"costs": []}, "costs"),
+        ({"costs": [{"kind": "catalog", "name": "f2"}, {"kind": "catalog"}]}, "costs[1].name"),
+        ({"costs": [{"kind": "quadratic"}, {"kind": "quadratic", "a": [1.0]}]}, "costs[0].a"),
+        ({"costs": [{"kind": "catalog", "name": "f2"}, "f10"]}, "costs[1]"),
+        ({"switching": {"presets": ["k2", "cycle2"]}}, "switching.dwell"),
+        ({"switching": {"dwell": 1.0}}, "switching.graphs"),
+        ({"graph": {"edges": [[1, 2, 1.0], [2, 1, 1.0]]}}, "graph.n"),
+    ])
+    def test_run_bad_field_exits_2_naming_it(self, tmp_path, capsys, change, named):
+        path = write_json(tmp_path, self.quick_cfg() | change)
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_t_final_off_grid_exits_2_writes_nothing(self, tmp_path, capsys):
+        path = write_json(tmp_path, self.quick_cfg() | {"t_final": 0.2005})
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 2
+        assert "t_final" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_run_certify_error_writes_nothing(self, tmp_path):
         # catalog costs without analysis.box: certify fails before anything runs

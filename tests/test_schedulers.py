@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_scenario
 from distopt.dynamics import NetworkState, simulate
@@ -13,6 +15,7 @@ from distopt.schedulers import (
     DistributedEvent,
     EulerScheme,
     Periodic,
+    _cascade,
     cascade_resolve,
     centralized_trigger_check,
     distributed_trigger_check,
@@ -149,6 +152,70 @@ class TestCascade:
         assert fired == [0, 1]
         assert np.allclose(s.x_hat.ravel(), [1.05, 1.2])
         assert np.allclose(s.last_event, [2.0, 2.0])
+
+    def test_later_agent_fires_first_earlier_in_next_sweep(self, k2):
+        # agent 0 is protected by its disagreement with agent 1's broadcast;
+        # agent 1 fires in the first sweep, after agent 0 was passed over,
+        # and its refresh leaves agent 0 due in the second sweep
+        s = state_of([1.0, 0.5], [0.0, 3.0])
+        assert not distributed_trigger_check(0, s, k2, 0.1)
+        assert distributed_trigger_check(1, s, k2, 0.1)
+        assert cascade_resolve(s, k2, [0.1, 0.1]) == [0, 1]
+        assert np.array_equal(s.x_hat.ravel(), [1.0, 0.5])
+
+
+def sweep_reference(x, x_hat, weights, eps2):
+    """Per-agent ascending sweeps until one fires nothing; mutates x_hat."""
+    n = x.shape[0]
+    fired = []
+    while True:
+        fired_in_sweep = False
+        for i in range(n):
+            if i in fired:
+                continue
+            drift = np.sum((x_hat[i] - x[i]) ** 2)
+            disagreement = np.sum(weights[i] * np.sum((x_hat[i] - x_hat) ** 2, axis=1))
+            if 4.0 * weights[i].sum() * drift > disagreement + eps2[i]:
+                x_hat[i] = x[i]
+                fired.append(i)
+                fired_in_sweep = True
+        if not fired_in_sweep:
+            return sorted(fired)
+
+
+@st.composite
+def cascade_cases(draw):
+    """A weight-balanced, strongly connected digraph (a Hamiltonian cycle
+    plus up to three more weighted directed cycles) with random states,
+    broadcasts and thresholds."""
+    n = draw(st.integers(2, 6))
+    d = draw(st.integers(1, 2))
+    cycles = [draw(st.permutations(range(n)))]
+    cycles += draw(st.lists(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True),
+                            max_size=3))
+    weights = np.zeros((n, n))
+    for cycle in cycles:
+        w = draw(st.floats(0.1, 5.0))
+        for i, j in zip(cycle, cycle[1:] + cycle[:1]):
+            weights[i, j] += w
+    values = st.lists(st.floats(-3.0, 3.0), min_size=n * d, max_size=n * d)
+    x = np.array(draw(values)).reshape(n, d)
+    x_hat = np.array(draw(values)).reshape(n, d)
+    eps = np.array(draw(st.lists(st.floats(1e-3, 3.0), min_size=n, max_size=n)))
+    return weights, x, x_hat, eps
+
+
+class TestCascadeProperty:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(cascade_cases())
+    def test_matches_per_agent_sweep_reference(self, case):
+        weights, x, x_hat, eps = case
+        assert np.allclose(weights.sum(axis=0), weights.sum(axis=1))  # balanced
+        expect_hat = x_hat.copy()
+        expected = sweep_reference(x, expect_hat, weights, eps**2)
+        got = _cascade(x, x_hat, weights, eps**2, weights.sum(axis=1))
+        assert got == expected
+        assert np.array_equal(x_hat, expect_hat)
 
 
 class TestEventStats:
