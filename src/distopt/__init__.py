@@ -16,7 +16,6 @@ from .diagnostics import (
 )
 from .dynamics import (
     AlgorithmParams,
-    NetworkState,
     SwitchingSchedule,
     Trace,
     equilibrium,
@@ -42,9 +41,6 @@ from .schedulers import (
     EulerScheme,
     EventStats,
     Periodic,
-    cascade_resolve,
-    centralized_trigger_check,
-    distributed_trigger_check,
     event_stats,
     periodic_due,
 )
@@ -65,23 +61,19 @@ __all__ = [
     "EventStats",
     "GraphSpectrum",
     "NetworkCost",
-    "NetworkState",
     "Periodic",
     "Scenario",
     "SwitchingSchedule",
     "Trace",
     "WeightedDigraph",
     "build_digraph",
-    "cascade_resolve",
     "catalog",
-    "centralized_trigger_check",
     "certificates",
     "certify",
     "complement_basis",
     "costs",
     "decay_check",
     "diagnostics",
-    "distributed_trigger_check",
     "dynamics",
     "equilibrium",
     "errors",

@@ -171,15 +171,6 @@ class DecayReport:
     n_interior: int
     fitted_rate: float
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "fraction_ok": self.fraction_ok,
-            "worst_margin": self.worst_margin,
-            "n_interior": self.n_interior,
-            "fitted_rate": self.fitted_rate,
-        }
-
 
 def decay_check(trace: Trace, which: str, bound: float, *, g: WeightedDigraph,
                 nc: NetworkCost, alpha: float, phi: float | None = None,

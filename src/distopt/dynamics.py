@@ -11,7 +11,7 @@ sum of the ``v^i`` is a constant of motion, so runs must start from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -43,21 +43,6 @@ class AlgorithmParams:
     def __post_init__(self):
         if not (self.alpha > 0 and self.beta > 0):
             raise ValidationError(f"alpha and beta must be positive, got {self.alpha}, {self.beta}")
-
-
-@dataclass
-class NetworkState:
-    """Simulation state at time ``t``.
-
-    ``x`` and ``v`` are (N, d); ``x_hat`` holds each agent's last broadcast
-    value and ``last_event`` the time of that broadcast.
-    """
-
-    t: float
-    x: np.ndarray
-    v: np.ndarray
-    x_hat: np.ndarray
-    last_event: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -116,10 +101,6 @@ class Trace:
     def n_agents(self) -> int:
         return self.x.shape[1]
 
-    @property
-    def dim(self) -> int:
-        return self.x.shape[2]
-
     def to_csv(self, path) -> None:
         """Write ``t,agent,x,v,err,event`` rows, one per (sample, agent).
 
@@ -148,16 +129,18 @@ class Trace:
                 fh.write(f"{a + 1},{te:.17g}\n")
 
 
-FieldFn = Callable[[NetworkState], tuple[np.ndarray, np.ndarray]]
 ArrayField = Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-def _flow(nc: NetworkCost, p: AlgorithmParams) -> ArrayField:
+def flow(nc: NetworkCost, p: AlgorithmParams) -> ArrayField:
     """The coordination flow on plain (N, d) arrays, ``(x, v, Ly) -> (dx, dv)``.
 
     dx = -alpha grad f(x) - beta Ly - v,  dv = alpha beta Ly,
-    where ``Ly`` is ``L x`` under continuous information and ``L x_hat``
-    under sampled information.
+    that is, per agent,
+    dx^i = -alpha grad f^i(x^i) - beta sum_j a_ij (y^i - y^j) - v^i,
+    dv^i =  alpha beta sum_j a_ij (y^i - y^j).
+    Continuous information passes ``Ly = L @ x``; sampled information
+    passes ``Ly = L @ x_hat``, the last broadcast values.
     """
     grad, alpha, beta = nc.grad_stack, p.alpha, p.beta
     ab = alpha * beta
@@ -168,35 +151,12 @@ def _flow(nc: NetworkCost, p: AlgorithmParams) -> ArrayField:
     return field
 
 
-def continuous_field(state: NetworkState, g: WeightedDigraph, nc: NetworkCost,
-                     p: AlgorithmParams) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand sides with instantaneous neighbor information.
+def rk4(f, x: np.ndarray, v: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Classical fourth-order step of ``(x, v)`` under ``f(x, v) -> (dx, dv)``.
 
-    dx^i = -alpha grad f^i(x^i) - beta sum_j a_ij (x^i - x^j) - v^i
-    dv^i =  alpha beta sum_j a_ij (x^i - x^j)
+    ``f`` closes over the Laplacian product, e.g.
+    ``lambda x, v: flow(nc, p)(x, v, L @ x)`` under continuous information.
     """
-    return _flow(nc, p)(state.x, state.v, out_laplacian(g) @ state.x)
-
-
-def sampled_field(state: NetworkState, g: WeightedDigraph, nc: NetworkCost,
-                  p: AlgorithmParams) -> tuple[np.ndarray, np.ndarray]:
-    """Same fields but disagreement terms use the last broadcast values only."""
-    return _flow(nc, p)(state.x, state.v, out_laplacian(g) @ state.x_hat)
-
-
-def simplified_field(state: NetworkState, g: WeightedDigraph,
-                     nc: NetworkCost) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced variant without gains or disagreement damping in dx.
-
-    dx^i = -grad f^i(x^i) - v^i,  dv^i = sum_j a_ij (x^i - x^j).
-    Certified for strictly convex costs over connected undirected graphs.
-    """
-    lap_x = out_laplacian(g) @ state.x
-    return -nc.grad_stack(state.x) - state.v, lap_x
-
-
-def _rk4(f, x: np.ndarray, v: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Classical fourth-order step of ``(x, v)`` under ``f(x, v) -> (dx, dv)``."""
     h2 = 0.5 * h
     k1x, k1v = f(x, v)
     k2x, k2v = f(x + h2 * k1x, v + h2 * k1v)
@@ -205,19 +165,6 @@ def _rk4(f, x: np.ndarray, v: np.ndarray, h: float) -> tuple[np.ndarray, np.ndar
     h6 = h / 6.0
     return (x + h6 * (k1x + 2 * k2x + 2 * k3x + k4x),
             v + h6 * (k1v + 2 * k2v + 2 * k3v + k4v))
-
-
-def rk4_step(field: FieldFn, state: NetworkState, h: float) -> NetworkState:
-    """Classical fourth-order one-step update; communication state unchanged."""
-    if not h > 0:
-        raise ValidationError(f"step must be positive, got {h}")
-    # the four stages are evaluated in order at t, t + h/2, t + h/2, t + h
-    stage_t = iter((state.t, state.t + 0.5 * h, state.t + 0.5 * h, state.t + h))
-    x, v = _rk4(lambda x, v: field(replace(state, t=next(stage_t), x=x, v=v)),
-                state.x, state.v, h)
-    if not _finite(x, v):
-        raise NumericalBlowup(f"state escaped finite range at t = {state.t + h:.6g}")
-    return replace(state, t=state.t + h, x=x, v=v)
 
 
 def _finite(x: np.ndarray, v: np.ndarray) -> bool:
@@ -349,7 +296,7 @@ def simulate(scenario: "Scenario") -> Trace:
         douts = tuple(g.out_degrees for g in graphs)
     everyone = list(range(n))
     last_broadcast = -math.inf
-    field = _flow(nc, p)
+    field = flow(nc, p)
     grad = nc.grad_stack
 
     def record(si: int, t: float) -> None:
@@ -414,13 +361,13 @@ def simulate(scenario: "Scenario") -> Trace:
         if k == n_steps:
             break
         if continuous:
-            x, v = _rk4(field_lx, x, v, h)
+            x, v = rk4(field_lx, x, v, h)
         elif euler:
             dx, dv = field_lx(x, v)
             x = x + h * dx
             v = v + h * dv
         else:
-            # specialised rather than routed through _rk4: x_hat is held over
+            # specialised rather than routed through rk4: x_hat is held over
             # the step, so beta L x_hat and dv are constant; computing them
             # once per step instead of at each of the four stages is a
             # measurable saving in this branch, the hot loop of event-triggered

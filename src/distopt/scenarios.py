@@ -128,14 +128,24 @@ def _graph_from_dict(spec: dict, where: str) -> WeightedDigraph:
     raise ValidationError(f"graph spec needs 'preset', 'file' or 'edges': {spec}")
 
 
+def _box(spec, where: str) -> tuple[float, float]:
+    """``(lo, hi)`` with ``lo < hi`` from a two-number list, or a
+    ValidationError naming ``where``."""
+    try:
+        lo, hi = (float(b) for b in spec)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{where} must be a [lo, hi] pair of numbers, got {spec!r}") from None
+    if not lo < hi:
+        raise ValidationError(f"{where} {spec!r} is empty: need lo < hi")
+    return lo, hi
+
+
 def _draw_initial(spec, n: int, d: int, rng: np.random.Generator, default_box) -> np.ndarray:
     if spec is None:
         lo, hi = default_box
         return rng.uniform(lo, hi, size=(n, d))
     if isinstance(spec, dict) and "box" in spec:
-        lo, hi = float(spec["box"][0]), float(spec["box"][1])
-        if not lo < hi:
-            raise ValidationError(f"empty initial box {spec['box']}")
+        lo, hi = _box(spec["box"], "x0.box")
         return rng.uniform(lo, hi, size=(n, d))
     arr = np.asarray(spec, dtype=float)
     try:
@@ -186,7 +196,7 @@ def scenario_from_dict(cfg: dict, seed: int | None = None) -> Scenario:
         eps=float(ana.get("eps", 0.5)),
         delta=float(ana.get("delta", 1.0)),
         phi=None if ana.get("phi") is None else float(ana["phi"]),
-        box=None if ana.get("box") is None else (float(ana["box"][0]), float(ana["box"][1])),
+        box=None if ana.get("box") is None else _box(ana["box"], "analysis.box"),
         eps_vec=None if ana.get("eps_vec") is None else tuple(float(e) for e in ana["eps_vec"]),
     )
     return Scenario(
@@ -278,13 +288,14 @@ def run(scenario: Scenario, out_dir=None, with_certificate: bool = False) -> dic
     """Execute a scenario and write trace.csv, events.csv and summary.json.
 
     Returns the summary dict.  With ``with_certificate`` the certificate is
-    evaluated first, so a certificate error leaves no output directory
-    behind.  On numerical blowup the partial outputs are still written and
-    the exception re-raised for the caller to map to an exit status.
+    evaluated first, and the output directory is created only once there
+    is a trace to write, so a certificate or validation error leaves no
+    output directory behind.  On numerical blowup the partial outputs are
+    still written and the exception re-raised for the caller to map to an
+    exit status.
     """
     certificate = certificates.certify(scenario).to_dict() if with_certificate else None
     out = Path(out_dir if out_dir is not None else (scenario.out_dir or "out"))
-    out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     try:
         trace = dynamics.simulate(scenario)
@@ -300,6 +311,7 @@ def run(scenario: Scenario, out_dir=None, with_certificate: bool = False) -> dic
 
 def _write_outputs(trace, scenario, out: Path, wall: float, status: str,
                    certificate: dict | None) -> dict:
+    out.mkdir(parents=True, exist_ok=True)
     trace.to_csv(out / "trace.csv")
     trace.events_to_csv(out / "events.csv")
     stats = schedulers.event_stats(trace)

@@ -16,7 +16,6 @@ from typing import ClassVar, get_args
 import numpy as np
 
 from .errors import ValidationError
-from .graph import WeightedDigraph
 
 GRID_SLACK = 1e-9  # absorbs float noise when node times are k*h products
 
@@ -145,6 +144,13 @@ def _centered(y: np.ndarray) -> np.ndarray:
 
 
 def _centralized_due(x, x_at_last, kappa, t_last, tau, t) -> bool:
+    """Broadcast-now test of the centralized law at time ``t``.
+
+    Fires at the first instant past the dwell ``tau`` since the last
+    broadcast at ``t_last`` where the centered drift since then exceeds
+    kappa times the centered current state:
+    ||Pi (x(t_last) - x(t))||^2 > kappa ||Pi x(t)||^2.
+    """
     if t - t_last < tau:
         return False
     dev = _centered(x_at_last - x)
@@ -152,35 +158,16 @@ def _centralized_due(x, x_at_last, kappa, t_last, tau, t) -> bool:
     return float(np.sum(dev * dev)) > kappa * float(np.sum(xc * xc))
 
 
-def centralized_trigger_check(state, x_at_last: np.ndarray, kappa: float,
-                              t_last: float, tau: float) -> bool:
-    """Broadcast-now test for the centralized law.
-
-    Fires at the first instant past the dwell where the centered drift
-    since the last broadcast exceeds kappa times the centered current
-    state: ||Pi (x(t_last) - x(t))||^2 > kappa ||Pi x(t)||^2.
-    """
-    CentralizedEvent(kappa=kappa, tau=tau)  # validates 0 < kappa < 1 and tau > 0
-    return _centralized_due(state.x, x_at_last, kappa, t_last, tau, state.t)
-
-
-def distributed_trigger_check(agent: int, state, g: WeightedDigraph, eps_i: float) -> bool:
-    """Broadcast-now test for one agent under the distributed law.
-
-    Fires when 4 d_out^i ||xhat^i - x^i||^2 exceeds
-    sum_j a_ij ||xhat^i - xhat^j||^2 + eps_i^2, all evaluated on last
-    broadcast values.
-    """
-    if not eps_i > 0:
-        raise ValidationError(f"eps_i must be positive, got {eps_i}")
-    return bool(_distributed_due(state.x, state.x_hat, g.weights, eps_i**2, g.out_degrees)[agent])
-
-
 def _distributed_due(x: np.ndarray, x_hat: np.ndarray, weights: np.ndarray, eps2,
                      dout: np.ndarray) -> np.ndarray:
-    """The distributed law (see :func:`distributed_trigger_check`) as a mask
-    over all agents.  The eps floor alone settles most nodes, so pairwise
-    disagreement is formed only when some drift passes it."""
+    """Broadcast-now mask of the distributed law over all agents.
+
+    Agent i fires when 4 d_out^i ||xhat^i - x^i||^2 exceeds
+    sum_j a_ij ||xhat^i - xhat^j||^2 + eps_i^2, all evaluated on last
+    broadcast values; ``eps2`` holds the eps_i^2.  The eps floor alone
+    settles most nodes, so pairwise disagreement is formed only when some
+    drift passes it.
+    """
     drift = x_hat - x
     lhs = 4.0 * dout * (drift * drift).sum(axis=1)
     due = lhs > eps2
@@ -211,20 +198,6 @@ def _cascade(x: np.ndarray, x_hat: np.ndarray, weights: np.ndarray,
             due = _distributed_due(x, x_hat, weights, eps2, dout)
             start = i + 1
     return sorted(fired)
-
-
-def cascade_resolve(state, g: WeightedDigraph, eps) -> list[int]:
-    """Apply the distributed law repeatedly at one instant.
-
-    Returns the sorted list of agents that broadcast; their rows of
-    ``state.x_hat`` are refreshed in place and ``state.last_event``
-    updated.
-    """
-    eps = DistributedEvent(eps=eps).eps
-    fired = _cascade(state.x, state.x_hat, g.weights, eps**2, g.out_degrees)
-    for i in fired:
-        state.last_event[i] = state.t
-    return fired
 
 
 @dataclass(frozen=True)

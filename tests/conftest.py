@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from distopt.costs import catalog, network_cost
 from distopt.graph import preset_graph
@@ -28,6 +29,11 @@ def ten_suite():
     return tuple(catalog(f"f{i}") for i in range(1, 11))
 
 
+def col(values):
+    """A column of agent states, shape (N, 1)."""
+    return np.asarray(values, dtype=float).reshape(-1, 1)
+
+
 def make_scenario(costs, graph=None, schedule=None, scheme=None, alpha=1.0, beta=1.0,
                   t_final=10.0, h=1e-3, stride=10, seed=1, x0=None, v0=None,
                   analysis=None, name="test"):
@@ -53,3 +59,19 @@ def make_scenario(costs, graph=None, schedule=None, scheme=None, alpha=1.0, beta
         schedule=schedule,
         analysis=analysis if analysis is not None else AnalysisOptions(),
     )
+
+
+@st.composite
+def balanced_weights(draw, n):
+    """Weight matrix of a weight-balanced, strongly connected digraph on
+    ``n`` nodes: a Hamiltonian cycle plus up to three more weighted
+    directed cycles."""
+    cycles = [draw(st.permutations(range(n)))]
+    cycles += draw(st.lists(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True),
+                            max_size=3))
+    weights = np.zeros((n, n))
+    for cycle in cycles:
+        w = draw(st.floats(0.1, 5.0))
+        for i, j in zip(cycle, cycle[1:] + cycle[:1]):
+            weights[i, j] += w
+    return weights

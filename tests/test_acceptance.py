@@ -33,14 +33,13 @@ from distopt.costs import CostModel, network_cost, quadratic_cost
 from distopt.diagnostics import decay_check, lyapunov_series, reconstruct_gradient
 from distopt.dynamics import (
     AlgorithmParams,
-    continuous_field,
     equilibrium,
+    flow,
     linear_system_matrix,
     simulate,
-    NetworkState,
 )
 from distopt.errors import InsufficientVisibility
-from distopt.graph import preset_graph, spectral_summary
+from distopt.graph import out_laplacian, preset_graph, spectral_summary
 from distopt.scenarios import PRESET_NAMES, AnalysisOptions, preset_dict, presets, scenario_from_dict
 from distopt.schedulers import CentralizedEvent, DistributedEvent, Periodic, event_stats
 
@@ -110,8 +109,7 @@ def test_criterion_01_conservation_every_scheme_every_preset():
 def test_criterion_02_equilibrium_closed_form(k2, quad_pair_nc):
     p = AlgorithmParams(1.0, 1.0)
     x_bar, v_bar = equilibrium(quad_pair_nc, p)
-    state = NetworkState(0.0, x_bar, v_bar, x_bar.copy(), np.zeros(2))
-    dx, dv = continuous_field(state, k2, quad_pair_nc, p)
+    dx, dv = flow(quad_pair_nc, p)(x_bar, v_bar, out_laplacian(k2) @ x_bar)
     residual = math.hypot(float(np.linalg.norm(dx)), float(np.linalg.norm(dv)))
     ok = (np.allclose(x_bar.ravel(), [1.0, 1.0], atol=1e-10)
           and np.allclose(v_bar.ravel(), [6.0, -6.0], atol=1e-10)

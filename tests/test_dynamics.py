@@ -2,111 +2,93 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import make_scenario
+from conftest import balanced_weights, col, make_scenario
 from distopt.costs import catalog, network_cost, quadratic_cost
 from distopt.dynamics import (
     AlgorithmParams,
-    NetworkState,
     SwitchingSchedule,
-    continuous_field,
     equilibrium,
+    flow,
     linear_system_matrix,
-    rk4_step,
-    sampled_field,
-    simplified_field,
+    rk4,
     simulate,
 )
 from distopt.errors import BadInitialization, NumericalBlowup, ValidationError
-from distopt.graph import build_digraph, complement_basis, preset_graph
+from distopt.graph import (
+    WeightedDigraph,
+    build_digraph,
+    complement_basis,
+    out_laplacian,
+    preset_graph,
+)
 from distopt.schedulers import EulerScheme
-
-
-def make_state(x, v, x_hat=None, t=0.0):
-    x = np.asarray(x, dtype=float).reshape(-1, 1)
-    v = np.asarray(v, dtype=float).reshape(-1, 1)
-    return NetworkState(t=t, x=x.copy(), v=v.copy(),
-                        x_hat=(x if x_hat is None else np.asarray(x_hat, float).reshape(-1, 1)).copy(),
-                        last_event=np.zeros(x.shape[0]))
 
 
 class TestFields:
     def test_continuous_zero_at_equilibrium(self, k2, quad_pair_nc):
         p = AlgorithmParams(1.0, 1.0)
         x_bar, v_bar = equilibrium(quad_pair_nc, p)
-        state = NetworkState(0.0, x_bar, v_bar, x_bar.copy(), np.zeros(2))
-        dx, dv = continuous_field(state, k2, quad_pair_nc, p)
+        dx, dv = flow(quad_pair_nc, p)(x_bar, v_bar, out_laplacian(k2) @ x_bar)
         assert np.abs(dx).max() <= 1e-10
         assert np.abs(dv).max() <= 1e-10
 
     def test_continuous_on_consensus(self, k2, quad_pair_nc):
         p = AlgorithmParams(2.0, 3.0)
-        state = make_state([0.5, 0.5], [0.0, 0.0])
-        dx, dv = continuous_field(state, k2, quad_pair_nc, p)
+        x, v = col([0.5, 0.5]), col([0.0, 0.0])
+        dx, dv = flow(quad_pair_nc, p)(x, v, out_laplacian(k2) @ x)
         assert np.abs(dv).max() == 0.0
-        grads = quad_pair_nc.grad_stack(state.x)
+        grads = quad_pair_nc.grad_stack(x)
         assert np.allclose(dx, -p.alpha * grads, atol=1e-14)
 
     def test_continuous_worked_example(self, k2, quad_pair_nc):
-        state = make_state([0.0, 0.0], [0.0, 0.0])
-        dx, dv = continuous_field(state, k2, quad_pair_nc, AlgorithmParams(1.0, 1.0))
+        x, v = col([0.0, 0.0]), col([0.0, 0.0])
+        dx, dv = flow(quad_pair_nc, AlgorithmParams(1.0, 1.0))(x, v, out_laplacian(k2) @ x)
         assert np.allclose(dv.ravel(), [0.0, 0.0], atol=1e-15)
         assert np.allclose(dx.ravel(), [8.0, -4.0], atol=1e-15)
 
     def test_sampled_equals_continuous_after_sync(self, k2, quad_pair_nc):
         rng = np.random.default_rng(0)
-        p = AlgorithmParams(1.3, 0.7)
+        field = flow(quad_pair_nc, AlgorithmParams(1.3, 0.7))
+        lap = out_laplacian(k2)
         x = rng.normal(size=(2, 1))
-        state = NetworkState(0.0, x, rng.normal(size=(2, 1)), x.copy(), np.zeros(2))
-        dx_c, dv_c = continuous_field(state, k2, quad_pair_nc, p)
-        dx_s, dv_s = sampled_field(state, k2, quad_pair_nc, p)
+        v = rng.normal(size=(2, 1))
+        x_hat = x.copy()
+        dx_c, dv_c = field(x, v, lap @ x)
+        dx_s, dv_s = field(x, v, lap @ x_hat)
         assert np.allclose(dx_c, dx_s, atol=1e-15)
         assert np.allclose(dv_c, dv_s, atol=1e-15)
 
     def test_sampled_with_equal_broadcasts(self, k2, quad_pair_nc):
         p = AlgorithmParams(1.0, 1.0)
-        state = make_state([2.0, -1.0], [0.3, -0.3], x_hat=[1.0, 1.0])
-        dx, dv = sampled_field(state, k2, quad_pair_nc, p)
+        x, v, x_hat = col([2.0, -1.0]), col([0.3, -0.3]), col([1.0, 1.0])
+        dx, dv = flow(quad_pair_nc, p)(x, v, out_laplacian(k2) @ x_hat)
         assert np.abs(dv).max() == 0.0
-        expected = -quad_pair_nc.grad_stack(state.x) - state.v
+        expected = -quad_pair_nc.grad_stack(x) - v
         assert np.allclose(dx, expected, atol=1e-14)
 
     def test_sampled_worked_example(self, k2, quad_pair_nc):
-        state = make_state([0.0, 0.0], [0.0, 0.0], x_hat=[1.0, 1.0])
-        dx, dv = sampled_field(state, k2, quad_pair_nc, AlgorithmParams(1.0, 1.0))
+        x, v, x_hat = col([0.0, 0.0]), col([0.0, 0.0]), col([1.0, 1.0])
+        dx, dv = flow(quad_pair_nc, AlgorithmParams(1.0, 1.0))(x, v, out_laplacian(k2) @ x_hat)
         assert np.allclose(dv.ravel(), [0.0, 0.0], atol=1e-15)
         assert np.allclose(dx.ravel(), [8.0, -4.0], atol=1e-15)
-
-    def test_simplified_zero_at_its_equilibrium(self, k2, quad_pair_nc):
-        x_bar, _ = equilibrium(quad_pair_nc, AlgorithmParams(1.0, 1.0))
-        v_bar = -quad_pair_nc.grad_stack(x_bar)
-        state = NetworkState(0.0, x_bar, v_bar, x_bar.copy(), np.zeros(2))
-        dx, dv = simplified_field(state, k2, quad_pair_nc)
-        assert np.abs(dx).max() <= 1e-10
-        assert np.abs(dv).max() <= 1e-10
-
-    def test_simplified_worked_example(self, k2, quad_pair_nc):
-        state = make_state([0.0, 0.0], [0.0, 0.0])
-        dx, dv = simplified_field(state, k2, quad_pair_nc)
-        assert np.allclose(dx.ravel(), [8.0, -4.0], atol=1e-15)
-        assert np.allclose(dv.ravel(), [0.0, 0.0], atol=1e-15)
 
 
 class TestRk4:
     def test_zero_field_only_advances_time(self):
-        state = make_state([1.0, 2.0], [3.0, -3.0])
-        out = rk4_step(lambda s: (np.zeros_like(s.x), np.zeros_like(s.v)), state, 0.25)
-        assert out.t == 0.25
-        assert np.array_equal(out.x, state.x)
-        assert np.array_equal(out.v, state.v)
+        x, v = col([1.0, 2.0]), col([3.0, -3.0])
+        x1, v1 = rk4(lambda x, v: (np.zeros_like(x), np.zeros_like(v)), x, v, 0.25)
+        assert np.array_equal(x1, x)
+        assert np.array_equal(v1, v)
 
     def test_scalar_exponential_decay(self):
         # dy/dt = -y from 1: y(0.1) = exp(-0.1) = 0.90483741803...
-        state = make_state([1.0], [0.0])
-        out = rk4_step(lambda s: (-s.x, np.zeros_like(s.v)), state, 0.1)
-        assert out.x[0, 0] == pytest.approx(math.exp(-0.1), abs=1e-7)
-        assert out.x[0, 0] == pytest.approx(0.9048375, abs=1e-7)
+        x1, _ = rk4(lambda x, v: (-x, np.zeros_like(v)), col([1.0]), col([0.0]), 0.1)
+        assert x1[0, 0] == pytest.approx(math.exp(-0.1), abs=1e-7)
+        assert x1[0, 0] == pytest.approx(0.9048375, abs=1e-7)
 
     def test_linear_system_step_matches_matrix_exponential(self, k2):
         # quadratic costs make the flow linear: one step vs expm oracle
@@ -117,30 +99,22 @@ class TestRk4:
         x = rng.normal(size=(2, 1))
         v = rng.normal(size=(2, 1))
         v -= v.mean()
-        state = NetworkState(0.0, x, v, x.copy(), np.zeros(2))
         h = 0.05
+        field = flow(nc, p)
+        lap = out_laplacian(k2)
 
-        def field(s):
-            return continuous_field(s, k2, nc, p)
-
-        out = rk4_step(field, state, h)
+        x1, v1 = rk4(lambda x, v: field(x, v, lap @ x), x, v, h)
         # affine flow: evolve the deviation from equilibrium linearly
         x_bar, v_bar = equilibrium(nc, p)
         z0 = np.concatenate([(x - x_bar).ravel(), (v - v_bar).ravel()])
         z1 = expm(sys * h) @ z0
-        got = np.concatenate([(out.x - x_bar).ravel(), (out.v - v_bar).ravel()])
+        got = np.concatenate([(x1 - x_bar).ravel(), (v1 - v_bar).ravel()])
         norm0 = np.linalg.norm(np.concatenate([x.ravel(), v.ravel()]))
         assert np.linalg.norm(got - z1) <= 10 * h**5 * max(1.0, norm0)
 
-    def test_nonpositive_step_rejected(self):
-        state = make_state([1.0], [0.0])
-        with pytest.raises(ValidationError):
-            rk4_step(lambda s: (s.x, s.v), state, 0.0)
-
-    def test_blowup_raises(self):
-        state = make_state([1.0], [0.0])
-        with pytest.raises(NumericalBlowup):
-            rk4_step(lambda s: (1e13 * np.ones_like(s.x), np.zeros_like(s.v)), state, 1.0)
+    def test_nonpositive_step_rejected(self, k2, quad_pair):
+        with pytest.raises(ValidationError, match="h must be positive"):
+            make_scenario(quad_pair, graph=k2, h=0.0)
 
 
 class TestEquilibrium:
@@ -301,3 +275,42 @@ class TestAnalysisInvariants:
             y = trace.x[k] - x_bar
             z = np.concatenate([[basis.r @ y[:, 0]], basis.R.T @ y[:, 0]])
             assert abs(np.linalg.norm(z) - np.linalg.norm(y)) <= 1e-10
+
+
+@st.composite
+def linear_cases(draw):
+    """Unit-curvature quadratics over a random weight-balanced, strongly
+    connected digraph, with random gains and a zero-sum start."""
+    n = draw(st.integers(2, 6))
+    d = draw(st.integers(1, 2))
+    weights = draw(balanced_weights(n))
+    a = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=n * d, max_size=n * d)))
+    alpha = draw(st.floats(0.5, 2.0))
+    beta = draw(st.floats(0.5, 2.0))
+    seed = draw(st.integers(0, 2**16))
+    return WeightedDigraph(n, weights), a.reshape(n, d), alpha, beta, seed
+
+
+class TestLinearFlowProperty:
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(linear_cases())
+    def test_simulate_matches_matrix_exponential(self, case):
+        g, a, alpha, beta, seed = case
+        n, d = a.shape
+        costs = [quadratic_cost(ai) for ai in a]
+        v0 = np.random.default_rng(seed).uniform(-5.0, 5.0, size=(n, d))
+        v0 -= v0.mean(axis=0)
+        t_final = 1.0
+        trace = simulate(make_scenario(costs, graph=g, alpha=alpha, beta=beta, t_final=t_final,
+                                       h=1e-3, stride=1000, seed=seed, v0=v0))
+        p = AlgorithmParams(alpha, beta)
+        x_bar, v_bar = equilibrium(network_cost(costs), p)
+        # the flow is affine: the deviation from equilibrium evolves by expm
+        z0 = np.concatenate([(trace.x[0] - x_bar).ravel(), (trace.v[0] - v_bar).ravel()])
+        z1 = expm(linear_system_matrix(g, p, d) * t_final) @ z0
+        got = np.concatenate([(trace.x[-1] - x_bar).ravel(), (trace.v[-1] - v_bar).ravel()])
+        # RK4 at h = 1e-3 is ~1e-12 off here; a wrong flow term is off by O(|z0|)
+        assert np.abs(got - z1).max() <= 1e-9 * max(1.0, np.abs(z0).max())
+        assert np.abs(trace.v.sum(axis=1) - v0.sum(axis=0)).max() <= 1e-9
+        # the oracle stops at |sum grad| <= 1e-12, i.e. within 1e-12 / n of -mean(a)/2
+        assert np.abs(trace.x_star + a.mean(axis=0) / 2).max() <= 1e-12

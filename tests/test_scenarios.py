@@ -253,6 +253,10 @@ class TestCli:
         ({"switching": {"presets": ["k2", "cycle2"]}}, "switching.dwell"),
         ({"switching": {"dwell": 1.0}}, "switching.graphs"),
         ({"graph": {"edges": [[1, 2, 1.0], [2, 1, 1.0]]}}, "graph.n"),
+        ({"switching": {"presets": ["k2", "cycle2"], "dwell": 0.0105}}, "dwell"),
+        ({"x0": {"box": [1.0]}}, "x0.box"),
+        ({"analysis": {"box": [1.0]}}, "analysis.box"),
+        ({"analysis": {"box": [5.0, -5.0]}}, "analysis.box"),
     ])
     def test_run_bad_field_exits_2_naming_it(self, tmp_path, capsys, change, named):
         path = write_json(tmp_path, self.quick_cfg() | change)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_scenario
-from distopt.dynamics import NetworkState, simulate
+from conftest import balanced_weights, col, make_scenario
+from distopt.dynamics import simulate
 from distopt.errors import ValidationError
 from distopt.graph import preset_graph
 from distopt.schedulers import (
@@ -16,19 +16,11 @@ from distopt.schedulers import (
     EulerScheme,
     Periodic,
     _cascade,
-    cascade_resolve,
-    centralized_trigger_check,
-    distributed_trigger_check,
+    _centralized_due,
+    _distributed_due,
     event_stats,
     periodic_due,
 )
-
-
-def state_of(x, x_hat, v=None, t=0.0):
-    x = np.asarray(x, dtype=float).reshape(-1, 1)
-    x_hat = np.asarray(x_hat, dtype=float).reshape(-1, 1)
-    v = np.zeros_like(x) if v is None else np.asarray(v, float).reshape(-1, 1)
-    return NetworkState(t=t, x=x, v=v, x_hat=x_hat, last_event=np.zeros(x.shape[0]))
 
 
 class TestSchemeValidation:
@@ -82,32 +74,27 @@ class TestPeriodicDue:
 
 class TestCentralizedTrigger:
     def test_dwell_blocks(self):
-        s = state_of([5.0, -5.0], [0.0, 0.0], t=0.05)
-        assert not centralized_trigger_check(s, np.array([[9.0], [-9.0]]), 0.5, 0.0, 0.1)
+        assert not _centralized_due(col([5.0, -5.0]), col([9.0, -9.0]), 0.5, 0.0, 0.1, 0.05)
 
     def test_no_drift_no_fire(self):
-        x = np.array([[1.0], [2.0]])
-        s = NetworkState(1.0, x, np.zeros((2, 1)), x.copy(), np.zeros(2))
-        assert not centralized_trigger_check(s, x.copy(), 0.5, 0.0, 0.1)
+        x = col([1.0, 2.0])
+        assert not _centralized_due(x, x.copy(), 0.5, 0.0, 0.1, 1.0)
 
     def test_worked_two_agent_case(self):
         # centered drift norm^2 = 2 exceeds kappa * 0 once past the dwell
-        s = state_of([0.0, 0.0], [0.0, 0.0], t=1.0)
-        assert centralized_trigger_check(s, np.array([[1.0], [-1.0]]), 0.3, 0.0, 0.5)
+        assert _centralized_due(col([0.0, 0.0]), col([1.0, -1.0]), 0.3, 0.0, 0.5, 1.0)
 
     def test_parameter_validation(self):
-        s = state_of([0.0, 0.0], [0.0, 0.0], t=1.0)
         with pytest.raises(ValidationError):
-            centralized_trigger_check(s, s.x.copy(), 1.5, 0.0, 0.5)
+            CentralizedEvent(kappa=1.5, tau=0.5)
         with pytest.raises(ValidationError):
-            centralized_trigger_check(s, s.x.copy(), 0.5, 0.0, -1.0)
+            CentralizedEvent(kappa=0.5, tau=-1.0)
 
 
 class TestDistributedTrigger:
     def test_zero_drift_never_fires(self, k2):
-        x = np.array([[3.0], [1.0]])
-        s = NetworkState(0.0, x, np.zeros((2, 1)), x.copy(), np.zeros(2))
-        assert not distributed_trigger_check(0, s, k2, 1e-9)
+        x = col([3.0, 1.0])
+        assert not _distributed_due(x, x.copy(), k2.weights, 1e-9**2, k2.out_degrees)[0]
 
     def test_threshold_with_two_out_neighbors(self):
         # d_out = 2 and all broadcasts equal: fires iff drift > eps / (2 sqrt 2)
@@ -118,50 +105,52 @@ class TestDistributedTrigger:
             x_hat = np.zeros((3, 1))
             x = x_hat.copy()
             x[0, 0] = drift
-            s = NetworkState(0.0, x, np.zeros((3, 1)), x_hat, np.zeros(3))
-            assert distributed_trigger_check(0, s, g, eps) is expect
+            assert _distributed_due(x, x_hat, g.weights, eps**2, g.out_degrees)[0] == expect
 
     def test_neighbor_disagreement_suppresses(self, k2):
         # large broadcast disagreement dominates a moderate drift
-        s = state_of([1.0, 10.0], [0.0, 10.0])
-        assert not distributed_trigger_check(0, s, k2, 0.002)
+        due = _distributed_due(col([1.0, 10.0]), col([0.0, 10.0]), k2.weights, 0.002**2,
+                               k2.out_degrees)
+        assert not due[0]
 
-    def test_eps_validation(self, k2):
-        s = state_of([0.0, 0.0], [0.0, 0.0])
+    def test_eps_validation(self):
         with pytest.raises(ValidationError):
-            distributed_trigger_check(0, s, k2, 0.0)
+            DistributedEvent(eps=0.0)
 
 
 class TestCascade:
     def test_empty_when_quiet(self, k2):
-        s = state_of([0.1, -0.1], [0.1, -0.1])
-        assert cascade_resolve(s, k2, [0.5, 0.5]) == []
+        x = col([0.1, -0.1])
+        eps2 = np.array([0.5, 0.5]) ** 2
+        assert _cascade(x, x.copy(), k2.weights, eps2, k2.out_degrees) == []
 
     def test_singleton(self, k2):
-        s = state_of([2.0, 0.0], [0.0, 0.0])
-        fired = cascade_resolve(s, k2, [0.1, 0.1])
+        x_hat = col([0.0, 0.0])
+        eps2 = np.array([0.1, 0.1]) ** 2
+        fired = _cascade(col([2.0, 0.0]), x_hat, k2.weights, eps2, k2.out_degrees)
         assert fired == [0]
-        assert s.x_hat[0, 0] == 2.0  # refreshed in place
+        assert x_hat[0, 0] == 2.0  # refreshed in place
 
     def test_two_agent_chain(self, k2):
         # agent 0 fires; its refresh shrinks agent 1's protection and fires it too
-        s = state_of([1.05, 1.2], [0.0, 1.0], t=2.0)
-        eps = [0.1, 0.1]
-        assert not distributed_trigger_check(1, s, k2, 0.1)
-        fired = cascade_resolve(s, k2, eps)
+        x, x_hat = col([1.05, 1.2]), col([0.0, 1.0])
+        eps2 = np.array([0.1, 0.1]) ** 2
+        assert not _distributed_due(x, x_hat, k2.weights, eps2, k2.out_degrees)[1]
+        fired = _cascade(x, x_hat, k2.weights, eps2, k2.out_degrees)
         assert fired == [0, 1]
-        assert np.allclose(s.x_hat.ravel(), [1.05, 1.2])
-        assert np.allclose(s.last_event, [2.0, 2.0])
+        assert np.allclose(x_hat.ravel(), [1.05, 1.2])
 
     def test_later_agent_fires_first_earlier_in_next_sweep(self, k2):
         # agent 0 is protected by its disagreement with agent 1's broadcast;
         # agent 1 fires in the first sweep, after agent 0 was passed over,
         # and its refresh leaves agent 0 due in the second sweep
-        s = state_of([1.0, 0.5], [0.0, 3.0])
-        assert not distributed_trigger_check(0, s, k2, 0.1)
-        assert distributed_trigger_check(1, s, k2, 0.1)
-        assert cascade_resolve(s, k2, [0.1, 0.1]) == [0, 1]
-        assert np.array_equal(s.x_hat.ravel(), [1.0, 0.5])
+        x, x_hat = col([1.0, 0.5]), col([0.0, 3.0])
+        eps2 = np.array([0.1, 0.1]) ** 2
+        due = _distributed_due(x, x_hat, k2.weights, eps2, k2.out_degrees)
+        assert not due[0]
+        assert due[1]
+        assert _cascade(x, x_hat, k2.weights, eps2, k2.out_degrees) == [0, 1]
+        assert np.array_equal(x_hat.ravel(), [1.0, 0.5])
 
 
 def sweep_reference(x, x_hat, weights, eps2):
@@ -185,19 +174,11 @@ def sweep_reference(x, x_hat, weights, eps2):
 
 @st.composite
 def cascade_cases(draw):
-    """A weight-balanced, strongly connected digraph (a Hamiltonian cycle
-    plus up to three more weighted directed cycles) with random states,
+    """A weight-balanced, strongly connected digraph with random states,
     broadcasts and thresholds."""
     n = draw(st.integers(2, 6))
     d = draw(st.integers(1, 2))
-    cycles = [draw(st.permutations(range(n)))]
-    cycles += draw(st.lists(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True),
-                            max_size=3))
-    weights = np.zeros((n, n))
-    for cycle in cycles:
-        w = draw(st.floats(0.1, 5.0))
-        for i, j in zip(cycle, cycle[1:] + cycle[:1]):
-            weights[i, j] += w
+    weights = draw(balanced_weights(n))
     values = st.lists(st.floats(-3.0, 3.0), min_size=n * d, max_size=n * d)
     x = np.array(draw(values)).reshape(n, d)
     x_hat = np.array(draw(values)).reshape(n, d)
