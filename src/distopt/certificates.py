@@ -146,20 +146,6 @@ def matrix_F_extremes(alpha: float, phi: float, N: int, d: int = 1) -> tuple[flo
     return min(first, pair_lo), max(first, pair_hi)
 
 
-def matrix_F(alpha: float, phi: float, N: int, d: int = 1) -> np.ndarray:
-    """Dense F for cross-checks; see :func:`matrix_F_extremes`."""
-    nd = (N - 1) * d
-    top = 0.5 * (1.0 / 9.0) * alpha * (phi + 1) * np.eye(d)
-    mid = 0.5 * np.block([
-        [alpha * (phi + 1) * np.eye(nd), np.eye(nd)],
-        [np.eye(nd), (1.0 / alpha) * np.eye(nd)],
-    ])
-    out = np.zeros((d + 2 * nd, d + 2 * nd))
-    out[:d, :d] = top
-    out[d:, d:] = mid
-    return out
-
-
 def matrix_E(alpha: float, beta: float, phi: float, g: WeightedDigraph,
              d: int = 1) -> np.ndarray:
     """Energy-coefficient matrix for connected undirected topologies.
@@ -225,11 +211,10 @@ def steady_state_bound(phi: float, alpha: float, beta: float, lamF_min: float,
     return float(phi * alpha * beta * lamF_max * np.sum(eps_vec**2) / (4 * eta * lamF_min))
 
 
-def tau_i_lower_bounds(alpha: float, beta: float, eps, costs: NetworkCost,
-                       g: WeightedDigraph, x0: np.ndarray, v0: np.ndarray,
-                       phi: float, gamma_prime_value: float, lamF_min: float,
-                       lamF_max: float) -> np.ndarray:
-    """Per-agent lower bounds on distributed inter-event times.
+def _tau_i_and_theta(alpha, beta, eps, costs, g, x0, v0, phi, gamma_prime_value,
+                     lamF_min, lamF_max) -> tuple[np.ndarray, float]:
+    """Per-agent lower bounds on distributed inter-event times, and the
+    trajectory bound theta they rest on.
 
     tau^i = ln(1 + alpha M^i eps^i
                / (2 sqrt(dout^i) (alpha M^i + 2 beta dout^i + 1) theta))
@@ -241,13 +226,6 @@ def tau_i_lower_bounds(alpha: float, beta: float, eps, costs: NetworkCost,
     Raises Infeasible when gamma' <= 0 and MissingLipschitz when some
     agent lacks a global gradient Lipschitz constant.
     """
-    return _tau_i_and_theta(alpha, beta, eps, costs, g, x0, v0, phi, gamma_prime_value,
-                            lamF_min, lamF_max)[0]
-
-
-def _tau_i_and_theta(alpha, beta, eps, costs, g, x0, v0, phi, gamma_prime_value,
-                     lamF_min, lamF_max) -> tuple[np.ndarray, float]:
-    """:func:`tau_i_lower_bounds` together with the trajectory bound theta."""
     if gamma_prime_value <= 0:
         raise Infeasible(f"gamma' = {gamma_prime_value:.6g} <= 0")
     eps = np.atleast_1d(np.asarray(eps, dtype=float))

@@ -31,6 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .scenarios import Scenario
 
 BLOWUP_LIMIT = 1e12
+CSV_CHUNK = 25  # samples formatted per write in Trace.to_csv
 
 
 @dataclass(frozen=True)
@@ -106,20 +107,29 @@ class Trace:
 
         The event column flags whether the agent broadcast in the interval
         since the previous sample (the first sample covers t = 0 events).
-        Vector coordinates are ';'-joined.
+        Vector coordinates are ';'-joined.  Rows, flags included, are
+        formatted ``CSV_CHUNK`` samples at a time, so memory stays flat in
+        the trace length.
         """
-        flags = np.zeros((self.t.size, self.n_agents), dtype=int)
-        for a, te in zip(self.event_agents, self.event_times):
-            k = int(np.searchsorted(self.t, te - 1e-12))
-            if k < self.t.size:
-                flags[k, a] = 1
+        n, d = self.n_agents, self.x.shape[2]
+        # flat (sample, agent) indices of the rows whose event flag is set
+        hits = np.sort(np.searchsorted(self.t, self.event_times - 1e-12) * n + self.event_agents)
+        coords = ";".join(["%.17g"] * d)
+        row = f"%.17g,%d,{coords},{coords},%.17g,%d\n"
+        agents = list(range(1, n + 1))
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("t,agent,x,v,err,event\n")
-            for k, tk in enumerate(self.t):
-                for a in range(self.n_agents):
-                    xs = ";".join(f"{c:.17g}" for c in self.x[k, a])
-                    vs = ";".join(f"{c:.17g}" for c in self.v[k, a])
-                    fh.write(f"{tk:.17g},{a + 1},{xs},{vs},{self.err[k, a]:.17g},{flags[k, a]}\n")
+            for s in range(0, self.t.size, CSV_CHUNK):
+                e = min(s + CSV_CHUNK, self.t.size)
+                rows = (e - s) * n
+                flags = np.zeros(rows, dtype=int)
+                lo, hi = np.searchsorted(hits, (s * n, e * n))
+                flags[hits[lo:hi] - s * n] = 1
+                cols = [np.repeat(self.t[s:e], n).tolist(), agents * (e - s)]
+                cols += self.x[s:e].reshape(rows, d).T.tolist()
+                cols += self.v[s:e].reshape(rows, d).T.tolist()
+                cols += [self.err[s:e].ravel().tolist(), flags.tolist()]
+                fh.writelines(map(row.__mod__, zip(*cols)))
 
     def events_to_csv(self, path) -> None:
         """Write the raw event log as ``agent,t`` rows (agent 1-based)."""
@@ -129,47 +139,83 @@ class Trace:
                 fh.write(f"{a + 1},{te:.17g}\n")
 
 
-ArrayField = Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+def flow_matrix(lap: np.ndarray, p: AlgorithmParams) -> np.ndarray:
+    """Affine part of the flow on z = [x; v]: [[-beta L, -I], [alpha beta L, 0]]."""
+    n = lap.shape[0]
+    return np.block([[-p.beta * lap, -np.eye(n)],
+                     [p.alpha * p.beta * lap, np.zeros((n, n))]])
 
 
-def flow(nc: NetworkCost, p: AlgorithmParams) -> ArrayField:
-    """The coordination flow on plain (N, d) arrays, ``(x, v, Ly) -> (dx, dv)``.
+def flow(nc: NetworkCost, p: AlgorithmParams,
+         lap: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The coordination flow on the stacked (2N, d) state z = [x; v].
 
-    dx = -alpha grad f(x) - beta Ly - v,  dv = alpha beta Ly,
+    dx = -alpha grad f(x) - beta L x - v,  dv = alpha beta L x,
     that is, per agent,
-    dx^i = -alpha grad f^i(x^i) - beta sum_j a_ij (y^i - y^j) - v^i,
-    dv^i =  alpha beta sum_j a_ij (y^i - y^j).
-    Continuous information passes ``Ly = L @ x``; sampled information
-    passes ``Ly = L @ x_hat``, the last broadcast values.
+    dx^i = -alpha grad f^i(x^i) - beta sum_j a_ij (x^i - x^j) - v^i,
+    dv^i =  alpha beta sum_j a_ij (x^i - x^j).
+    The affine part is one product with :func:`flow_matrix`, built here
+    once per Laplacian; only the gradient is evaluated per call.
     """
-    grad, alpha, beta = nc.grad_stack, p.alpha, p.beta
-    ab = alpha * beta
+    grad, alpha, n = nc.grad_stack, p.alpha, nc.n_agents
+    m = flow_matrix(lap, p)
 
-    def field(x, v, lap_y):
-        return -alpha * grad(x) - beta * lap_y - v, ab * lap_y
+    def field(z):
+        dz = m @ z
+        dz[:n] -= alpha * grad(z[:n])
+        return dz
 
     return field
 
 
-def rk4(f, x: np.ndarray, v: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Classical fourth-order step of ``(x, v)`` under ``f(x, v) -> (dx, dv)``.
-
-    ``f`` closes over the Laplacian product, e.g.
-    ``lambda x, v: flow(nc, p)(x, v, L @ x)`` under continuous information.
-    """
+def rk4(f: Callable, z: np.ndarray, h: float) -> np.ndarray:
+    """Classical fourth-order step of ``z`` under ``f(z) -> dz``, e.g.
+    ``f = flow(nc, p, L)``.  ``f`` must return a new array: the stage
+    sums accumulate in place in the second one."""
     h2 = 0.5 * h
-    k1x, k1v = f(x, v)
-    k2x, k2v = f(x + h2 * k1x, v + h2 * k1v)
-    k3x, k3v = f(x + h2 * k2x, v + h2 * k2v)
-    k4x, k4v = f(x + h * k3x, v + h * k3v)
-    h6 = h / 6.0
-    return (x + h6 * (k1x + 2 * k2x + 2 * k3x + k4x),
-            v + h6 * (k1v + 2 * k2v + 2 * k3v + k4v))
+    k1 = f(z)
+    k2 = f(z + h2 * k1)
+    k3 = f(z + h2 * k2)
+    k4 = f(z + h * k3)
+    k2 += k3
+    k2 *= 2.0
+    k2 += k1
+    k2 += k4
+    k2 *= h / 6.0
+    k2 += z
+    return k2
 
 
-def _finite(x: np.ndarray, v: np.ndarray) -> bool:
-    mx = max(x.max(), -x.min(), v.max(), -v.min())
-    return mx <= BLOWUP_LIMIT  # False for nan and +inf as well
+def held_rk4(nc: NetworkCost, p: AlgorithmParams, lap: np.ndarray):
+    """RK4 step ``(z, x_hat, h) -> z`` under sampled information, where
+    dx = -alpha grad f(x) - beta L x_hat - v and dv = alpha beta L x_hat.
+    The broadcasts ``x_hat`` are held over the step, so beta L x_hat and dv
+    are formed once per step, not per stage (a measurable saving in the
+    event-triggered hot loop), and v advances exactly by h dv."""
+    grad, alpha, beta, n = nc.grad_stack, p.alpha, p.beta, nc.n_agents
+    ab = alpha * beta
+
+    def step(z, x_hat, h):
+        x, v = z[:n], z[n:]
+        h2 = 0.5 * h
+        lap_xh = lap @ x_hat
+        dv = ab * lap_xh
+        q = beta * lap_xh
+        v_mid = v + h2 * dv
+        k1x = -alpha * grad(x) - q - v
+        k2x = -alpha * grad(x + h2 * k1x) - q - v_mid
+        k3x = -alpha * grad(x + h2 * k2x) - q - v_mid
+        k4x = -alpha * grad(x + h * k3x) - q - (v + h * dv)
+        out = np.empty_like(z)
+        np.add(x, h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x), out=out[:n])
+        np.add(v, h * dv, out=out[n:])
+        return out
+
+    return step
+
+
+def _finite(z: np.ndarray) -> bool:
+    return max(z.max(), -z.min()) <= BLOWUP_LIMIT  # False for nan and +inf as well
 
 
 def equilibrium(nc: NetworkCost, p: AlgorithmParams) -> tuple[np.ndarray, np.ndarray]:
@@ -192,12 +238,10 @@ def linear_system_matrix(g: WeightedDigraph, p: AlgorithmParams, d: int = 1) -> 
     Its spectrum is {-alpha with multiplicity N d} plus {-beta lambda_i}
     over the Laplacian eigenvalues, each with multiplicity d.
     """
-    lap = np.kron(out_laplacian(g), np.eye(d))
     nd = g.n * d
-    return np.block([
-        [-p.alpha * np.eye(nd) - p.beta * lap, -np.eye(nd)],
-        [p.alpha * p.beta * lap, np.zeros((nd, nd))],
-    ])
+    sys = np.kron(flow_matrix(out_laplacian(g), p), np.eye(d))
+    sys[:nd, :nd] -= p.alpha * np.eye(nd)
+    return sys
 
 
 def _oracle_or_none(nc: NetworkCost):
@@ -216,6 +260,16 @@ def grid_steps(span: float, h: float, name: str) -> int:
     return steps
 
 
+def period_steps(delta: float, h: float) -> int:
+    """Steps of size ``h`` between periodic broadcasts: the most that fit
+    in ``delta``, so the realized period never exceeds ``delta``.  Raises
+    ValidationError naming ``scheme.delta`` when ``delta < h``."""
+    steps = math.floor(delta / h + schedulers.GRID_SLACK)
+    if steps < 1:
+        raise ValidationError(f"scheme.delta {delta} is shorter than the step h = {h}")
+    return steps
+
+
 def _resolve_topology(scenario, h: float):
     """Return (graphs, laplacians, order, steps_per_dwell)."""
     sched = getattr(scenario, "schedule", None)
@@ -227,13 +281,14 @@ def _resolve_topology(scenario, h: float):
     return sched.graphs, laps, sched.order, spd
 
 
-def _initial_arrays(scenario, n: int, d: int):
-    x = np.array(scenario.x0, dtype=float).reshape(n, d).copy()
-    v = np.array(scenario.v0, dtype=float).reshape(n, d).copy()
-    vsum = np.abs(v.sum(axis=0)).max()
-    if vsum > 1e-12 * max(1.0, float(np.abs(v).max())):
+def _initial_state(scenario, n: int, d: int) -> np.ndarray:
+    """The stacked (2N, d) start z = [x0; v0]."""
+    z = np.concatenate([np.asarray(scenario.x0, dtype=float).reshape(n, d),
+                        np.asarray(scenario.v0, dtype=float).reshape(n, d)])
+    vsum = np.abs(z[n:].sum(axis=0)).max()
+    if vsum > 1e-12 * max(1.0, float(np.abs(z[n:]).max())):
         raise BadInitialization(f"initial v must sum to zero per coordinate, |sum| = {vsum:.3e}")
-    return x, v
+    return z
 
 
 def _sample_steps(n_steps: int, stride: int) -> list[int]:
@@ -253,15 +308,16 @@ def simulate(scenario: "Scenario") -> Trace:
     and the event log), the sample is recorded, and only then the step to
     the next node is taken, so recorded samples always reflect
     post-broadcast state.  Topology switching happens between steps only.
+    A periodic scheme broadcasts every :func:`period_steps` nodes.
 
     Raises BadInitialization when sum_i v^i(0) != 0, ValidationError when
-    ``t_final`` or a dwell is not a positive multiple of the step, and
+    ``t_final`` or a dwell is not a positive multiple of the step or a
+    periodic ``delta`` is shorter than it, and
     NumericalBlowup (carrying the partial trace) when the state escapes the finite range.
     """
     nc = scenario.network
     n, d = nc.n_agents, nc.dim
     p = AlgorithmParams(scenario.alpha, scenario.beta)
-    alpha, beta = p.alpha, p.beta
     scheme = scenario.scheme
     kind = getattr(scheme, "kind", None)
     if kind not in schedulers.SCHEMES:
@@ -273,8 +329,11 @@ def simulate(scenario: "Scenario") -> Trace:
     if not h > 0:
         raise ValidationError(f"h must be positive, got {h}")
     n_steps = grid_steps(scenario.t_final, h, "t_final")
+    if kind == "periodic":
+        period = period_steps(scheme.delta, h) * h
     graphs, laps, order, spd = _resolve_topology(scenario, h)
-    x, v = _initial_arrays(scenario, n, d)
+    z = _initial_state(scenario, n, d)
+    x = z[:n]
     x_hat = x.copy()
     x_star = _oracle_or_none(nc)
 
@@ -296,13 +355,13 @@ def simulate(scenario: "Scenario") -> Trace:
         douts = tuple(g.out_degrees for g in graphs)
     everyone = list(range(n))
     last_broadcast = -math.inf
-    field = flow(nc, p)
-    grad = nc.grad_stack
+    # one kernel per switching graph, so each block matrix is built once
+    kernels = [(held_rk4 if sampled else flow)(nc, p, lap) for lap in laps]
 
     def record(si: int, t: float) -> None:
         T[si] = t
         X[si] = x
-        V[si] = v
+        V[si] = z[n:]
         XH[si] = x_hat if sampled else x
         if x_star is not None:
             ERR[si] = np.linalg.norm(x - x_star[None, :], axis=1)
@@ -325,24 +384,17 @@ def simulate(scenario: "Scenario") -> Trace:
             x_star=None if x_star is None else np.asarray(x_star, dtype=float),
         )
 
-    def field_lx(x, v):  # Ly = L x: continuous information and Euler
-        return field(x, v, lap @ x)
-
     si = 0
     gi = 0
-    h2 = 0.5 * h
-    h6 = h / 6.0
-    ab = alpha * beta
     for k in range(n_steps + 1):
         t = k * h
         if spd is not None:
             gi = order[(k // spd) % len(order)]
-        lap = laps[gi]
         if sampled:
             if k == 0:
                 fired = everyone
             elif kind == "periodic":
-                fired = everyone if schedulers.periodic_due(t, scheme.delta, last_broadcast) else []
+                fired = everyone if schedulers.periodic_due(t, period, last_broadcast) else []
             elif kind == "centralized_event":
                 # x_hat holds every agent's state at the last broadcast
                 due = schedulers._centralized_due(x, x_hat, scheme.kappa, last_broadcast,
@@ -361,27 +413,13 @@ def simulate(scenario: "Scenario") -> Trace:
         if k == n_steps:
             break
         if continuous:
-            x, v = rk4(field_lx, x, v, h)
+            z = rk4(kernels[gi], z, h)
         elif euler:
-            dx, dv = field_lx(x, v)
-            x = x + h * dx
-            v = v + h * dv
+            z = z + h * kernels[gi](z)
         else:
-            # specialised rather than routed through rk4: x_hat is held over
-            # the step, so beta L x_hat and dv are constant; computing them
-            # once per step instead of at each of the four stages is a
-            # measurable saving in this branch, the hot loop of event-triggered
-            # runs, and v advances exactly by h dv
-            lap_xh = lap @ x_hat
-            dv = ab * lap_xh
-            q = beta * lap_xh
-            k1x = -alpha * grad(x) - q - v
-            k2x = -alpha * grad(x + h2 * k1x) - q - (v + h2 * dv)
-            k3x = -alpha * grad(x + h2 * k2x) - q - (v + h2 * dv)
-            k4x = -alpha * grad(x + h * k3x) - q - (v + h * dv)
-            x = x + h6 * (k1x + 2 * k2x + 2 * k3x + k4x)
-            v = v + h * dv
-        if not _finite(x, v):
+            z = kernels[gi](z, x_hat, h)
+        x = z[:n]
+        if not _finite(z):
             raise NumericalBlowup(f"state escaped finite range at t = {t + h:.6g}", trace(si))
     return trace(n_smp)
 

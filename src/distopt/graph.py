@@ -108,11 +108,6 @@ class DisagreementBasis:
     r: np.ndarray
     R: np.ndarray
 
-    @property
-    def projector(self) -> np.ndarray:
-        n = self.r.shape[0]
-        return np.eye(n) - np.ones((n, n)) / n
-
 
 def build_digraph(n: int, edges) -> WeightedDigraph:
     """Assemble a digraph from 1-based (receiver, sender, weight) triples.
@@ -135,12 +130,6 @@ def build_digraph(n: int, edges) -> WeightedDigraph:
             raise DuplicateEdge(f"edge ({i}, {j}) given twice")
         w[i - 1, j - 1] = weight
     return WeightedDigraph(n, w)
-
-
-def edge_list(g: WeightedDigraph) -> list[tuple[int, int, float]]:
-    """1-based (receiver, sender, weight) triples in row-major order."""
-    ii, jj = np.nonzero(g.weights)
-    return [(int(i) + 1, int(j) + 1, float(g.weights[i, j])) for i, j in zip(ii, jj)]
 
 
 def out_laplacian(g: WeightedDigraph) -> np.ndarray:
@@ -268,14 +257,6 @@ def load_graph(path) -> WeightedDigraph:
     if n is None:
         raise ParseError(f"{path}: missing 'n <count>' header")
     return build_digraph(n, edges)
-
-
-def dump_graph(g: WeightedDigraph, path) -> None:
-    """Write the edge-list format read back by :func:`load_graph`."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"n {g.n}\n")
-        for i, j, w in edge_list(g):
-            fh.write(f"{i} {j} {w:.17g}\n")
 
 
 def relabel(g: WeightedDigraph, shift: int) -> WeightedDigraph:

@@ -81,8 +81,11 @@ class Scenario:
             raise ValidationError(f"t_final must be positive, got {self.t_final}")
         if not self.h > 0:
             raise ValidationError(f"h must be positive, got {self.h}")
-        euler = getattr(self.scheme, "kind", None) == "euler"
-        dynamics.grid_steps(self.t_final, self.scheme.delta if euler else self.h, "t_final")
+        kind = getattr(self.scheme, "kind", None)
+        dynamics.grid_steps(self.t_final, self.scheme.delta if kind == "euler" else self.h,
+                            "t_final")
+        if kind == "periodic":
+            dynamics.period_steps(self.scheme.delta, self.h)
         if self.stride < 1:
             raise ValidationError(f"stride must be at least 1, got {self.stride}")
         n = len(self.costs)

@@ -75,3 +75,32 @@ def balanced_weights(draw, n):
         for i, j in zip(cycle, cycle[1:] + cycle[:1]):
             weights[i, j] += w
     return weights
+
+
+def edge_list(g) -> list[tuple[int, int, float]]:
+    """1-based (receiver, sender, weight) triples in row-major order."""
+    ii, jj = np.nonzero(g.weights)
+    return [(int(i) + 1, int(j) + 1, float(g.weights[i, j])) for i, j in zip(ii, jj)]
+
+
+def dump_graph(g, path) -> None:
+    """Write the edge-list format read back by ``distopt.graph.load_graph``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"n {g.n}\n")
+        for i, j, w in edge_list(g):
+            fh.write(f"{i} {j} {w:.17g}\n")
+
+
+def matrix_F(alpha: float, phi: float, N: int, d: int = 1) -> np.ndarray:
+    """Dense energy-coefficient matrix F, the cross-check of
+    ``distopt.certificates.matrix_F_extremes``."""
+    nd = (N - 1) * d
+    top = 0.5 * (1.0 / 9.0) * alpha * (phi + 1) * np.eye(d)
+    mid = 0.5 * np.block([
+        [alpha * (phi + 1) * np.eye(nd), np.eye(nd)],
+        [np.eye(nd), (1.0 / alpha) * np.eye(nd)],
+    ])
+    out = np.zeros((d + 2 * nd, d + 2 * nd))
+    out[:d, :d] = top
+    out[d:, d:] = mid
+    return out

@@ -3,23 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_scenario
+from conftest import make_scenario, matrix_F
 from distopt.certificates import (
     ConvexityBounds,
+    _tau_i_and_theta,
     certify,
     gamma,
     gamma_prime,
     kappa,
     matrix_E,
     matrix_E_extreme,
-    matrix_F,
     matrix_F_extremes,
     maximize_tau,
     phi_from_delta,
     rate_digraph,
     rate_quadratic,
     suggest_beta,
-    tau_i_lower_bounds,
     tau_period,
 )
 from distopt.costs import catalog, network_cost
@@ -260,11 +259,11 @@ class TestTauI:
         gp = gamma_prime(1.0, 6.0, 9.0, B22, 2.0)
         x0 = np.zeros((2, 1))
         v0 = np.zeros((2, 1))
-        tau_i = tau_i_lower_bounds(1.0, 6.0, [0.002, 0.002], nc, k2, x0, v0,
-                                   9.0, gp, lamF_min, lamF_max)
+        tau_i = _tau_i_and_theta(1.0, 6.0, [0.002, 0.002], nc, k2, x0, v0,
+                                 9.0, gp, lamF_min, lamF_max)[0]
         assert (tau_i > 0).all()
-        smaller = tau_i_lower_bounds(1.0, 6.0, [2e-8, 2e-8], nc, k2, x0, v0,
-                                     9.0, gp, lamF_min, lamF_max)
+        smaller = _tau_i_and_theta(1.0, 6.0, [2e-8, 2e-8], nc, k2, x0, v0,
+                                   9.0, gp, lamF_min, lamF_max)[0]
         assert (smaller < tau_i).all()
         assert (smaller < 1e-10).all()
 
@@ -273,9 +272,9 @@ class TestTauI:
         # closed forms evaluated by hand
         nc = network_cost(quad_pair)
         lamF_min, lamF_max = matrix_F_extremes(1.0, 9.0, 2, 1)
-        tau_i = tau_i_lower_bounds(1.0, 6.0, [0.002, 0.002], nc, k2,
-                                   np.zeros((2, 1)), np.zeros((2, 1)),
-                                   9.0, 90.0, lamF_min, lamF_max)
+        tau_i = _tau_i_and_theta(1.0, 6.0, [0.002, 0.002], nc, k2,
+                                 np.zeros((2, 1)), np.zeros((2, 1)),
+                                 9.0, 90.0, lamF_min, lamF_max)[0]
         eta = 7.0 / 16.0
         bound = 9 * 6 * lamF_max / (4 * eta * lamF_min) * 8e-6
         theta = lamF_max / lamF_min * math.sqrt(74.0) + bound
@@ -286,14 +285,14 @@ class TestTauI:
     def test_requires_lipschitz(self, k2):
         nc = network_cost([catalog("f8"), catalog("f2")])
         with pytest.raises(MissingLipschitz):
-            tau_i_lower_bounds(1.0, 6.0, [0.1, 0.1], nc, k2, np.zeros((2, 1)),
-                               np.zeros((2, 1)), 9.0, 90.0, 0.4, 5.0)
+            _tau_i_and_theta(1.0, 6.0, [0.1, 0.1], nc, k2, np.zeros((2, 1)),
+                             np.zeros((2, 1)), 9.0, 90.0, 0.4, 5.0)
 
     def test_requires_positive_margin(self, k2, quad_pair):
         nc = network_cost(quad_pair)
         with pytest.raises(Infeasible):
-            tau_i_lower_bounds(1.0, 6.0, [0.1, 0.1], nc, k2, np.zeros((2, 1)),
-                               np.zeros((2, 1)), 9.0, -1.0, 0.4, 5.0)
+            _tau_i_and_theta(1.0, 6.0, [0.1, 0.1], nc, k2, np.zeros((2, 1)),
+                             np.zeros((2, 1)), 9.0, -1.0, 0.4, 5.0)
 
 
 class TestCertify:

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_scenario
-from distopt.certificates import matrix_E_extreme, matrix_F, matrix_F_extremes
+from conftest import make_scenario, matrix_F
+from distopt.certificates import matrix_E_extreme, matrix_F_extremes
 from distopt.costs import CostModel, network_cost, quadratic_cost
 from distopt.diagnostics import (
     AnalysisCoordinates,

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import balanced_weights, col, make_scenario
+from distopt import dynamics
 from distopt.costs import catalog, network_cost, quadratic_cost
 from distopt.dynamics import (
     AlgorithmParams,
     SwitchingSchedule,
     equilibrium,
     flow,
+    held_rk4,
     linear_system_matrix,
     rk4,
     simulate,
@@ -28,67 +30,81 @@ from distopt.graph import (
 from distopt.schedulers import EulerScheme
 
 
+def stack(x, v):
+    """The (2N, d) state z = [x; v] the kernels step."""
+    return np.concatenate([np.asarray(x, dtype=float), np.asarray(v, dtype=float)])
+
+
+def rk4_factor(w):
+    """RK4's amplification factor for y' = w y / h over one step."""
+    return 1 + w + w**2 / 2 + w**3 / 6 + w**4 / 24
+
+
 class TestFields:
     def test_continuous_zero_at_equilibrium(self, k2, quad_pair_nc):
         p = AlgorithmParams(1.0, 1.0)
         x_bar, v_bar = equilibrium(quad_pair_nc, p)
-        dx, dv = flow(quad_pair_nc, p)(x_bar, v_bar, out_laplacian(k2) @ x_bar)
-        assert np.abs(dx).max() <= 1e-10
-        assert np.abs(dv).max() <= 1e-10
+        dz = flow(quad_pair_nc, p, out_laplacian(k2))(stack(x_bar, v_bar))
+        assert np.abs(dz[:2]).max() <= 1e-10
+        assert np.abs(dz[2:]).max() <= 1e-10
 
     def test_continuous_on_consensus(self, k2, quad_pair_nc):
         p = AlgorithmParams(2.0, 3.0)
         x, v = col([0.5, 0.5]), col([0.0, 0.0])
-        dx, dv = flow(quad_pair_nc, p)(x, v, out_laplacian(k2) @ x)
-        assert np.abs(dv).max() == 0.0
+        dz = flow(quad_pair_nc, p, out_laplacian(k2))(stack(x, v))
+        assert np.abs(dz[2:]).max() == 0.0
         grads = quad_pair_nc.grad_stack(x)
-        assert np.allclose(dx, -p.alpha * grads, atol=1e-14)
+        assert np.allclose(dz[:2], -p.alpha * grads, atol=1e-14)
 
     def test_continuous_worked_example(self, k2, quad_pair_nc):
-        x, v = col([0.0, 0.0]), col([0.0, 0.0])
-        dx, dv = flow(quad_pair_nc, AlgorithmParams(1.0, 1.0))(x, v, out_laplacian(k2) @ x)
-        assert np.allclose(dv.ravel(), [0.0, 0.0], atol=1e-15)
-        assert np.allclose(dx.ravel(), [8.0, -4.0], atol=1e-15)
+        z = stack(col([0.0, 0.0]), col([0.0, 0.0]))
+        dz = flow(quad_pair_nc, AlgorithmParams(1.0, 1.0), out_laplacian(k2))(z)
+        assert np.allclose(dz[2:].ravel(), [0.0, 0.0], atol=1e-15)
+        assert np.allclose(dz[:2].ravel(), [8.0, -4.0], atol=1e-15)
 
     def test_sampled_equals_continuous_after_sync(self, k2, quad_pair_nc):
+        # right after a broadcast (x_hat = x) the held field equals the
+        # continuous one, so one step of each differs only at O(h^2)
         rng = np.random.default_rng(0)
-        field = flow(quad_pair_nc, AlgorithmParams(1.3, 0.7))
+        p = AlgorithmParams(1.3, 0.7)
         lap = out_laplacian(k2)
         x = rng.normal(size=(2, 1))
-        v = rng.normal(size=(2, 1))
-        x_hat = x.copy()
-        dx_c, dv_c = field(x, v, lap @ x)
-        dx_s, dv_s = field(x, v, lap @ x_hat)
-        assert np.allclose(dx_c, dx_s, atol=1e-15)
-        assert np.allclose(dv_c, dv_s, atol=1e-15)
+        z = stack(x, rng.normal(size=(2, 1)))
+        held, field = held_rk4(quad_pair_nc, p, lap), flow(quad_pair_nc, p, lap)
+        gaps = [np.abs(held(z, x.copy(), h) - rk4(field, z, h)).max() for h in (1e-3, 5e-4)]
+        assert gaps[0] <= 10 * 1e-3**2
+        assert 3.5 <= gaps[0] / gaps[1] <= 4.5
 
     def test_sampled_with_equal_broadcasts(self, k2, quad_pair_nc):
+        # consensus broadcasts: L x_hat = 0, so v is frozen and each agent
+        # solves x' = -2 (x - c) - v on its own, c = 4 or -2
         p = AlgorithmParams(1.0, 1.0)
         x, v, x_hat = col([2.0, -1.0]), col([0.3, -0.3]), col([1.0, 1.0])
-        dx, dv = flow(quad_pair_nc, p)(x, v, out_laplacian(k2) @ x_hat)
-        assert np.abs(dv).max() == 0.0
-        expected = -quad_pair_nc.grad_stack(x) - v
-        assert np.allclose(dx, expected, atol=1e-14)
+        h = 0.05
+        z1 = held_rk4(quad_pair_nc, p, out_laplacian(k2))(stack(x, v), x_hat, h)
+        assert np.array_equal(z1[2:], v)
+        rest = col([4.0, -2.0]) - v / 2
+        assert np.allclose(z1[:2], rest + rk4_factor(-2 * h) * (x - rest), atol=1e-14)
 
     def test_sampled_worked_example(self, k2, quad_pair_nc):
-        x, v, x_hat = col([0.0, 0.0]), col([0.0, 0.0]), col([1.0, 1.0])
-        dx, dv = flow(quad_pair_nc, AlgorithmParams(1.0, 1.0))(x, v, out_laplacian(k2) @ x_hat)
-        assert np.allclose(dv.ravel(), [0.0, 0.0], atol=1e-15)
-        assert np.allclose(dx.ravel(), [8.0, -4.0], atol=1e-15)
+        # from x = v = 0 toward the local minimizers (4, -2): x(h) = (4, -2) (1 - R(-2h))
+        z = stack(col([0.0, 0.0]), col([0.0, 0.0]))
+        z1 = held_rk4(quad_pair_nc, AlgorithmParams(1.0, 1.0), out_laplacian(k2))(
+            z, col([1.0, 1.0]), 0.1)
+        assert np.allclose(z1[2:].ravel(), [0.0, 0.0], atol=1e-15)
+        assert np.allclose(z1[:2].ravel(), [0.72506667, -0.36253333], atol=1e-8)
 
 
 class TestRk4:
     def test_zero_field_only_advances_time(self):
-        x, v = col([1.0, 2.0]), col([3.0, -3.0])
-        x1, v1 = rk4(lambda x, v: (np.zeros_like(x), np.zeros_like(v)), x, v, 0.25)
-        assert np.array_equal(x1, x)
-        assert np.array_equal(v1, v)
+        z = stack(col([1.0, 2.0]), col([3.0, -3.0]))
+        assert np.array_equal(rk4(np.zeros_like, z, 0.25), z)
 
     def test_scalar_exponential_decay(self):
         # dy/dt = -y from 1: y(0.1) = exp(-0.1) = 0.90483741803...
-        x1, _ = rk4(lambda x, v: (-x, np.zeros_like(v)), col([1.0]), col([0.0]), 0.1)
-        assert x1[0, 0] == pytest.approx(math.exp(-0.1), abs=1e-7)
-        assert x1[0, 0] == pytest.approx(0.9048375, abs=1e-7)
+        z1 = rk4(lambda z: -z, col([1.0]), 0.1)
+        assert z1[0, 0] == pytest.approx(math.exp(-0.1), abs=1e-7)
+        assert z1[0, 0] == pytest.approx(0.9048375, abs=1e-7)
 
     def test_linear_system_step_matches_matrix_exponential(self, k2):
         # quadratic costs make the flow linear: one step vs expm oracle
@@ -100,17 +116,15 @@ class TestRk4:
         v = rng.normal(size=(2, 1))
         v -= v.mean()
         h = 0.05
-        field = flow(nc, p)
-        lap = out_laplacian(k2)
 
-        x1, v1 = rk4(lambda x, v: field(x, v, lap @ x), x, v, h)
+        z1 = rk4(flow(nc, p, out_laplacian(k2)), stack(x, v), h)
         # affine flow: evolve the deviation from equilibrium linearly
         x_bar, v_bar = equilibrium(nc, p)
         z0 = np.concatenate([(x - x_bar).ravel(), (v - v_bar).ravel()])
-        z1 = expm(sys * h) @ z0
-        got = np.concatenate([(x1 - x_bar).ravel(), (v1 - v_bar).ravel()])
+        want = expm(sys * h) @ z0
+        got = (z1 - stack(x_bar, v_bar)).ravel()
         norm0 = np.linalg.norm(np.concatenate([x.ravel(), v.ravel()]))
-        assert np.linalg.norm(got - z1) <= 10 * h**5 * max(1.0, norm0)
+        assert np.linalg.norm(got - want) <= 10 * h**5 * max(1.0, norm0)
 
     def test_nonpositive_step_rejected(self, k2, quad_pair):
         with pytest.raises(ValidationError, match="h must be positive"):
@@ -314,3 +328,40 @@ class TestLinearFlowProperty:
         assert np.abs(trace.v.sum(axis=1) - v0.sum(axis=0)).max() <= 1e-9
         # the oracle stops at |sum grad| <= 1e-12, i.e. within 1e-12 / n of -mean(a)/2
         assert np.abs(trace.x_star + a.mean(axis=0) / 2).max() <= 1e-12
+
+
+def reference_csv(trace) -> str:
+    """``trace.csv`` written one row at a time, the reference for ``Trace.to_csv``."""
+    flags = np.zeros((trace.t.size, trace.n_agents), dtype=int)
+    for a, te in zip(trace.event_agents, trace.event_times):
+        k = int(np.searchsorted(trace.t, te - 1e-12))
+        if k < trace.t.size:
+            flags[k, a] = 1
+    lines = ["t,agent,x,v,err,event\n"]
+    for k, tk in enumerate(trace.t):
+        for a in range(trace.n_agents):
+            xs = ";".join(f"{c:.17g}" for c in trace.x[k, a])
+            vs = ";".join(f"{c:.17g}" for c in trace.v[k, a])
+            lines.append(f"{tk:.17g},{a + 1},{xs},{vs},{trace.err[k, a]:.17g},{flags[k, a]}\n")
+    return "".join(lines)
+
+
+class TestTraceCsv:
+    @pytest.mark.parametrize("chunk", [1, 3, 1000])
+    def test_matches_row_by_row_reference(self, tmp_path, monkeypatch, chunk):
+        # vector states over many decades, inf, -0 and NaN errors; events on
+        # nodes, between them, repeated and past the last sample
+        monkeypatch.setattr(dynamics, "CSV_CHUNK", chunk)
+        rng = np.random.default_rng(4)
+        s, n, d = 11, 3, 2
+        x = rng.normal(size=(s, n, d)) * 10.0 ** rng.integers(-300, 300, size=(s, n, d))
+        x[0, 0, 0], x[-1, -1, -1] = np.inf, -0.0
+        err = np.abs(rng.normal(size=(s, n)))
+        err[2, 1] = np.nan
+        times = np.concatenate([[0.0, 0.0, 0.03, 0.03], rng.uniform(0.0, 0.12, 20)])
+        trace = dynamics.Trace(t=0.01 * np.arange(s), x=x, v=-x, x_hat=x, err=err,
+                               event_agents=rng.integers(0, n, times.size),
+                               event_times=np.sort(times), scheme={"kind": "periodic"},
+                               h=0.01, stride=1, alpha=1.0, beta=1.0)
+        trace.to_csv(tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_text() == reference_csv(trace)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import dump_graph, edge_list
 from distopt.errors import (
     DuplicateEdge,
     InvalidEdge,
@@ -15,8 +16,6 @@ from distopt.errors import (
 from distopt.graph import (
     build_digraph,
     complement_basis,
-    dump_graph,
-    edge_list,
     is_strongly_connected,
     is_weight_balanced,
     load_graph,
@@ -180,7 +179,8 @@ class TestBasis:
             b = complement_basis(n)
             assert np.abs(b.r @ b.R).max() <= 1e-12
             assert np.abs(b.R.T @ b.R - np.eye(n - 1)).max() <= 1e-12
-            assert np.abs(b.R @ b.R.T - b.projector).max() <= 1e-12
+            projector = np.eye(n) - np.ones((n, n)) / n  # centering
+            assert np.abs(b.R @ b.R.T - projector).max() <= 1e-12
 
     def test_too_small(self):
         with pytest.raises(TooSmall):

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from conftest import dump_graph
 from distopt.cli import main
 from distopt.errors import ParseError, UnknownPreset, ValidationError
-from distopt.graph import dump_graph, preset_graph
+from distopt.graph import preset_graph
 from distopt.scenarios import (
     PRESET_NAMES,
     parse_scenario,

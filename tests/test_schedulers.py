@@ -3,13 +3,16 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import balanced_weights, col, make_scenario
+from distopt.certificates import certify
+from distopt.costs import quadratic_cost
 from distopt.dynamics import simulate
 from distopt.errors import ValidationError
-from distopt.graph import preset_graph
+from distopt.graph import WeightedDigraph, preset_graph, spectral_summary
+from distopt.scenarios import AnalysisOptions
 from distopt.schedulers import (
     CentralizedEvent,
     DistributedEvent,
@@ -70,6 +73,21 @@ class TestPeriodicDue:
         assert stats.global_min_gap == pytest.approx(0.5, abs=1e-9)
         for te in trace.event_times:
             assert te / 0.5 == pytest.approx(round(te / 0.5), abs=1e-9)
+
+    def test_off_grid_delta_never_lengthens_the_period(self, k2, quad_pair):
+        # two steps of 0.01 fit in delta = 0.025: broadcasts at 0, 0.02, ...,
+        # never at 0.03, 0.06, ..., which would stretch the certified period
+        sc = make_scenario(quad_pair, graph=k2, scheme=Periodic(delta=0.025),
+                           t_final=0.1, h=0.01, stride=1)
+        times = np.unique(simulate(sc).event_times)
+        assert np.allclose(times, 0.02 * np.arange(6), atol=1e-12)
+        assert np.diff(times).max() <= 0.025
+
+    def test_delta_shorter_than_step_rejected(self, k2, quad_pair):
+        with pytest.raises(ValidationError, match="scheme.delta"):
+            make_scenario(quad_pair, graph=k2, scheme=Periodic(delta=0.005),
+                          t_final=0.1, h=0.01)
+        make_scenario(quad_pair, graph=k2, scheme=Periodic(delta=0.01), t_final=0.1, h=0.01)
 
 
 class TestCentralizedTrigger:
@@ -285,3 +303,41 @@ class TestTraceEventConsistency:
             diffs = trace.x_hat[k][:, None, :] - trace.x_hat[k][None, :, :]
             rhs = (g.weights * np.sum(diffs**2, axis=2)).sum(axis=1) + eps**2
             assert (lhs <= rhs + 1e-12).all()
+
+
+@st.composite
+def certified_distributed_cases(draw):
+    """Unit-curvature quadratics over a random weight-balanced, strongly
+    connected digraph, with the coupling drawn as a multiple of the
+    algebraic connectivity and phi at the maximizer of gamma'.  The start
+    lies within 0.03 of the equilibrium, which keeps the certified
+    trajectory bound small, so most tau_i exceed the step."""
+    n = draw(st.integers(2, 5))
+    g = WeightedDigraph(n, draw(balanced_weights(n)))
+    lh2 = spectral_summary(g).lambda_hat_2
+    beta = draw(st.floats(7.5, 15.0)) / lh2
+    a = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    near = st.lists(st.floats(-0.03, 0.03), min_size=n, max_size=n)
+    x0 = -a.mean() / 2 + np.array(draw(near))
+    dv = np.array(draw(near))
+    v0 = (a.mean() - a) / 2 + dv - dv.mean()  # equilibrium v_i = -grad f_i(x*)
+    eps = draw(st.lists(st.floats(1e-3, 3e-2), min_size=n, max_size=n))
+    return g, a, beta, (1.0 + 4.5 * beta * lh2) / 8.0 - 1.0, eps, x0, v0
+
+
+class TestDistributedGapProperty:
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(certified_distributed_cases())
+    def test_observed_gaps_respect_certified_tau_i(self, case):
+        g, a, beta, phi, eps, x0, v0 = case
+        h = 2.5e-4
+        # keep RK4 inside its stability region at this coupling
+        assume(beta * spectral_summary(g).lambda_N * h < 2.0)
+        sc = make_scenario([quadratic_cost([ai]) for ai in a], graph=g, beta=beta,
+                           scheme=DistributedEvent(eps=np.asarray(eps)), t_final=0.5, h=h,
+                           stride=2000, x0=col(x0), v0=col(v0), analysis=AnalysisOptions(phi=phi))
+        report = certify(sc)
+        assume(report.feasible["distributed_event"])
+        # triggers are polled at nodes, so a gap can undershoot tau_i by one step
+        stats = event_stats(simulate(sc))
+        assert (stats.min_gaps >= np.asarray(report.tau_i) - h).all()
