@@ -285,7 +285,8 @@ class CertificateReport:
     balanced digraphs), ``periodic``, ``centralized_event``,
     ``distributed_event``.  ``topology_certified`` is False when the
     periodic/centralized constants were evaluated on a directed graph,
-    where they are empirical only.
+    where they are empirical only.  ``gamma_prime`` and the distributed
+    constants are evaluated at ``phi_distributed``, ``lamF_*`` at ``phi``.
     """
 
     alpha: float
@@ -293,6 +294,7 @@ class CertificateReport:
     epsilon: float
     delta: float
     phi: float
+    phi_distributed: float
     phi_step: float | None
     m_lower: float
     M_upper: float
@@ -351,9 +353,10 @@ def certify(scenario) -> CertificateReport:
     """Evaluate every certificate for a scenario and attach verdicts.
 
     Uses the scenario's analysis options (eps, delta, phi, estimation box);
-    phi defaults to the value maximizing the digraph margin, clipped to the
-    feasible region phi + 1 > 4 M.  For switching scenarios the smallest
-    algebraic connectivity over the realization set is used.
+    phi defaults to the maximizer of gamma for the digraph verdict and of
+    gamma' for the distributed one, each clipped to the feasible region
+    phi + 1 > 4 M.  For switching scenarios the smallest algebraic
+    connectivity over the realization set is used.
     """
     analysis = scenario.analysis
     costs = scenario.network
@@ -376,15 +379,17 @@ def certify(scenario) -> CertificateReport:
     m, M = bounds.m_lower, bounds.M_upper
 
     if analysis.phi is not None:
-        phi = float(analysis.phi)
+        phi = phi_d = float(analysis.phi)
     else:
-        # maximizer of the digraph margin, pushed into phi + 1 > 4M
+        # maximizers of gamma and of gamma', pushed into phi + 1 > 4M
         phi = max(m / 8.0 + 9.0 * beta * lh2 / (8.0 * alpha), 4.0 * M * (1 + 1e-9)) - 1.0
+        phi_d = max(m / 8.0 + 9.0 * beta * lh2 / (16.0 * alpha), 4.0 * M * (1 + 1e-9)) - 1.0
     g_val = gamma(alpha, beta, phi, bounds, lh2)
-    gp_val = gamma_prime(alpha, beta, phi, bounds, lh2)
+    gp_val = gamma_prime(alpha, beta, phi_d, bounds, lh2)
     lamF_min, lamF_max = matrix_F_extremes(alpha, phi, costs.n_agents, costs.dim)
+    lamFd_min, lamFd_max = matrix_F_extremes(alpha, phi_d, costs.n_agents, costs.dim)
     feasible_digraph = g_val > 0 and phi + 1 > 4 * M
-    feasible_distributed = gp_val > 0 and phi + 1 > 4 * M
+    feasible_distributed = gp_val > 0 and phi_d + 1 > 4 * M
 
     phi_step = phi_from_delta(alpha, delta_s, bounds)
     zeta = tau = kap = lamE = None
@@ -405,14 +410,14 @@ def certify(scenario) -> CertificateReport:
     elif analysis.eps_vec is not None:
         eps_vec = np.asarray(analysis.eps_vec, dtype=float)
     if eps_vec is not None and feasible_distributed:
-        ss_bound = steady_state_bound(phi, alpha, beta, lamF_min, lamF_max, eta, eps_vec)
+        ss_bound = steady_state_bound(phi_d, alpha, beta, lamFd_min, lamFd_max, eta, eps_vec)
         tau_i, theta = _tau_i_and_theta(alpha, beta, eps_vec, costs_est, graph, scenario.x0,
-                                        scenario.v0, phi, gp_val, lamF_min, lamF_max)
-        r_dist = eta / lamF_max
+                                        scenario.v0, phi_d, gp_val, lamFd_min, lamFd_max)
+        r_dist = eta / lamFd_max
 
     report = CertificateReport(
-        alpha=alpha, beta=beta, epsilon=eps_s, delta=delta_s, phi=phi, phi_step=phi_step,
-        m_lower=m, M_upper=M,
+        alpha=alpha, beta=beta, epsilon=eps_s, delta=delta_s, phi=phi, phi_distributed=phi_d,
+        phi_step=phi_step, m_lower=m, M_upper=M,
         lambda_hat_2=lh2, lambda_2=lam2, lambda_N=lamN, re_lambda_2=spectrum.re_lambda_2,
         gamma=g_val, gamma_prime=gp_val,
         zeta=zeta, tau=tau, kappa=kap, eta=eta, theta=theta, tau_i=tau_i,

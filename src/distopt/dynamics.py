@@ -32,6 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 BLOWUP_LIMIT = 1e12
 CSV_CHUNK = 25  # samples formatted per write in Trace.to_csv
+ERR_CHUNK = 256  # samples per block of the trace's err column; larger blocks raise peak RSS
 
 
 @dataclass(frozen=True)
@@ -186,28 +187,33 @@ def rk4(f: Callable, z: np.ndarray, h: float) -> np.ndarray:
     return k2
 
 
-def held_rk4(nc: NetworkCost, p: AlgorithmParams, lap: np.ndarray):
-    """RK4 step ``(z, x_hat, h) -> z`` under sampled information, where
-    dx = -alpha grad f(x) - beta L x_hat - v and dv = alpha beta L x_hat.
-    The broadcasts ``x_hat`` are held over the step, so beta L x_hat and dv
-    are formed once per step, not per stage (a measurable saving in the
-    event-triggered hot loop), and v advances exactly by h dv."""
-    grad, alpha, beta, n = nc.grad_stack, p.alpha, p.beta, nc.n_agents
-    ab = alpha * beta
+def held_terms(lap: np.ndarray, p: AlgorithmParams, x_hat: np.ndarray) -> np.ndarray:
+    """[beta L x_hat; alpha beta L x_hat], the coupling of the sampled flow:
+    fixed between broadcasts and topology switches, so formed there only."""
+    lap_xh = lap @ x_hat
+    return np.concatenate([p.beta * lap_xh, (p.alpha * p.beta) * lap_xh])
 
-    def step(z, x_hat, h):
-        x, v = z[:n], z[n:]
+
+def held_rk4(nc: NetworkCost, p: AlgorithmParams):
+    """RK4 step ``(z, held, h) -> z`` under sampled information, where
+    dx = -alpha grad f(x) - beta L x_hat - v and dv = alpha beta L x_hat,
+    with ``held = held_terms(L, p, x_hat)``, which ``simulate`` rebuilds
+    only at a broadcast or a topology switch.  Per stage only the gradient
+    is new: the held term accumulates in place, and v advances by h dv."""
+    grad, alpha, n = nc.grad_stack, p.alpha, nc.n_agents
+
+    def step(z, held, h):
+        x, v, dv = z[:n], z[n:], held[n:]
         h2 = 0.5 * h
-        lap_xh = lap @ x_hat
-        dv = ab * lap_xh
-        q = beta * lap_xh
-        v_mid = v + h2 * dv
-        k1x = -alpha * grad(x) - q - v
-        k2x = -alpha * grad(x + h2 * k1x) - q - v_mid
-        k3x = -alpha * grad(x + h2 * k2x) - q - v_mid
-        k4x = -alpha * grad(x + h * k3x) - q - (v + h * dv)
+        w = held[:n] + v  # beta L x_hat + v at t, then at t + h/2 and t + h
+        k1 = -alpha * grad(x) - w
+        w += h2 * dv
+        k2 = -alpha * grad(x + h2 * k1) - w
+        k3 = -alpha * grad(x + h2 * k2) - w
+        w += h2 * dv
+        k4 = -alpha * grad(x + h * k3) - w
         out = np.empty_like(z)
-        np.add(x, h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x), out=out[:n])
+        np.add(x, h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), out=out[:n])
         np.add(v, h * dv, out=out[n:])
         return out
 
@@ -353,21 +359,27 @@ def simulate(scenario: "Scenario") -> Trace:
             raise ValidationError(f"eps vector length {eps.shape} != agent count {n}")
         eps2 = eps**2
         douts = tuple(g.out_degrees for g in graphs)
+        # built from the t = 0 broadcast (x_hat = x); _cascade keeps it current
+        thr = schedulers._threshold(x_hat, graphs[order[0]].weights, eps2)
     everyone = list(range(n))
     last_broadcast = -math.inf
+    gi = order[0]
+    step = held_rk4(nc, p)
     # one kernel per switching graph, so each block matrix is built once
-    kernels = [(held_rk4 if sampled else flow)(nc, p, lap) for lap in laps]
+    kernels = [] if sampled else [flow(nc, p, lap) for lap in laps]
 
     def record(si: int, t: float) -> None:
         T[si] = t
         X[si] = x
         V[si] = z[n:]
         XH[si] = x_hat if sampled else x
-        if x_star is not None:
-            ERR[si] = np.linalg.norm(x - x_star[None, :], axis=1)
 
     def trace(si: int) -> Trace:
         """The first ``si`` samples and the event log so far."""
+        if x_star is not None:
+            for s in range(0, si, ERR_CHUNK):
+                e = min(s + ERR_CHUNK, si)
+                ERR[s:e] = np.linalg.norm(X[s:e] - x_star, axis=2)
         return Trace(
             t=T[:si],
             x=X[:si],
@@ -385,11 +397,13 @@ def simulate(scenario: "Scenario") -> Trace:
         )
 
     si = 0
-    gi = 0
     for k in range(n_steps + 1):
         t = k * h
-        if spd is not None:
+        switched = spd is not None and order[(k // spd) % len(order)] != gi
+        if switched:
             gi = order[(k // spd) % len(order)]
+            if kind == "distributed_event":
+                thr = schedulers._threshold(x_hat, graphs[gi].weights, eps2)
         if sampled:
             if k == 0:
                 fired = everyone
@@ -401,12 +415,14 @@ def simulate(scenario: "Scenario") -> Trace:
                                                   scheme.tau, t)
                 fired = everyone if due else []
             else:
-                fired = schedulers._cascade(x, x_hat, graphs[gi].weights, eps2, douts[gi])
+                fired = schedulers._cascade(x, x_hat, thr, graphs[gi].weights, eps2, douts[gi])
             if fired:
                 x_hat[fired] = x[fired]
                 last_broadcast = t
                 ev_agents.extend(fired)
                 ev_times.extend([t] * len(fired))
+            if fired or switched:
+                held = held_terms(laps[gi], p, x_hat)
         if k == ks[si]:
             record(si, t)
             si += 1
@@ -417,7 +433,7 @@ def simulate(scenario: "Scenario") -> Trace:
         elif euler:
             z = z + h * kernels[gi](z)
         else:
-            z = kernels[gi](z, x_hat, h)
+            z = step(z, held, h)
         x = z[:n]
         if not _finite(z):
             raise NumericalBlowup(f"state escaped finite range at t = {t + h:.6g}", trace(si))

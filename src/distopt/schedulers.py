@@ -140,7 +140,7 @@ def periodic_due(t: float, delta: float, last: float) -> bool:
 
 
 def _centered(y: np.ndarray) -> np.ndarray:
-    return y - y.mean(axis=0, keepdims=True)
+    return y - y.sum(axis=0) / y.shape[0]
 
 
 def _centralized_due(x, x_at_last, kappa, t_last, tau, t) -> bool:
@@ -155,47 +155,51 @@ def _centralized_due(x, x_at_last, kappa, t_last, tau, t) -> bool:
         return False
     dev = _centered(x_at_last - x)
     xc = _centered(x)
-    return float(np.sum(dev * dev)) > kappa * float(np.sum(xc * xc))
+    return float((dev * dev).sum()) > kappa * float((xc * xc).sum())
 
 
-def _distributed_due(x: np.ndarray, x_hat: np.ndarray, weights: np.ndarray, eps2,
+def _threshold(x_hat: np.ndarray, weights: np.ndarray, eps2) -> np.ndarray:
+    """Right-hand side of the distributed law, sum_j a_ij ||xhat^i -
+    xhat^j||^2 + eps_i^2 for all i (``eps2`` holds the eps_i^2): it depends
+    on the broadcasts and the graph only, so it is rebuilt only when they change."""
+    diffs = x_hat[:, None, :] - x_hat[None, :, :]
+    return (weights * (diffs * diffs).sum(axis=2)).sum(axis=1) + eps2
+
+
+def _distributed_due(x: np.ndarray, x_hat: np.ndarray, thr: np.ndarray,
                      dout: np.ndarray) -> np.ndarray:
     """Broadcast-now mask of the distributed law over all agents.
 
     Agent i fires when 4 d_out^i ||xhat^i - x^i||^2 exceeds
-    sum_j a_ij ||xhat^i - xhat^j||^2 + eps_i^2, all evaluated on last
-    broadcast values; ``eps2`` holds the eps_i^2.  The eps floor alone
-    settles most nodes, so pairwise disagreement is formed only when some
-    drift passes it.
+    ``thr = _threshold(x_hat, weights, eps2)``, all evaluated on last
+    broadcast values.  Only the drift side is formed here; the caller
+    rebuilds ``thr`` whenever ``x_hat`` or the graph changes.
     """
     drift = x_hat - x
-    lhs = 4.0 * dout * (drift * drift).sum(axis=1)
-    due = lhs > eps2
-    if np.count_nonzero(due):  # cheaper than due.any() on a few agents
-        diffs = x_hat[:, None, :] - x_hat[None, :, :]
-        due &= lhs > (weights * (diffs * diffs).sum(axis=2)).sum(axis=1) + eps2
-    return due
+    return 4.0 * dout * (drift * drift).sum(axis=1) > thr
 
 
-def _cascade(x: np.ndarray, x_hat: np.ndarray, weights: np.ndarray,
+def _cascade(x: np.ndarray, x_hat: np.ndarray, thr: np.ndarray, weights: np.ndarray,
              eps2: np.ndarray, dout: np.ndarray) -> list[int]:
-    """Resolve simultaneous triggers at one node; mutates ``x_hat``.
+    """Resolve simultaneous triggers at one node; mutates ``x_hat`` and ``thr``.
 
     Sweeps agents in ascending order, refreshing broadcast values
     immediately, until a full sweep fires nothing: each sweep fires the
-    first due agent at or after its position, then moves past it.  A
-    refreshed agent has zero drift and cannot re-fire at the same node, so
-    at most N sweeps run.
+    first due agent at or after its position, then moves past it.  ``thr``
+    must hold :func:`_threshold` of ``x_hat`` on entry; it is rebuilt after
+    each fire, so it is current on return.  A refreshed agent has zero
+    drift and cannot re-fire at the same node, so at most N sweeps run.
     """
     fired: list[int] = []
-    due = _distributed_due(x, x_hat, weights, eps2, dout)
+    due = _distributed_due(x, x_hat, thr, dout)
     while np.count_nonzero(due):  # a sweep from agent 0 fires iff some agent is due
         start = 0
         while (ahead := due[start:].nonzero()[0]).size:
             i = start + int(ahead[0])
             x_hat[i] = x[i]
             fired.append(i)
-            due = _distributed_due(x, x_hat, weights, eps2, dout)
+            thr[:] = _threshold(x_hat, weights, eps2)
+            due = _distributed_due(x, x_hat, thr, dout)
             start = i + 1
     return sorted(fired)
 

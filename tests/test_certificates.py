@@ -317,6 +317,24 @@ class TestCertify:
                     "eta", "theta", "lamF_min", "lamF_max", "lamE_max"):
             assert key in d
 
+    def test_distributed_verdict_at_gamma_prime_maximizer(self, k2, quad_pair):
+        # without analysis.phi the distributed verdict takes the maximizer of
+        # gamma', phi' + 1 = m/8 + 9 beta lhat2 / (16 alpha) = 7, clipped into
+        # phi' + 1 > 4M = 8; at the digraph maximizer phi = 12.75, gamma' < 0
+        sc = make_scenario(quad_pair, graph=k2, beta=6.0,
+                           scheme=DistributedEvent(eps=np.full(2, 0.002)), x0=np.zeros((2, 1)))
+        rep = certify(sc)
+        assert rep.phi == pytest.approx(12.75)
+        assert rep.phi_distributed == pytest.approx(7.0)
+        assert rep.phi_distributed + 1 > 4 * rep.M_upper
+        assert rep.gamma_prime == pytest.approx(122.0)
+        assert rep.feasible["distributed_event"]
+        assert rep.eta == pytest.approx(7.0 / 16.0)
+        assert (np.asarray(rep.tau_i) > 0).all() and rep.rate_distributed > 0
+        # a given analysis.phi serves both verdicts
+        sc.analysis = AnalysisOptions(phi=9.0)
+        assert certify(sc).phi_distributed == 9.0
+
     def test_low_beta_fails_digraph_flag(self, k2, quad_pair):
         sc = make_scenario(quad_pair, graph=k2, beta=1.0,
                            analysis=AnalysisOptions(phi=9.0))

@@ -1,10 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import make_scenario, matrix_F
-from distopt.certificates import matrix_E_extreme, matrix_F_extremes
+from conftest import balanced_weights, col, make_scenario, matrix_F
+from distopt.certificates import certify, matrix_E_extreme, matrix_F_extremes
 from distopt.costs import CostModel, network_cost, quadratic_cost
 from distopt.diagnostics import (
     AnalysisCoordinates,
@@ -25,7 +28,15 @@ from distopt.errors import (
     NotConnected,
     ValidationError,
 )
-from distopt.graph import build_digraph, complement_basis, preset_graph
+from distopt.graph import (
+    WeightedDigraph,
+    build_digraph,
+    complement_basis,
+    preset_graph,
+    spectral_summary,
+)
+from distopt.scenarios import AnalysisOptions
+from distopt.schedulers import CentralizedEvent, Periodic
 
 
 def coords_of(z1, z_rest, w1, w_rest):
@@ -291,3 +302,55 @@ class TestWholeTrace:
             z_norm = math.sqrt(float(c.z1 @ c.z1 + c.z_rest @ c.z_rest))
             worst = max(worst, abs(z_norm - float(np.linalg.norm(trace.x[k] - eq[0]))))
         assert isometry_violation(trace, nc, 1.0, 1.0) == pytest.approx(worst, rel=1e-12)
+
+
+@st.composite
+def certified_decay_cases(draw):
+    """Unit-curvature quadratics on a random weight-balanced, strongly
+    connected digraph (made undirected, W + W', for the sampled schemes,
+    whose rates are certified on undirected graphs only), with a coupling
+    drawn as a multiple of the algebraic connectivity and random analysis
+    eps and delta."""
+    n = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(["continuous", "periodic", "centralized_event"]))
+    weights = draw(balanced_weights(n))
+    g = WeightedDigraph(n, weights if kind == "continuous" else weights + weights.T)
+    beta = draw(st.floats(0.2, 15.0)) / spectral_summary(g).lambda_hat_2
+    a = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    x0 = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    analysis = AnalysisOptions(eps=draw(st.floats(0.1, 0.9)), delta=draw(st.floats(0.5, 5.0)))
+    return kind, g, beta, a, x0, analysis
+
+
+class TestCertifiedDecayProperty:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(certified_decay_cases())
+    def test_feasible_scheme_decays_at_its_certified_rate(self, case):
+        # whenever certify calls a scheme feasible, its energy decays along
+        # the simulated trace at the certified rate: the digraph energy at
+        # the margin min(7/16, gamma/9) for continuous information, the
+        # undirected energy at rate_periodic / rate_centralized for Delta =
+        # 0.9 tau and for (kappa, tau)
+        kind, g, beta, a, x0, analysis = case
+        sc = make_scenario([quadratic_cost([ai]) for ai in a], graph=g, beta=beta,
+                           x0=col(x0), analysis=analysis)
+        report = certify(sc)
+        assume(report.feasible["digraph_rate" if kind == "continuous" else kind])
+        if kind == "continuous":
+            which, bound, phi = "digraph", min(7.0 / 16.0, report.gamma / 9.0), report.phi
+            h, scheme = 1e-3, sc.scheme
+        else:
+            # the undirected energy is defined for phi >= 1 only
+            assume(report.phi_step >= 1.0)
+            which, phi = "undirected", report.phi_step
+            if kind == "periodic":
+                scheme, bound = Periodic(delta=report.suggested_delta_comm), report.rate_periodic
+                h = min(1e-3, scheme.delta / math.ceil(scheme.delta / 1e-3))  # delta on the grid
+            else:
+                scheme = CentralizedEvent(kappa=report.kappa, tau=report.tau)
+                h, bound = 1e-3, report.rate_centralized
+        # keep RK4 inside its stability region at this coupling
+        assume(beta * spectral_summary(g).lambda_N * h <= 1.0)
+        trace = simulate(dataclasses.replace(sc, scheme=scheme, h=h, t_final=2000 * h, stride=1))
+        result = decay_check(trace, which, bound, g=g, nc=sc.network, alpha=1.0, phi=phi)
+        assert result.passed, result

@@ -15,6 +15,7 @@ from distopt.dynamics import (
     equilibrium,
     flow,
     held_rk4,
+    held_terms,
     linear_system_matrix,
     rk4,
     simulate,
@@ -70,8 +71,9 @@ class TestFields:
         lap = out_laplacian(k2)
         x = rng.normal(size=(2, 1))
         z = stack(x, rng.normal(size=(2, 1)))
-        held, field = held_rk4(quad_pair_nc, p, lap), flow(quad_pair_nc, p, lap)
-        gaps = [np.abs(held(z, x.copy(), h) - rk4(field, z, h)).max() for h in (1e-3, 5e-4)]
+        step, field = held_rk4(quad_pair_nc, p), flow(quad_pair_nc, p, lap)
+        held = held_terms(lap, p, x.copy())
+        gaps = [np.abs(step(z, held, h) - rk4(field, z, h)).max() for h in (1e-3, 5e-4)]
         assert gaps[0] <= 10 * 1e-3**2
         assert 3.5 <= gaps[0] / gaps[1] <= 4.5
 
@@ -81,7 +83,7 @@ class TestFields:
         p = AlgorithmParams(1.0, 1.0)
         x, v, x_hat = col([2.0, -1.0]), col([0.3, -0.3]), col([1.0, 1.0])
         h = 0.05
-        z1 = held_rk4(quad_pair_nc, p, out_laplacian(k2))(stack(x, v), x_hat, h)
+        z1 = held_rk4(quad_pair_nc, p)(stack(x, v), held_terms(out_laplacian(k2), p, x_hat), h)
         assert np.array_equal(z1[2:], v)
         rest = col([4.0, -2.0]) - v / 2
         assert np.allclose(z1[:2], rest + rk4_factor(-2 * h) * (x - rest), atol=1e-14)
@@ -89,8 +91,8 @@ class TestFields:
     def test_sampled_worked_example(self, k2, quad_pair_nc):
         # from x = v = 0 toward the local minimizers (4, -2): x(h) = (4, -2) (1 - R(-2h))
         z = stack(col([0.0, 0.0]), col([0.0, 0.0]))
-        z1 = held_rk4(quad_pair_nc, AlgorithmParams(1.0, 1.0), out_laplacian(k2))(
-            z, col([1.0, 1.0]), 0.1)
+        p = AlgorithmParams(1.0, 1.0)
+        z1 = held_rk4(quad_pair_nc, p)(z, held_terms(out_laplacian(k2), p, col([1.0, 1.0])), 0.1)
         assert np.allclose(z1[2:].ravel(), [0.0, 0.0], atol=1e-15)
         assert np.allclose(z1[:2].ravel(), [0.72506667, -0.36253333], atol=1e-8)
 

@@ -7,12 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import balanced_weights, col, make_scenario
+from distopt import dynamics, schedulers
 from distopt.certificates import certify
 from distopt.costs import quadratic_cost
-from distopt.dynamics import simulate
+from distopt.dynamics import SwitchingSchedule, simulate
 from distopt.errors import ValidationError
 from distopt.graph import WeightedDigraph, preset_graph, spectral_summary
-from distopt.scenarios import AnalysisOptions
+from distopt.scenarios import AnalysisOptions, preset_dict, scenario_from_dict
 from distopt.schedulers import (
     CentralizedEvent,
     DistributedEvent,
@@ -21,6 +22,7 @@ from distopt.schedulers import (
     _cascade,
     _centralized_due,
     _distributed_due,
+    _threshold,
     event_stats,
     periodic_due,
 )
@@ -90,6 +92,17 @@ class TestPeriodicDue:
         make_scenario(quad_pair, graph=k2, scheme=Periodic(delta=0.01), t_final=0.1, h=0.01)
 
 
+def due(x, x_hat, g, eps2):
+    """``_distributed_due`` on a graph, its threshold built from ``x_hat``."""
+    return _distributed_due(x, x_hat, _threshold(x_hat, g.weights, eps2), g.out_degrees)
+
+
+def cascade(x, x_hat, g, eps2):
+    """``_cascade`` on a graph, its threshold built from ``x_hat``."""
+    return _cascade(x, x_hat, _threshold(x_hat, g.weights, eps2), g.weights, eps2,
+                    g.out_degrees)
+
+
 class TestCentralizedTrigger:
     def test_dwell_blocks(self):
         assert not _centralized_due(col([5.0, -5.0]), col([9.0, -9.0]), 0.5, 0.0, 0.1, 0.05)
@@ -112,7 +125,7 @@ class TestCentralizedTrigger:
 class TestDistributedTrigger:
     def test_zero_drift_never_fires(self, k2):
         x = col([3.0, 1.0])
-        assert not _distributed_due(x, x.copy(), k2.weights, 1e-9**2, k2.out_degrees)[0]
+        assert not due(x, x.copy(), k2, 1e-9**2)[0]
 
     def test_threshold_with_two_out_neighbors(self):
         # d_out = 2 and all broadcasts equal: fires iff drift > eps / (2 sqrt 2)
@@ -123,13 +136,11 @@ class TestDistributedTrigger:
             x_hat = np.zeros((3, 1))
             x = x_hat.copy()
             x[0, 0] = drift
-            assert _distributed_due(x, x_hat, g.weights, eps**2, g.out_degrees)[0] == expect
+            assert due(x, x_hat, g, eps**2)[0] == expect
 
     def test_neighbor_disagreement_suppresses(self, k2):
         # large broadcast disagreement dominates a moderate drift
-        due = _distributed_due(col([1.0, 10.0]), col([0.0, 10.0]), k2.weights, 0.002**2,
-                               k2.out_degrees)
-        assert not due[0]
+        assert not due(col([1.0, 10.0]), col([0.0, 10.0]), k2, 0.002**2)[0]
 
     def test_eps_validation(self):
         with pytest.raises(ValidationError):
@@ -140,12 +151,12 @@ class TestCascade:
     def test_empty_when_quiet(self, k2):
         x = col([0.1, -0.1])
         eps2 = np.array([0.5, 0.5]) ** 2
-        assert _cascade(x, x.copy(), k2.weights, eps2, k2.out_degrees) == []
+        assert cascade(x, x.copy(), k2, eps2) == []
 
     def test_singleton(self, k2):
         x_hat = col([0.0, 0.0])
         eps2 = np.array([0.1, 0.1]) ** 2
-        fired = _cascade(col([2.0, 0.0]), x_hat, k2.weights, eps2, k2.out_degrees)
+        fired = cascade(col([2.0, 0.0]), x_hat, k2, eps2)
         assert fired == [0]
         assert x_hat[0, 0] == 2.0  # refreshed in place
 
@@ -153,8 +164,8 @@ class TestCascade:
         # agent 0 fires; its refresh shrinks agent 1's protection and fires it too
         x, x_hat = col([1.05, 1.2]), col([0.0, 1.0])
         eps2 = np.array([0.1, 0.1]) ** 2
-        assert not _distributed_due(x, x_hat, k2.weights, eps2, k2.out_degrees)[1]
-        fired = _cascade(x, x_hat, k2.weights, eps2, k2.out_degrees)
+        assert not due(x, x_hat, k2, eps2)[1]
+        fired = cascade(x, x_hat, k2, eps2)
         assert fired == [0, 1]
         assert np.allclose(x_hat.ravel(), [1.05, 1.2])
 
@@ -164,10 +175,10 @@ class TestCascade:
         # and its refresh leaves agent 0 due in the second sweep
         x, x_hat = col([1.0, 0.5]), col([0.0, 3.0])
         eps2 = np.array([0.1, 0.1]) ** 2
-        due = _distributed_due(x, x_hat, k2.weights, eps2, k2.out_degrees)
-        assert not due[0]
-        assert due[1]
-        assert _cascade(x, x_hat, k2.weights, eps2, k2.out_degrees) == [0, 1]
+        mask = due(x, x_hat, k2, eps2)
+        assert not mask[0]
+        assert mask[1]
+        assert cascade(x, x_hat, k2, eps2) == [0, 1]
         assert np.array_equal(x_hat.ravel(), [1.0, 0.5])
 
 
@@ -212,9 +223,27 @@ class TestCascadeProperty:
         assert np.allclose(weights.sum(axis=0), weights.sum(axis=1))  # balanced
         expect_hat = x_hat.copy()
         expected = sweep_reference(x, expect_hat, weights, eps**2)
-        got = _cascade(x, x_hat, weights, eps**2, weights.sum(axis=1))
+        thr = _threshold(x_hat, weights, eps**2)
+        got = _cascade(x, x_hat, thr, weights, eps**2, weights.sum(axis=1))
         assert got == expected
         assert np.array_equal(x_hat, expect_hat)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(cascade_cases(), st.floats(0.0, 1.0))
+    def test_cached_threshold_carries_to_the_next_node(self, case, move):
+        # the threshold _cascade leaves behind equals a fresh one, and a
+        # later node that reuses it fires what a fresh evaluation fires
+        weights, x, x_hat, eps = case
+        eps2, dout = eps**2, weights.sum(axis=1)
+        thr = _threshold(x_hat, weights, eps2)
+        _cascade(x, x_hat, thr, weights, eps2, dout)
+        assert np.array_equal(thr, _threshold(x_hat, weights, eps2))
+        x_next = x + move * (x[::-1] - x)
+        expect_hat = x_hat.copy()
+        expected = sweep_reference(x_next, expect_hat, weights, eps2)
+        assert _cascade(x_next, x_hat, thr, weights, eps2, dout) == expected
+        assert np.array_equal(x_hat, expect_hat)
+        assert np.array_equal(thr, _threshold(x_hat, weights, eps2))
 
 
 class TestEventStats:
@@ -341,3 +370,112 @@ class TestDistributedGapProperty:
         # triggers are polled at nodes, so a gap can undershoot tau_i by one step
         stats = event_stats(simulate(sc))
         assert (stats.min_gaps >= np.asarray(report.tau_i) - h).all()
+
+
+def sampled_reference(sc):
+    """Per-node recomputation of a sampled-information run on a switching
+    schedule: the trigger law and the coupling L x_hat are formed afresh
+    from the active graph at every node, and RK4 steps the held field as
+    written.  Returns the stacked [x; v] at every node and the events as
+    (agent, node) pairs."""
+    nc, h, scheme = sc.network, sc.h, sc.scheme
+    alpha, beta = sc.alpha, sc.beta
+    graphs, spd = sc.schedule.graphs, round(sc.schedule.dwell / h)
+    x, v = sc.x0.copy(), sc.v0.copy()
+    x_hat = x.copy()
+    n = x.shape[0]
+    states, events, t_last = [], [], -math.inf
+    for k in range(round(sc.t_final / h) + 1):
+        t = k * h
+        g = graphs[(k // spd) % len(graphs)]
+        if k == 0:
+            fired = list(range(n))
+        elif scheme.kind == "centralized_event":
+            dev = (x_hat - x) - (x_hat - x).mean(axis=0)
+            xc = x - x.mean(axis=0)
+            due = t - t_last >= scheme.tau and np.sum(dev * dev) > scheme.kappa * np.sum(xc * xc)
+            fired = list(range(n)) if due else []
+        else:
+            fired = sweep_reference(x, x_hat, g.weights, scheme.eps**2)
+        x_hat[fired] = x[fired]
+        t_last = t if fired else t_last
+        events += [(i, k) for i in fired]
+        states.append(np.concatenate([x, v]))
+        coupling = g.weights.sum(axis=1)[:, None] * x_hat - g.weights @ x_hat
+
+        def dx(y, w):
+            return -alpha * nc.grad_stack(y) - beta * coupling - w
+
+        dv = alpha * beta * coupling
+        k1 = dx(x, v)
+        k2 = dx(x + h / 2 * k1, v + h / 2 * dv)
+        k3 = dx(x + h / 2 * k2, v + h / 2 * dv)
+        k4 = dx(x + h * k3, v + h * dv)
+        x, v = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4), v + h * dv
+    return np.array(states), events
+
+
+def switching_scenario(scheme):
+    """Three quadratics on two different balanced digraphs, switched every
+    50 steps: a directed 3-cycle with a light reverse cycle, and a heavy
+    3-cycle alone."""
+    cycle = np.roll(np.eye(3), 1, axis=1)
+    graphs = (WeightedDigraph(3, cycle + 0.5 * cycle.T), WeightedDigraph(3, 3.0 * cycle))
+    return make_scenario([quadratic_cost([a]) for a in (4.0, -2.0, 1.0)], beta=2.0,
+                         schedule=SwitchingSchedule(graphs=graphs, dwell=0.05),
+                         scheme=scheme, t_final=0.6, h=1e-3, stride=1,
+                         x0=col([3.0, -1.0, 0.5]))
+
+
+def count_calls(monkeypatch):
+    """Count calls of the cached-term builders and of the cascade."""
+    counts = dict.fromkeys(("_threshold", "held_terms", "_cascade"), 0)
+    for owner, name in ((schedulers, "_threshold"), (dynamics, "held_terms"),
+                        (schedulers, "_cascade")):
+        def counted(*args, _orig=getattr(owner, name), _name=name):
+            counts[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
+class TestCachedTerms:
+    """The threshold and the held coupling are cached between broadcasts
+    and topology switches; a run must match one that recomputes them at
+    every node."""
+
+    @pytest.mark.parametrize("scheme", [DistributedEvent(eps=np.full(3, 0.05)),
+                                        CentralizedEvent(kappa=0.05, tau=0.004)],
+                             ids=["distributed", "centralized"])
+    def test_switching_run_matches_per_node_recomputation(self, scheme):
+        sc = switching_scenario(scheme)
+        trace = simulate(sc)
+        states, events = sampled_reference(sc)
+        nodes = np.rint(trace.event_times / sc.h).astype(int)
+        assert list(zip(trace.event_agents.tolist(), nodes.tolist())) == events
+        # broadcasts happen in most dwells, under both graphs, not only at t = 0
+        dwells = set((nodes[nodes > 0] // 50).tolist())
+        assert len(dwells) >= 8 and {i % 2 for i in dwells} == {0, 1}
+        assert np.abs(np.concatenate([trace.x, trace.v], axis=1) - states).max() <= 1e-12
+
+    def test_rebuilt_once_per_broadcast_and_switch(self, monkeypatch):
+        sc = switching_scenario(DistributedEvent(eps=np.full(3, 0.05)))
+        counts = count_calls(monkeypatch)
+        trace = simulate(sc)
+        nodes = np.rint(trace.event_times / sc.h).astype(int)
+        switches = set(range(50, 601, 50))
+        # each fire after t = 0 changes x_hat, so the threshold is rebuilt
+        # per fire (the cascade tests the next agent against it); t = 0
+        # builds the first one
+        assert counts["_threshold"] == 1 + np.count_nonzero(nodes) + len(switches)
+        assert counts["held_terms"] == len(set(nodes.tolist()) | switches)
+
+    def test_fig5_threshold_built_per_broadcast(self, monkeypatch):
+        sc = scenario_from_dict(preset_dict("fig5") | {"t_final": 0.4})
+        counts = count_calls(monkeypatch)
+        trace = simulate(sc)
+        nodes = np.rint(trace.event_times / sc.h).astype(int)
+        assert np.count_nonzero(nodes) > np.unique(nodes[nodes > 0]).size > 0  # cascades too
+        assert counts["_threshold"] == 1 + np.count_nonzero(nodes)  # fig5 never switches
+        assert counts["held_terms"] == np.unique(nodes).size
+        assert counts["_cascade"] == round(sc.t_final / sc.h)  # polled at every node past 0
