@@ -28,8 +28,10 @@ class CostModel:
     Lipschitz constant when known.  ``locally_lipschitz`` marks costs whose
     gradient is Lipschitz only on compact sets; such costs carry no global
     ``M``.  ``value`` maps a (d,) array to a float, ``gradient`` to a (d,)
-    array.  For d = 1 the optional scalar gradient avoids array overhead in
-    inner simulation loops.
+    array.  For d = 1 the optional scalar gradient maps a float to a
+    float: when every member of a network has one,
+    :meth:`NetworkCost.grad_list` calls it on plain floats, so the inner
+    simulation loops pay no array overhead.
     """
 
     dim: int
@@ -81,21 +83,32 @@ class NetworkCost:
         funcs = tuple(a.scalar_gradient for a in self.agents)
         return funcs if (self.dim == 1 and all(f is not None for f in funcs)) else None
 
-    def grad_stack(self, xs: np.ndarray) -> np.ndarray:
-        """Stacked per-agent gradients, (N, d). Overflow maps to signed inf."""
-        out = np.empty_like(xs, dtype=float)
+    def grad_list(self, ys: list) -> list:
+        """Per-agent gradients of the flat, row-major entries ``ys`` (N d
+        floats), flat in the same order.  Overflow maps to signed inf.
+        Scalar costs are evaluated here one float at a time; any other
+        network goes through :meth:`grad_stack`'s per-agent path."""
         funcs = self._scalar_gradients
-        if funcs is not None and xs.shape[1] == 1:
-            vals = xs[:, 0].tolist()
-            try:
-                out[:, 0] = [f(v) for f, v in zip(funcs, vals)]
-            except OverflowError:
-                for i, (f, v) in enumerate(zip(funcs, vals)):
-                    try:
-                        out[i, 0] = f(v)
-                    except OverflowError:
-                        out[i, 0] = math.copysign(math.inf, v)
+        if funcs is None:
+            xs = np.array(ys, dtype=float).reshape(self.n_agents, self.dim)
+            return self.grad_stack(xs).ravel().tolist()
+        try:
+            return [f(v) for f, v in zip(funcs, ys)]
+        except OverflowError:
+            out = []
+            for f, v in zip(funcs, ys):
+                try:
+                    out.append(f(v))
+                except OverflowError:
+                    out.append(math.copysign(math.inf, v))
             return out
+
+    def grad_stack(self, xs: np.ndarray) -> np.ndarray:
+        """Stacked per-agent gradients, (N, d). Overflow maps to signed inf.
+        Scalar costs (d = 1) go through :meth:`grad_list`."""
+        if self._scalar_gradients is not None and xs.shape[1] == 1:
+            return np.array(self.grad_list(xs.ravel().tolist()), dtype=float).reshape(xs.shape)
+        out = np.empty_like(xs, dtype=float)
         for i, a in enumerate(self.agents):
             try:
                 out[i] = a.gradient(xs[i])

@@ -31,6 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .scenarios import Scenario
 
 BLOWUP_LIMIT = 1e12
+BLOWUP_SQUARED = BLOWUP_LIMIT**2
 CSV_CHUNK = 25  # samples formatted per write in Trace.to_csv
 ERR_CHUNK = 256  # samples per block of the trace's err column; larger blocks raise peak RSS
 
@@ -198,30 +199,42 @@ def held_rk4(nc: NetworkCost, p: AlgorithmParams):
     """RK4 step ``(z, held, h) -> z`` under sampled information, where
     dx = -alpha grad f(x) - beta L x_hat - v and dv = alpha beta L x_hat,
     with ``held = held_terms(L, p, x_hat)``, which ``simulate`` rebuilds
-    only at a broadcast or a topology switch.  Per stage only the gradient
-    is new: the held term accumulates in place, and v advances by h dv."""
-    grad, alpha, n = nc.grad_stack, p.alpha, nc.n_agents
+    only at a broadcast or a topology switch.
+
+    With x_hat held the agents couple only through their own gradients,
+    so the step runs in plain float arithmetic over the flat entries, one
+    list per stage: w = beta L x_hat + v advances by (h/2) dv twice, each
+    stage is k = (-alpha) grad f(x + c k_prev) - w, and v advances by
+    h dv.  Per entry the operations and their order are those of the
+    array formula, so the result is the same to the bit."""
+    grad, m = nc.grad_list, nc.n_agents * nc.dim
+    na = -p.alpha
 
     def step(z, held, h):
-        x, v, dv = z[:n], z[n:], held[n:]
-        h2 = 0.5 * h
-        w = held[:n] + v  # beta L x_hat + v at t, then at t + h/2 and t + h
-        k1 = -alpha * grad(x) - w
-        w += h2 * dv
-        k2 = -alpha * grad(x + h2 * k1) - w
-        k3 = -alpha * grad(x + h2 * k2) - w
-        w += h2 * dv
-        k4 = -alpha * grad(x + h * k3) - w
-        out = np.empty_like(z)
-        np.add(x, h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), out=out[:n])
-        np.add(v, h * dv, out=out[n:])
-        return out
+        zs, hs = z.ravel().tolist(), held.ravel().tolist()
+        xs, vs, bx, dv = zs[:m], zs[m:], hs[:m], hs[m:]
+        h2, h6 = 0.5 * h, h / 6.0
+        w = [b + v for b, v in zip(bx, vs)]  # at t, then at t + h/2
+        k1 = [na * g - c for g, c in zip(grad(xs), w)]
+        w = [c + h2 * e for c, e in zip(w, dv)]
+        k2 = [na * g - c for g, c in zip(grad([x + h2 * k for x, k in zip(xs, k1)]), w)]
+        k3 = [na * g - c for g, c in zip(grad([x + h2 * k for x, k in zip(xs, k2)]), w)]
+        g4 = grad([x + h * k for x, k in zip(xs, k3)])
+        # k4 = (-alpha) g4 - w(t + h), w(t + h) = w + (h/2) dv: both formed in the sum
+        out = [x + h6 * (((a + 2 * b) + 2 * c) + (na * g - (c2 + h2 * e)))
+               for x, a, b, c, g, c2, e in zip(xs, k1, k2, k3, g4, w, dv)]
+        out += [v + h * e for v, e in zip(vs, dv)]
+        return np.array(out).reshape(z.shape)
 
     return step
 
 
 def _finite(z: np.ndarray) -> bool:
-    return max(z.max(), -z.min()) <= BLOWUP_LIMIT  # False for nan and +inf as well
+    """Every entry within +-BLOWUP_LIMIT; False for nan and inf as well.
+    One dot product clears the usual case: the sum of squares bounds every
+    square, and nan, inf and large entries fall through to the exact test."""
+    flat = z.ravel()
+    return bool(flat @ flat <= BLOWUP_SQUARED) or max(z.max(), -z.min()) <= BLOWUP_LIMIT
 
 
 def equilibrium(nc: NetworkCost, p: AlgorithmParams) -> tuple[np.ndarray, np.ndarray]:

@@ -133,6 +133,29 @@ class TestNetworkCost:
         for i, model in enumerate(ten_suite):
             assert stacked[i, 0] == pytest.approx(model.gradient(xs[i])[0], abs=1e-15)
 
+    def test_grad_list_matches_grad_stack(self, ten_suite):
+        # f8's x**3 overflows at +-1e200: both map it to the signed inf
+        nc = network_cost(ten_suite)
+        xs = np.linspace(-3, 3, 10).reshape(10, 1)
+        xs[7, 0] = 1e200
+        for ys in (xs, -xs):
+            got = nc.grad_list(ys.ravel().tolist())
+            assert np.array_equal(np.array(got), nc.grad_stack(ys).ravel())
+            assert all(type(g) is float for g in got)
+        assert nc.grad_list(xs.ravel().tolist())[7] == math.inf
+        assert nc.grad_list((-xs).ravel().tolist())[7] == -math.inf
+        for i, model in enumerate(ten_suite):
+            if i != 7:
+                assert nc.grad_list(xs.ravel().tolist())[i] == model.gradient(xs[i])[0]
+
+    def test_grad_list_vector_costs_are_row_major(self):
+        costs = [quadratic_cost([1.0, -2.0]), quadratic_cost([0.5, 4.0]), quadratic_cost([3.0, 0.0])]
+        nc = network_cost(costs)
+        xs = np.arange(6.0).reshape(3, 2) - 2.5
+        got = nc.grad_list(xs.ravel().tolist())
+        assert np.array_equal(np.array(got), nc.grad_stack(xs).ravel())
+        assert got == [float(g) for c, x in zip(costs, xs) for g in c.gradient(x)]
+
     def test_grad_stack_overflow_maps_to_inf(self):
         nc = network_cost([catalog("f7"), catalog("f7")])
         out = nc.grad_stack(np.array([[1e6], [-1e6]]))

@@ -8,7 +8,7 @@ from scipy.linalg import expm
 
 from conftest import balanced_weights, col, make_scenario
 from distopt import dynamics
-from distopt.costs import catalog, network_cost, quadratic_cost
+from distopt.costs import CATALOG_NAMES, catalog, network_cost, quadratic_cost
 from distopt.dynamics import (
     AlgorithmParams,
     SwitchingSchedule,
@@ -95,6 +95,84 @@ class TestFields:
         z1 = held_rk4(quad_pair_nc, p)(z, held_terms(out_laplacian(k2), p, col([1.0, 1.0])), 0.1)
         assert np.allclose(z1[2:].ravel(), [0.0, 0.0], atol=1e-15)
         assert np.allclose(z1[:2].ravel(), [0.72506667, -0.36253333], atol=1e-8)
+
+
+def held_rk4_reference(nc, p):
+    """The array form of the sampled-information RK4 step, one numpy
+    expression per stage: the formula the float kernel of ``held_rk4``
+    must reproduce."""
+    grad, alpha, n = nc.grad_stack, p.alpha, nc.n_agents
+
+    def step(z, held, h):
+        x, v, dv = z[:n], z[n:], held[n:]
+        h2 = 0.5 * h
+        w = held[:n] + v
+        k1 = -alpha * grad(x) - w
+        w += h2 * dv
+        k2 = -alpha * grad(x + h2 * k1) - w
+        k3 = -alpha * grad(x + h2 * k2) - w
+        w += h2 * dv
+        k4 = -alpha * grad(x + h * k3) - w
+        out = np.empty_like(z)
+        np.add(x, h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), out=out[:n])
+        np.add(v, h * dv, out=out[n:])
+        return out
+
+    return step
+
+
+@st.composite
+def held_cases(draw):
+    """One sampled-information step: catalog costs or quadratics for d = 1
+    (the scalar gradient path), quadratics for d = 2 (the per-agent path),
+    over a random weight-balanced digraph with random gains, step and
+    state, and x_hat a perturbation of x."""
+    n = draw(st.integers(2, 6))
+    d = draw(st.integers(1, 2))
+    weights = draw(balanced_weights(n))
+    if d == 1 and draw(st.booleans()):
+        costs = [catalog(nm) for nm in draw(st.lists(st.sampled_from(CATALOG_NAMES),
+                                                     min_size=n, max_size=n))]
+    else:
+        a = draw(st.lists(st.floats(-5.0, 5.0), min_size=n * d, max_size=n * d))
+        costs = [quadratic_cost(a[i * d:(i + 1) * d]) for i in range(n)]
+    p = AlgorithmParams(draw(st.floats(0.1, 5.0)), draw(st.floats(0.1, 10.0)))
+    h = draw(st.floats(1e-4, 0.1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    x = rng.uniform(-3.0, 3.0, size=(n, d))
+    z = np.concatenate([x, rng.uniform(-3.0, 3.0, size=(n, d))])
+    x_hat = x + rng.normal(scale=0.5, size=(n, d))
+    return network_cost(costs), out_laplacian(WeightedDigraph(n, weights)), p, h, z, x_hat
+
+
+class TestHeldStepProperty:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(held_cases())
+    def test_matches_the_array_formula(self, case):
+        nc, lap, p, h, z, x_hat = case
+        held = held_terms(lap, p, x_hat)
+        got = held_rk4(nc, p)(z, held, h)
+        want = held_rk4_reference(nc, p)(z, held, h)
+        assert got.shape == z.shape and got.dtype == np.float64
+        if nc.dim == 1:
+            assert np.array_equal(got, want)
+        else:
+            assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+class TestBlowupCheck:
+    def test_large_sum_of_squares_within_the_limit_passes(self):
+        # the dot product prefilter reads 1.62e25 > 1e24 here; the exact test decides
+        assert dynamics._finite(np.full((20, 1), 0.9e12))
+
+    def test_limit_is_inclusive(self):
+        assert dynamics._finite(stack(col([1e12, -1e12]), col([0.0, 0.0])))
+
+    @pytest.mark.parametrize("bad", [1.0000001e12, -1.0000001e12, np.nan, np.inf, -np.inf])
+    def test_one_bad_entry_fails(self, bad):
+        z = np.zeros((6, 2))
+        z[4, 1] = bad
+        assert not dynamics._finite(z)
 
 
 class TestRk4:
