@@ -156,8 +156,8 @@ def flow(nc: NetworkCost, p: AlgorithmParams,
     that is, per agent,
     dx^i = -alpha grad f^i(x^i) - beta sum_j a_ij (x^i - x^j) - v^i,
     dv^i =  alpha beta sum_j a_ij (x^i - x^j).
-    The affine part is one product with :func:`flow_matrix`, built here
-    once per Laplacian; only the gradient is evaluated per call.
+    The affine part is one product with :func:`flow_matrix`.  Stepped by
+    :func:`rk4`, it defines the step :class:`AffineRK` takes in ``simulate``.
     """
     grad, alpha, n = nc.grad_stack, p.alpha, nc.n_agents
     m = flow_matrix(lap, p)
@@ -189,44 +189,62 @@ def rk4(f: Callable, z: np.ndarray, h: float) -> np.ndarray:
 
 
 def held_terms(lap: np.ndarray, p: AlgorithmParams, x_hat: np.ndarray) -> np.ndarray:
-    """[beta L x_hat; alpha beta L x_hat], the coupling of the sampled flow:
+    """b = [-beta L x_hat; alpha beta L x_hat], the held term of the sampled flow:
     fixed between broadcasts and topology switches, so formed there only."""
     lap_xh = lap @ x_hat
-    return np.concatenate([p.beta * lap_xh, (p.alpha * p.beta) * lap_xh])
+    return np.concatenate([-p.beta * lap_xh, (p.alpha * p.beta) * lap_xh])
 
 
-def held_rk4(nc: NetworkCost, p: AlgorithmParams):
-    """RK4 step ``(z, held, h) -> z`` under sampled information, where
-    dx = -alpha grad f(x) - beta L x_hat - v and dv = alpha beta L x_hat,
-    with ``held = held_terms(L, p, x_hat)``, which ``simulate`` rebuilds
-    only at a broadcast or a topology switch.
+# Butcher tableaus: rows of a_ij, weights b_i
+RK4_TABLEAU = (((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)), (1 / 6, 1 / 3, 1 / 3, 1 / 6))
+EULER_TABLEAU = (((),), (1.0,))
 
-    With x_hat held the agents couple only through their own gradients,
-    so the step runs in plain float arithmetic over the flat entries, one
-    list per stage: w = beta L x_hat + v advances by (h/2) dv twice, each
-    stage is k = (-alpha) grad f(x + c k_prev) - w, and v advances by
-    h dv.  Per entry the operations and their order are those of the
-    array formula, so the result is the same to the bit."""
-    grad, m = nc.grad_list, nc.n_agents * nc.dim
-    na = -p.alpha
 
-    def step(z, held, h):
-        zs, hs = z.ravel().tolist(), held.ravel().tolist()
-        xs, vs, bx, dv = zs[:m], zs[m:], hs[:m], hs[m:]
-        h2, h6 = 0.5 * h, h / 6.0
-        w = [b + v for b, v in zip(bx, vs)]  # at t, then at t + h/2
-        k1 = [na * g - c for g, c in zip(grad(xs), w)]
-        w = [c + h2 * e for c, e in zip(w, dv)]
-        k2 = [na * g - c for g, c in zip(grad([x + h2 * k for x, k in zip(xs, k1)]), w)]
-        k3 = [na * g - c for g, c in zip(grad([x + h2 * k for x, k in zip(xs, k2)]), w)]
-        g4 = grad([x + h * k for x, k in zip(xs, k3)])
-        # k4 = (-alpha) g4 - w(t + h), w(t + h) = w + (h/2) dv: both formed in the sum
-        out = [x + h6 * (((a + 2 * b) + 2 * c) + (na * g - (c2 + h2 * e)))
-               for x, a, b, c, g, c2, e in zip(xs, k1, k2, k3, g4, w, dv)]
-        out += [v + h * e for v, e in zip(vs, dv)]
-        return np.array(out).reshape(z.shape)
+class AffineRK:
+    """Explicit Runge-Kutta step of size ``h`` of z' = A z + b - alpha [grad f(x); 0]
+    on the (2N, d) state z = [x; v], for a Butcher ``tableau``.
 
-    return step
+    Outside the gradients g_j = grad f(x_j) the flow is affine, so each
+    stage input x_j and the increment z(t + h) - z(t) are linear maps of
+    u = [z; 1; g_1; ...; g_s], composed here once: a step is one product
+    per stage around its gradient call, and z plus the last product.  b
+    enters through the column on the 1 entry, re-formed by :meth:`hold`."""
+
+    def __init__(self, nc: NetworkCost, p: AlgorithmParams, a: np.ndarray, h: float, tableau):
+        (rows, weights), m, n2 = tableau, nc.n_agents * nc.dim, 2 * nc.n_agents * nc.dim
+        a = np.kron(a, np.eye(nc.dim)) if nc.dim > 1 else a
+        # stage inputs Z_j and slopes K_j = A Z_j + b - alpha [g_j; 0] as maps of [z; b; g_1..g_s]
+        z0, slopes, maps = np.eye(n2, 2 * n2 + len(weights) * m), [], []
+        for j, row in enumerate(rows):
+            zj = z0 + h * sum(c * k for c, k in zip(row, slopes))
+            maps.append(zj[:m, :2 * n2 + j * m])
+            k = a @ zj
+            k[:, n2:2 * n2] += np.eye(n2)
+            k[:m, 2 * n2 + j * m:2 * n2 + (j + 1) * m] -= p.alpha * np.eye(m)
+            slopes.append(k)
+        maps = maps[1:] + [h * sum(w * k for w, k in zip(weights, slopes))]
+        self._b_blocks = [mp[:, n2:2 * n2] for mp in maps]
+        self._maps = [np.hstack([mp[:, :n2], np.zeros((len(mp), 1)), mp[:, 2 * n2:]])
+                      for mp in maps]
+        self._stages, self._final = self._maps[:-1], self._maps[-1]
+        self._u = np.ones(self._final.shape[1])  # entry 2 N d stays 1
+        self._grad, self._m = nc.grad_list, m
+
+    def hold(self, b: np.ndarray) -> None:
+        """Hold the (2N, d) term ``b`` of the flow (0 before the first call)."""
+        b = b.ravel()
+        for mp, blk in zip(self._maps, self._b_blocks):
+            mp[:, 2 * self._m] = blk @ b
+
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        u, m, grad = self._u, self._m, self._grad
+        u[:2 * m] = z.ravel()
+        hi = 3 * m + 1
+        u[hi - m:hi] = grad(u[:m].tolist())
+        for w in self._stages:
+            u[hi:hi + m] = grad((w @ u[:hi]).tolist())
+            hi += m
+        return z + (self._final @ u).reshape(z.shape)
 
 
 def _finite(z: np.ndarray) -> bool:
@@ -322,12 +340,13 @@ def simulate(scenario: "Scenario") -> Trace:
 
     The step is fixed-step RK4 of size ``h``, or forward Euler of size
     ``delta`` for an Euler scheme, whose broadcasts are implicit at every
-    step (no event log, ``x_hat = x``).  At every integration node the
-    active communication scheme is polled first (broadcasts update `x_hat`
-    and the event log), the sample is recorded, and only then the step to
-    the next node is taken, so recorded samples always reflect
-    post-broadcast state.  Topology switching happens between steps only.
-    A periodic scheme broadcasts every :func:`period_steps` nodes.
+    step (no event log, ``x_hat = x``), each through an :class:`AffineRK`.
+    At every integration node the active communication scheme is polled
+    first (broadcasts update `x_hat` and the event log), the sample is
+    recorded, and only then the step to the next node is taken, so recorded
+    samples always reflect post-broadcast state.  Topology switching
+    happens between steps only.  A periodic scheme broadcasts every
+    :func:`period_steps` nodes.
 
     Raises BadInitialization when sum_i v^i(0) != 0, ValidationError when
     ``t_final`` or a dwell is not a positive multiple of the step or a
@@ -341,9 +360,8 @@ def simulate(scenario: "Scenario") -> Trace:
     kind = getattr(scheme, "kind", None)
     if kind not in schedulers.SCHEMES:
         raise ValidationError(f"unsupported scheme for simulate: {scheme!r}")
-    continuous = kind == "continuous"
     euler = kind == "euler"
-    sampled = not (continuous or euler)
+    sampled = kind not in ("continuous", "euler")
     h = float(scheme.delta if euler else scenario.h)
     if not h > 0:
         raise ValidationError(f"h must be positive, got {h}")
@@ -377,9 +395,9 @@ def simulate(scenario: "Scenario") -> Trace:
     everyone = list(range(n))
     last_broadcast = -math.inf
     gi = order[0]
-    step = held_rk4(nc, p)
-    # one kernel per switching graph, so each block matrix is built once
-    kernels = [] if sampled else [flow(nc, p, lap) for lap in laps]
+    # one kernel per switching graph; sampled information holds its L x_hat in b
+    kernels = [AffineRK(nc, p, flow_matrix(0 * lap if sampled else lap, p), h,
+                        EULER_TABLEAU if euler else RK4_TABLEAU) for lap in laps]
 
     def record(si: int, t: float) -> None:
         T[si] = t
@@ -435,18 +453,13 @@ def simulate(scenario: "Scenario") -> Trace:
                 ev_agents.extend(fired)
                 ev_times.extend([t] * len(fired))
             if fired or switched:
-                held = held_terms(laps[gi], p, x_hat)
+                kernels[gi].hold(held_terms(laps[gi], p, x_hat))
         if k == ks[si]:
             record(si, t)
             si += 1
         if k == n_steps:
             break
-        if continuous:
-            z = rk4(kernels[gi], z, h)
-        elif euler:
-            z = z + h * kernels[gi](z)
-        else:
-            z = step(z, held, h)
+        z = kernels[gi](z)
         x = z[:n]
         if not _finite(z):
             raise NumericalBlowup(f"state escaped finite range at t = {t + h:.6g}", trace(si))

@@ -326,6 +326,8 @@ def _write_outputs(trace, scenario, out: Path, wall: float, status: str,
         "alpha": scenario.alpha,
         "beta": scenario.beta,
         "h": trace.h,
+        "realized_period": (dynamics.period_steps(scenario.scheme.delta, trace.h) * trace.h
+                            if scenario.scheme.kind == "periodic" else None),
         "t_final": scenario.t_final,
         "seed": scenario.seed,
         "x_star": None if trace.x_star is None else [float(c) for c in trace.x_star],

@@ -10,11 +10,14 @@ from conftest import balanced_weights, col, make_scenario
 from distopt import dynamics
 from distopt.costs import CATALOG_NAMES, catalog, network_cost, quadratic_cost
 from distopt.dynamics import (
+    EULER_TABLEAU,
+    RK4_TABLEAU,
+    AffineRK,
     AlgorithmParams,
     SwitchingSchedule,
     equilibrium,
     flow,
-    held_rk4,
+    flow_matrix,
     held_terms,
     linear_system_matrix,
     rk4,
@@ -34,6 +37,14 @@ from distopt.schedulers import EulerScheme
 def stack(x, v):
     """The (2N, d) state z = [x; v] the kernels step."""
     return np.concatenate([np.asarray(x, dtype=float), np.asarray(v, dtype=float)])
+
+
+def sampled_step(nc, p, lap, x_hat, h):
+    """The RK4 kernel ``simulate`` steps under sampled information, holding
+    ``x_hat``."""
+    kernel = AffineRK(nc, p, flow_matrix(0 * lap, p), h, RK4_TABLEAU)
+    kernel.hold(held_terms(lap, p, x_hat))
+    return kernel
 
 
 def rk4_factor(w):
@@ -71,9 +82,9 @@ class TestFields:
         lap = out_laplacian(k2)
         x = rng.normal(size=(2, 1))
         z = stack(x, rng.normal(size=(2, 1)))
-        step, field = held_rk4(quad_pair_nc, p), flow(quad_pair_nc, p, lap)
-        held = held_terms(lap, p, x.copy())
-        gaps = [np.abs(step(z, held, h) - rk4(field, z, h)).max() for h in (1e-3, 5e-4)]
+        field = flow(quad_pair_nc, p, lap)
+        gaps = [np.abs(sampled_step(quad_pair_nc, p, lap, x.copy(), h)(z) - rk4(field, z, h)).max()
+                for h in (1e-3, 5e-4)]
         assert gaps[0] <= 10 * 1e-3**2
         assert 3.5 <= gaps[0] / gaps[1] <= 4.5
 
@@ -83,7 +94,7 @@ class TestFields:
         p = AlgorithmParams(1.0, 1.0)
         x, v, x_hat = col([2.0, -1.0]), col([0.3, -0.3]), col([1.0, 1.0])
         h = 0.05
-        z1 = held_rk4(quad_pair_nc, p)(stack(x, v), held_terms(out_laplacian(k2), p, x_hat), h)
+        z1 = sampled_step(quad_pair_nc, p, out_laplacian(k2), x_hat, h)(stack(x, v))
         assert np.array_equal(z1[2:], v)
         rest = col([4.0, -2.0]) - v / 2
         assert np.allclose(z1[:2], rest + rk4_factor(-2 * h) * (x - rest), atol=1e-14)
@@ -92,21 +103,22 @@ class TestFields:
         # from x = v = 0 toward the local minimizers (4, -2): x(h) = (4, -2) (1 - R(-2h))
         z = stack(col([0.0, 0.0]), col([0.0, 0.0]))
         p = AlgorithmParams(1.0, 1.0)
-        z1 = held_rk4(quad_pair_nc, p)(z, held_terms(out_laplacian(k2), p, col([1.0, 1.0])), 0.1)
+        z1 = sampled_step(quad_pair_nc, p, out_laplacian(k2), col([1.0, 1.0]), 0.1)(z)
         assert np.allclose(z1[2:].ravel(), [0.0, 0.0], atol=1e-15)
         assert np.allclose(z1[:2].ravel(), [0.72506667, -0.36253333], atol=1e-8)
 
 
 def held_rk4_reference(nc, p):
-    """The array form of the sampled-information RK4 step, one numpy
-    expression per stage: the formula the float kernel of ``held_rk4``
-    must reproduce."""
+    """The sampled-information RK4 step written out, one numpy expression
+    per stage, with ``held = held_terms(L, p, x_hat)`` = [-beta L x_hat;
+    alpha beta L x_hat]: dx = -alpha grad f(x) - (beta L x_hat + v) and
+    dv = alpha beta L x_hat."""
     grad, alpha, n = nc.grad_stack, p.alpha, nc.n_agents
 
     def step(z, held, h):
         x, v, dv = z[:n], z[n:], held[n:]
         h2 = 0.5 * h
-        w = held[:n] + v
+        w = v - held[:n]
         k1 = -alpha * grad(x) - w
         w += h2 * dv
         k2 = -alpha * grad(x + h2 * k1) - w
@@ -145,19 +157,30 @@ def held_cases(draw):
     return network_cost(costs), out_laplacian(WeightedDigraph(n, weights)), p, h, z, x_hat
 
 
-class TestHeldStepProperty:
+class TestKernelProperty:
+    """One AffineRK step of each scheme against the step it must take:
+    rk4 over flow (continuous), the written-out sampled RK4 step (x_hat
+    held) and z + h flow(z) (Euler).  The kernel's products reorder the
+    sums, so agreement is to rounding; a wrong or missing term is off by
+    O(h) of that term."""
+
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(held_cases())
-    def test_matches_the_array_formula(self, case):
+    def test_every_scheme_matches_its_reference(self, case):
         nc, lap, p, h, z, x_hat = case
-        held = held_terms(lap, p, x_hat)
-        got = held_rk4(nc, p)(z, held, h)
-        want = held_rk4_reference(nc, p)(z, held, h)
-        assert got.shape == z.shape and got.dtype == np.float64
-        if nc.dim == 1:
-            assert np.array_equal(got, want)
-        else:
-            assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+        field, held = flow(nc, p, lap), held_terms(lap, p, x_hat)
+        with np.errstate(invalid="ignore"):  # inf times a zero map entry, see below
+            pairs = [(AffineRK(nc, p, flow_matrix(lap, p), h, RK4_TABLEAU)(z), rk4(field, z, h)),
+                     (sampled_step(nc, p, lap, x_hat, h)(z), held_rk4_reference(nc, p)(z, held, h)),
+                     (AffineRK(nc, p, flow_matrix(lap, p), h, EULER_TABLEAU)(z), z + h * field(z))]
+        for got, want in pairs:
+            assert got.shape == z.shape and got.dtype == np.float64
+            if not dynamics._finite(want):
+                # past the blowup limit simulate stops either way (an
+                # overflowed gradient times a zero map entry gives nan, not inf)
+                assert not dynamics._finite(got)
+                continue
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
 
 class TestBlowupCheck:

@@ -205,6 +205,16 @@ class TestRunOutputs:
         first_events = (tmp_path / "out" / "events.csv").read_text().splitlines()[:3]
         assert first_events[0] == "agent,t"
 
+    def test_realized_period_in_summary(self, tmp_path):
+        # delta = 0.025 on h = 0.01 broadcasts every 2 steps, so every 0.02
+        cfg = self.quick_cfg() | {"scheme": {"kind": "periodic", "delta": 0.025}, "h": 0.01}
+        run(scenario_from_dict(cfg), out_dir=tmp_path / "p")
+        summary = json.loads((tmp_path / "p" / "summary.json").read_text())
+        assert summary["realized_period"] == 0.02
+        cont = run(scenario_from_dict(self.quick_cfg() | {"scheme": {"kind": "continuous"}}),
+                   out_dir=tmp_path / "c")
+        assert cont["realized_period"] is None
+
     def test_determinism_bit_identical(self, tmp_path):
         sc1 = scenario_from_dict(self.quick_cfg())
         sc2 = scenario_from_dict(self.quick_cfg())
