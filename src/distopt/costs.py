@@ -31,7 +31,8 @@ class CostModel:
     array.  For d = 1 the optional scalar gradient maps a float to a
     float: when every member of a network has one,
     :meth:`NetworkCost.grad_list` calls it on plain floats, so the inner
-    simulation loops pay no array overhead.
+    simulation loops pay no array overhead.  The optional ``affine = (H, c)``,
+    H (d, d) and c (d,), states that the gradient is exactly H x + c.
     """
 
     dim: int
@@ -42,6 +43,7 @@ class CostModel:
     locally_lipschitz: bool = False
     name: str = ""
     scalar_gradient: Callable[[float], float] | None = field(default=None, repr=False, compare=False)
+    affine: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,18 @@ class NetworkCost:
     def locally_lipschitz_only(self) -> bool:
         """True when some member lacks a global gradient Lipschitz constant."""
         return any(a.M is None for a in self.agents)
+
+    @cached_property
+    def affine(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The stacked gradient as one affine map (H, c), block-diagonal H
+        (N d, N d) and c (N d,), or None unless every member is affine."""
+        forms = [a.affine for a in self.agents]
+        if None in forms:
+            return None
+        n, d = self.n_agents, self.dim
+        big_h, diag = np.zeros((n, d, n, d)), np.arange(n)
+        big_h[diag, :, diag] = [h for h, _ in forms]
+        return big_h.reshape(n * d, n * d), np.concatenate([c for _, c in forms])
 
     @cached_property
     def _scalar_gradients(self):
@@ -120,7 +134,7 @@ class NetworkCost:
         return np.sum([a.gradient(x) for a in self.agents], axis=0)
 
 
-def _entry(name, value, grad, m=None, M=None, locally_lipschitz=False):
+def _entry(name, value, grad, m=None, M=None, locally_lipschitz=False, affine=None):
     return CostModel(
         dim=1,
         value=lambda x, _f=value: _f(float(x[0])),
@@ -130,6 +144,7 @@ def _entry(name, value, grad, m=None, M=None, locally_lipschitz=False):
         locally_lipschitz=locally_lipschitz,
         name=name,
         scalar_gradient=grad,
+        affine=None if affine is None else (np.array([[affine[0]]]), np.array([affine[1]])),
     )
 
 
@@ -177,7 +192,8 @@ def _g9(x):
 
 _CATALOG: dict[str, CostModel] = {
     "f1": _entry("f1", _f1, _g1, locally_lipschitz=True),
-    "f2": _entry("f2", lambda x: (x - 4) ** 2, lambda x: 2 * (x - 4), m=2.0, M=2.0),
+    "f2": _entry("f2", lambda x: (x - 4) ** 2, lambda x: 2 * (x - 4), m=2.0, M=2.0,
+                 affine=(2.0, -8.0)),
     "f3": _entry("f3", _f3, _g3),
     "f4": _entry("f4", lambda x: x * x + math.exp(0.1 * x),
                  lambda x: 2 * x + 0.1 * math.exp(0.1 * x), locally_lipschitz=True),
@@ -189,7 +205,8 @@ _CATALOG: dict[str, CostModel] = {
     "f8": _entry("f8", lambda x: x**4 + 2 * x * x + 2,
                  lambda x: 4 * x**3 + 4 * x, locally_lipschitz=True),
     "f9": _entry("f9", _f9, _g9),
-    "f10": _entry("f10", lambda x: (x + 2) ** 2, lambda x: 2 * (x + 2), m=2.0, M=2.0),
+    "f10": _entry("f10", lambda x: (x + 2) ** 2, lambda x: 2 * (x + 2), m=2.0, M=2.0,
+                 affine=(2.0, 4.0)),
 }
 
 CATALOG_NAMES = tuple(sorted(_CATALOG, key=lambda s: int(s[1:])))
@@ -214,6 +231,7 @@ def quadratic_cost(a, b: float = 0.0) -> CostModel:
         m=1.0,
         M=1.0,
         name="quadratic",
+        affine=(np.eye(d), 0.5 * a),
     )
     if d == 1:
         a0 = float(a[0])

@@ -208,11 +208,19 @@ class AffineRK:
     stage input x_j and the increment z(t + h) - z(t) are linear maps of
     u = [z; 1; g_1; ...; g_s], composed here once: a step is one product
     per stage around its gradient call, and z plus the last product.  b
-    enters through the column on the 1 entry, re-formed by :meth:`hold`."""
+    enters through the column on the 1 entry, re-formed by :meth:`hold`.
+    An affine network (``NetworkCost.affine``) gets a :class:`FoldedRK`."""
+
+    def __new__(cls, nc: NetworkCost, *args, **kwargs):
+        return super().__new__(FoldedRK if nc.affine is not None else cls)
 
     def __init__(self, nc: NetworkCost, p: AlgorithmParams, a: np.ndarray, h: float, tableau):
         (rows, weights), m, n2 = tableau, nc.n_agents * nc.dim, 2 * nc.n_agents * nc.dim
         a = np.kron(a, np.eye(nc.dim)) if nc.dim > 1 else a
+        folded, self._offset = nc.affine is not None, np.zeros(n2)
+        if folded:  # grad f(x) = H x + c: -alpha H joins A, -alpha [c; 0] joins b
+            a = a - np.pad(p.alpha * nc.affine[0], (0, m))
+            self._offset[:m] = -p.alpha * nc.affine[1]
         # stage inputs Z_j and slopes K_j = A Z_j + b - alpha [g_j; 0] as maps of [z; b; g_1..g_s]
         z0, slopes, maps = np.eye(n2, 2 * n2 + len(weights) * m), [], []
         for j, row in enumerate(rows):
@@ -223,16 +231,19 @@ class AffineRK:
             k[:m, 2 * n2 + j * m:2 * n2 + (j + 1) * m] -= p.alpha * np.eye(m)
             slopes.append(k)
         maps = maps[1:] + [h * sum(w * k for w, k in zip(weights, slopes))]
+        if folded:  # the gradient inputs are gone, and the stage maps with them
+            maps = [maps[-1][:, :2 * n2]]
         self._b_blocks = [mp[:, n2:2 * n2] for mp in maps]
         self._maps = [np.hstack([mp[:, :n2], np.zeros((len(mp), 1)), mp[:, 2 * n2:]])
                       for mp in maps]
         self._stages, self._final = self._maps[:-1], self._maps[-1]
         self._u = np.ones(self._final.shape[1])  # entry 2 N d stays 1
         self._grad, self._m = nc.grad_list, m
+        self.hold(np.zeros(n2))
 
     def hold(self, b: np.ndarray) -> None:
         """Hold the (2N, d) term ``b`` of the flow (0 before the first call)."""
-        b = b.ravel()
+        b = b.ravel() + self._offset
         for mp, blk in zip(self._maps, self._b_blocks):
             mp[:, 2 * self._m] = blk @ b
 
@@ -244,6 +255,15 @@ class AffineRK:
         for w in self._stages:
             u[hi:hi + m] = grad((w @ u[:hi]).tolist())
             hi += m
+        return z + (self._final @ u).reshape(z.shape)
+
+
+class FoldedRK(AffineRK):
+    """:class:`AffineRK` of an affine network: a step is z plus one product with [z; 1]."""
+
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        u = self._u
+        u[:-1] = z.ravel()
         return z + (self._final @ u).reshape(z.shape)
 
 

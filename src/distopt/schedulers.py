@@ -139,8 +139,7 @@ def periodic_due(t: float, delta: float, last: float) -> bool:
     return t - last >= delta - GRID_SLACK
 
 
-def _centered(y: np.ndarray) -> np.ndarray:
-    return y - y.sum(axis=0) / y.shape[0]
+_PROJECTORS: dict[int, np.ndarray] = {}  # Pi = I - 11'/N by agent count N
 
 
 def _centralized_due(x, x_at_last, kappa, t_last, tau, t) -> bool:
@@ -153,9 +152,12 @@ def _centralized_due(x, x_at_last, kappa, t_last, tau, t) -> bool:
     """
     if t - t_last < tau:
         return False
-    dev = _centered(x_at_last - x)
-    xc = _centered(x)
-    return float((dev * dev).sum()) > kappa * float((xc * xc).sum())
+    pi = _PROJECTORS.get(len(x))
+    if pi is None:
+        pi = _PROJECTORS[len(x)] = np.eye(len(x)) - 1.0 / len(x)
+    xc = pi @ x
+    dev = pi @ x_at_last - xc
+    return float(np.vdot(dev, dev)) > kappa * float(np.vdot(xc, xc))
 
 
 def _threshold(x_hat: np.ndarray, weights: np.ndarray, eps2) -> np.ndarray:

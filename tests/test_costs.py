@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from distopt.costs import (
@@ -105,6 +107,34 @@ class TestQuadraticFamily:
         q = quadratic_cost([1.0, -2.0])
         assert q.dim == 2
         assert np.allclose(q.gradient(np.array([0.0, 0.0])), [0.5, -1.0])
+
+
+class TestAffineForms:
+    """``affine = (H, c)`` claims grad f(x) = H x + c exactly; the simulation
+    steps on that claim instead of calling ``gradient``."""
+
+    @pytest.mark.parametrize("kind", ["quadratic d=1", "quadratic d=2", "f2", "f10"])
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(a=st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2),
+           xs=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2))
+    def test_affine_form_is_the_gradient(self, kind, a, xs):
+        model = quadratic_cost(a[:int(kind[-1])]) if kind.startswith("quadratic") else catalog(kind)
+        h, c = model.affine
+        assert h.shape == (model.dim, model.dim) and c.shape == (model.dim,)
+        x = np.array(xs[:model.dim])
+        np.testing.assert_allclose(h @ x + c, model.gradient(x), rtol=1e-15, atol=1e-12)
+
+    def test_only_the_affine_catalog_members_carry_a_form(self):
+        assert [n for n in CATALOG_NAMES if catalog(n).affine is not None] == ["f2", "f10"]
+
+    def test_network_form_is_the_stacked_gradient(self):
+        costs = [quadratic_cost([1.0, -2.0]), quadratic_cost([0.5, 4.0]), quadratic_cost([3.0, 0.0])]
+        nc = network_cost(costs)
+        h, c = nc.affine
+        xs = np.arange(6.0).reshape(3, 2) - 2.5
+        np.testing.assert_allclose(h @ xs.ravel() + c, nc.grad_stack(xs).ravel(), rtol=1e-15)
+        assert network_cost([catalog("f2"), catalog("f10")]).affine is not None
+        assert network_cost([catalog("f2"), catalog("f3")]).affine is None
 
 
 class TestNetworkCost:

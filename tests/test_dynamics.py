@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.linalg import expm
 
 from conftest import balanced_weights, col, make_scenario
 from distopt import dynamics
-from distopt.costs import CATALOG_NAMES, catalog, network_cost, quadratic_cost
+from distopt.costs import CATALOG_NAMES, NetworkCost, catalog, network_cost, quadratic_cost
 from distopt.dynamics import (
     EULER_TABLEAU,
     RK4_TABLEAU,
@@ -31,7 +32,7 @@ from distopt.graph import (
     out_laplacian,
     preset_graph,
 )
-from distopt.schedulers import EulerScheme
+from distopt.schedulers import CentralizedEvent, Continuous, EulerScheme, Periodic
 
 
 def stack(x, v):
@@ -181,6 +182,102 @@ class TestKernelProperty:
                 assert not dynamics._finite(got)
                 continue
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+
+@st.composite
+def affine_cases(draw):
+    """Like :func:`held_cases`, but every member is affine: quadratics for
+    d = 1 or 2, with the catalog's f2 and f10 (curvature 2) mixed in for
+    d = 1."""
+    n = draw(st.integers(2, 6))
+    d = draw(st.integers(1, 2))
+    weights = draw(balanced_weights(n))
+    a = draw(st.lists(st.floats(-5.0, 5.0), min_size=n * d, max_size=n * d))
+    costs = [quadratic_cost(a[i * d:(i + 1) * d]) for i in range(n)]
+    if d == 1:
+        costs = [draw(st.sampled_from([c, catalog("f2"), catalog("f10")])) for c in costs]
+    p = AlgorithmParams(draw(st.floats(0.1, 5.0)), draw(st.floats(0.1, 10.0)))
+    h = draw(st.floats(1e-4, 0.1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    x = rng.uniform(-3.0, 3.0, size=(n, d))
+    z = np.concatenate([x, rng.uniform(-3.0, 3.0, size=(n, d))])
+    x_hat = x + rng.normal(scale=0.5, size=(n, d))
+    return network_cost(costs), out_laplacian(WeightedDigraph(n, weights)), p, h, z, x_hat
+
+
+class TestAffineFold:
+    """An affine network's gradients are folded into AffineRK's maps: the
+    kernel calls no gradient, and its step is still the tableau's step over
+    ``flow`` (RK4 as ``rk4``, Euler as z + h flow(z)), under continuous
+    information and with a held b alike."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(affine_cases())
+    def test_folded_step_matches_the_flow(self, case):
+        nc, lap, p, h, z, x_hat = case
+        held = held_terms(lap, p, x_hat)
+        sampled = flow(nc, p, 0 * lap)
+        fields = [(flow_matrix(lap, p), None, flow(nc, p, lap)),
+                  (flow_matrix(0 * lap, p), held, lambda y: sampled(y) + held)]
+        for a, b, field in fields:
+            for tableau, want in ((RK4_TABLEAU, rk4(field, z, h)),
+                                  (EULER_TABLEAU, z + h * field(z))):
+                with mock.patch.object(NetworkCost, "grad_list",
+                                       side_effect=AssertionError("gradient called")):
+                    kernel = AffineRK(nc, p, a, h, tableau)
+                    if b is not None:
+                        kernel.hold(b)
+                    got = kernel(z)
+                assert got.shape == z.shape
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+
+def ring_quadratics():
+    """Ten unit-curvature quadratics, a_i = 2 (i - 5), as on the benchmark ring."""
+    return [quadratic_cost([2.0 * (i - 5)]) for i in range(1, 11)]
+
+
+class TestGradientCalls:
+    """``simulate`` takes the folded path whenever every member is affine,
+    and the gradient path otherwise: counted ``NetworkCost.grad_list``
+    calls, so neither can drop out unnoticed."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count, grad_list = [0], NetworkCost.grad_list
+
+        def counted(nc, ys):
+            count[0] += 1
+            return grad_list(nc, ys)
+
+        monkeypatch.setattr(NetworkCost, "grad_list", counted)
+        return count
+
+    @pytest.mark.parametrize("scheme", [Continuous(), CentralizedEvent(kappa=0.06, tau=0.02)])
+    def test_quadratic_network_calls_no_gradient(self, calls, scheme):
+        simulate(make_scenario(ring_quadratics(), graph=preset_graph("cycle10"), scheme=scheme,
+                               t_final=0.5, h=1e-2))
+        assert calls[0] == 0
+
+    @pytest.mark.parametrize("scheme", [Continuous(), Periodic(delta=0.05)])
+    def test_catalog_network_calls_four_per_rk4_step(self, calls, scheme, ten_suite):
+        simulate(make_scenario(ten_suite, graph=preset_graph("cycle10"), scheme=scheme,
+                               t_final=0.5, h=1e-2))
+        assert calls[0] == 4 * 50
+
+    def test_folded_path_still_stops_at_blowup(self):
+        # L of cycle10 has eigenvalue 4, so h = 1 puts -beta h 4 = -4 outside
+        # RK4's stability interval: that mode grows by |R(-4)| = 5 per step.
+        # The folded step overflows in numpy, not in a gradient, so _finite
+        # is the only guard.
+        assert rk4_factor(-4.0) == pytest.approx(5.0)
+        sc = make_scenario(ring_quadratics(), graph=preset_graph("cycle10"), t_final=100.0,
+                           h=1.0, stride=1)
+        with pytest.raises(NumericalBlowup) as excinfo:
+            simulate(sc)
+        partial = excinfo.value.trace
+        assert partial is not None and 2 <= partial.t.size < 101
+        assert np.isfinite(partial.x).all() and np.isfinite(partial.v).all()
 
 
 class TestBlowupCheck:
