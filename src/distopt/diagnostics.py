@@ -275,12 +275,3 @@ def reconstruct_gradient(observer: int, target: int, trace: Trace, g: WeightedDi
 def conservation_violation(trace: Trace) -> float:
     """Largest per-coordinate magnitude of sum_i v^i(t) over the trace."""
     return float(np.abs(trace.v.sum(axis=1)).max())
-
-
-def isometry_violation(trace: Trace, nc: NetworkCost, alpha: float, beta: float) -> float:
-    """Worst gap between ||z|| and ||x - x_bar|| along the trace."""
-    eq = equilibrium(nc, AlgorithmParams(alpha, beta))
-    coords = to_analysis_coords(trace.x, trace.v, eq, complement_basis(trace.n_agents))
-    z_norm = np.sqrt(_sq(coords.z1) + _sq(coords.z_rest))
-    y_norm = np.linalg.norm((trace.x - eq[0]).reshape(trace.t.size, -1), axis=1)
-    return float(np.abs(z_norm - y_norm).max(initial=0.0))

@@ -34,6 +34,8 @@ BLOWUP_LIMIT = 1e12
 BLOWUP_SQUARED = BLOWUP_LIMIT**2
 CSV_CHUNK = 25  # samples formatted per write in Trace.to_csv
 ERR_CHUNK = 256  # samples per block of the trace's err column; larger blocks raise peak RSS
+BLOCK_STEPS = 64  # steps FoldedRK.advance returns per product; a block's tail past an event is lost
+BLOCK_BYTES = 2**19  # cap on FoldedRK's stacked powers and partial sums
 
 
 @dataclass(frozen=True)
@@ -239,7 +241,7 @@ class AffineRK:
         self._stages, self._final = self._maps[:-1], self._maps[-1]
         self._u = np.ones(self._final.shape[1])  # entry 2 N d stays 1
         self._grad, self._m = nc.grad_list, m
-        self.hold(np.zeros(n2))
+        AffineRK.hold(self, np.zeros(n2))  # FoldedRK.hold needs the stacks it has yet to build
 
     def hold(self, b: np.ndarray) -> None:
         """Hold the (2N, d) term ``b`` of the flow (0 before the first call)."""
@@ -259,12 +261,35 @@ class AffineRK:
 
 
 class FoldedRK(AffineRK):
-    """:class:`AffineRK` of an affine network: a step is z plus one product with [z; 1]."""
+    """:class:`AffineRK` of an affine network: a step is z plus one product with [z; 1],
+    z -> M z + f.  The powers [M; ...; M^K] and sums [I; I + M; ...] are stacked once
+    (K = ``block``), the offsets [f; (I + M) f; ...] per :meth:`hold`, for :meth:`advance`."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        n2 = len(self._final)
+        self.block = k = max(1, min(BLOCK_STEPS, BLOCK_BYTES // (16 * n2 * n2)))
+        powers, sums = np.empty((k, n2, n2)), np.empty((k, n2, n2))
+        powers[0], sums[0] = np.eye(n2) + self._final[:, :-1], np.eye(n2)
+        for j in range(1, k):
+            powers[j] = powers[0] @ powers[j - 1]
+            sums[j] = sums[j - 1] + powers[j - 1]
+        self._powers, self._sums = powers.reshape(k * n2, n2), sums.reshape(k * n2, n2)
+        self.hold(np.zeros(n2))
+
+    def hold(self, b: np.ndarray) -> None:
+        super().hold(b)
+        self._offsets = self._sums @ self._final[:, -1]
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         u = self._u
         u[:-1] = z.ravel()
         return z + (self._final @ u).reshape(z.shape)
+
+    def advance(self, z: np.ndarray, steps: int) -> np.ndarray:
+        """The next ``steps`` (at most ``block``) states after ``z``, stacked (steps, 2N, d)."""
+        rows = steps * z.size
+        return (self._powers[:rows] @ z.ravel() + self._offsets[:rows]).reshape(steps, *z.shape)
 
 
 def _finite(z: np.ndarray) -> bool:
@@ -287,18 +312,6 @@ def equilibrium(nc: NetworkCost, p: AlgorithmParams) -> tuple[np.ndarray, np.nda
     x_bar = np.tile(x_star, (n, 1))
     v_bar = -p.alpha * nc.grad_stack(x_bar)
     return x_bar, v_bar
-
-
-def linear_system_matrix(g: WeightedDigraph, p: AlgorithmParams, d: int = 1) -> np.ndarray:
-    """Closed-loop matrix on (x, v) for unit-curvature quadratic costs.
-
-    Its spectrum is {-alpha with multiplicity N d} plus {-beta lambda_i}
-    over the Laplacian eigenvalues, each with multiplicity d.
-    """
-    nd = g.n * d
-    sys = np.kron(flow_matrix(out_laplacian(g), p), np.eye(d))
-    sys[:nd, :nd] -= p.alpha * np.eye(nd)
-    return sys
 
 
 def _oracle_or_none(nc: NetworkCost):
@@ -361,17 +374,17 @@ def simulate(scenario: "Scenario") -> Trace:
     The step is fixed-step RK4 of size ``h``, or forward Euler of size
     ``delta`` for an Euler scheme, whose broadcasts are implicit at every
     step (no event log, ``x_hat = x``), each through an :class:`AffineRK`.
-    At every integration node the active communication scheme is polled
-    first (broadcasts update `x_hat` and the event log), the sample is
-    recorded, and only then the step to the next node is taken, so recorded
-    samples always reflect post-broadcast state.  Topology switching
-    happens between steps only.  A periodic scheme broadcasts every
-    :func:`period_steps` nodes.
+    At a polled node the scheme acts first (broadcasts update `x_hat` and
+    the event log), so samples reflect post-broadcast state.  Every node is
+    polled, except that a :class:`FoldedRK` advances a block per product, up
+    to t_final, a topology switch or a periodic node (every
+    :func:`period_steps`), and polls only the first node the scheme's screen
+    flags in it; the quiet nodes before that one are recorded in bulk.
 
     Raises BadInitialization when sum_i v^i(0) != 0, ValidationError when
     ``t_final`` or a dwell is not a positive multiple of the step or a
-    periodic ``delta`` is shorter than it, and
-    NumericalBlowup (carrying the partial trace) when the state escapes the finite range.
+    periodic ``delta`` is shorter than it, and NumericalBlowup (carrying
+    the partial trace) when the state escapes the finite range.
     """
     nc = scenario.network
     n, d = nc.n_agents, nc.dim
@@ -386,17 +399,17 @@ def simulate(scenario: "Scenario") -> Trace:
     if not h > 0:
         raise ValidationError(f"h must be positive, got {h}")
     n_steps = grid_steps(scenario.t_final, h, "t_final")
-    if kind == "periodic":
-        period = period_steps(scheme.delta, h) * h
+    every = period_steps(scheme.delta, h) if kind == "periodic" else None
     graphs, laps, order, spd = _resolve_topology(scenario, h)
     z = _initial_state(scenario, n, d)
     x = z[:n]
     x_hat = x.copy()
     x_star = _oracle_or_none(nc)
 
-    ks = _sample_steps(n_steps, scenario.stride)
+    stride = max(1, int(scenario.stride))
+    ks = _sample_steps(n_steps, stride)
     n_smp = len(ks)
-    T = np.empty(n_smp)
+    T = np.array(ks) * h
     X = np.empty((n_smp, n, d))
     V = np.empty((n_smp, n, d))
     XH = np.empty((n_smp, n, d))
@@ -418,9 +431,9 @@ def simulate(scenario: "Scenario") -> Trace:
     # one kernel per switching graph; sampled information holds its L x_hat in b
     kernels = [AffineRK(nc, p, flow_matrix(0 * lap if sampled else lap, p), h,
                         EULER_TABLEAU if euler else RK4_TABLEAU) for lap in laps]
+    block = kernels[0].block if isinstance(kernels[0], FoldedRK) else 1  # steps per product
 
-    def record(si: int, t: float) -> None:
-        T[si] = t
+    def record(si: int) -> None:
         X[si] = x
         V[si] = z[n:]
         XH[si] = x_hat if sampled else x
@@ -447,8 +460,8 @@ def simulate(scenario: "Scenario") -> Trace:
             x_star=None if x_star is None else np.asarray(x_star, dtype=float),
         )
 
-    si = 0
-    for k in range(n_steps + 1):
+    si = k = 0
+    while True:
         t = k * h
         switched = spd is not None and order[(k // spd) % len(order)] != gi
         if switched:
@@ -459,7 +472,7 @@ def simulate(scenario: "Scenario") -> Trace:
             if k == 0:
                 fired = everyone
             elif kind == "periodic":
-                fired = everyone if schedulers.periodic_due(t, period, last_broadcast) else []
+                fired = everyone if schedulers.periodic_due(t, every * h, last_broadcast) else []
             elif kind == "centralized_event":
                 # x_hat holds every agent's state at the last broadcast
                 due = schedulers._centralized_due(x, x_hat, scheme.kappa, last_broadcast,
@@ -475,13 +488,37 @@ def simulate(scenario: "Scenario") -> Trace:
             if fired or switched:
                 kernels[gi].hold(held_terms(laps[gi], p, x_hat))
         if k == ks[si]:
-            record(si, t)
+            record(si)
             si += 1
         if k == n_steps:
             break
-        z = kernels[gi](z)
+        if block == 1:
+            z = kernels[gi](z)
+            k += 1
+            if not _finite(z):
+                raise NumericalBlowup(f"state escaped finite range at t = {t + h:.6g}", trace(si))
+        else:  # advance to t_final, a switch or a periodic node, then screen the block
+            zs = kernels[gi].advance(z, min([block, n_steps - k]
+                                            + [s - k % s for s in (spd, every) if s]))
+            # ok: how many leading states lie within +-BLOWUP_LIMIT (nan and inf do not)
+            ok = int(np.append(~(np.abs(zs) <= BLOWUP_LIMIT).all(axis=(1, 2)), True).argmax())
+            xs = zs[:min(ok, len(zs) - 1), :n]
+            q = len(xs)  # no screen: periodic, continuous and Euler poll block ends only
+            if kind == "centralized_event":
+                q = schedulers.centralized_screen(xs, x_hat, scheme.kappa, last_broadcast,
+                                                  scheme.tau, (k + 1 + np.arange(q)) * h)
+            elif kind == "distributed_event":
+                q = schedulers.distributed_screen(xs, x_hat, thr, douts[gi])
+            rows = zs[ks[si] - k - 1:q:stride]  # the samples among the quiet nodes
+            e = si + len(rows)
+            X[si:e], V[si:e] = rows[:, :n], rows[:, n:]
+            XH[si:e] = x_hat if sampled else rows[:, :n]
+            si = e
+            if q == ok:
+                raise NumericalBlowup(f"state escaped finite range at t = {t + (q + 1) * h:.6g}",
+                                      trace(si))
+            z = zs[q]
+            k += q + 1
         x = z[:n]
-        if not _finite(z):
-            raise NumericalBlowup(f"state escaped finite range at t = {t + h:.6g}", trace(si))
     return trace(n_smp)
 

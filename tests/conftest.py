@@ -3,7 +3,9 @@ import pytest
 from hypothesis import strategies as st
 
 from distopt.costs import catalog, network_cost
-from distopt.graph import preset_graph
+from distopt.diagnostics import to_analysis_coords
+from distopt.dynamics import AlgorithmParams, equilibrium, flow_matrix
+from distopt.graph import complement_basis, out_laplacian, preset_graph
 from distopt.scenarios import AnalysisOptions, Scenario
 from distopt.schedulers import Continuous
 
@@ -104,3 +106,24 @@ def matrix_F(alpha: float, phi: float, N: int, d: int = 1) -> np.ndarray:
     out[:d, :d] = top
     out[d:, d:] = mid
     return out
+
+
+def linear_system_matrix(g, p: AlgorithmParams, d: int = 1) -> np.ndarray:
+    """Closed-loop matrix on (x, v) for unit-curvature quadratic costs.
+
+    Its spectrum is {-alpha with multiplicity N d} plus {-beta lambda_i}
+    over the Laplacian eigenvalues, each with multiplicity d.
+    """
+    nd = g.n * d
+    sys = np.kron(flow_matrix(out_laplacian(g), p), np.eye(d))
+    sys[:nd, :nd] -= p.alpha * np.eye(nd)
+    return sys
+
+
+def isometry_violation(trace, nc, alpha: float, beta: float) -> float:
+    """Worst gap between ||z|| and ||x - x_bar|| along the trace."""
+    eq = equilibrium(nc, AlgorithmParams(alpha, beta))
+    coords = to_analysis_coords(trace.x, trace.v, eq, complement_basis(trace.n_agents))
+    z_norm = np.sqrt((coords.z1**2).sum(axis=-1) + (coords.z_rest**2).sum(axis=-1))
+    y_norm = np.linalg.norm((trace.x - eq[0]).reshape(trace.t.size, -1), axis=1)
+    return float(np.abs(z_norm - y_norm).max(initial=0.0))

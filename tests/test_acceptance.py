@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_scenario
+from conftest import linear_system_matrix, make_scenario
 from distopt.certificates import (
     ConvexityBounds,
     certify,
@@ -35,7 +35,6 @@ from distopt.dynamics import (
     AlgorithmParams,
     equilibrium,
     flow,
-    linear_system_matrix,
     simulate,
 )
 from distopt.errors import InsufficientVisibility

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import balanced_weights, col, make_scenario, matrix_F
+from conftest import balanced_weights, col, isometry_violation, make_scenario, matrix_F
 from distopt.certificates import certify, matrix_E_extreme, matrix_F_extremes
 from distopt.costs import CostModel, network_cost, quadratic_cost
 from distopt.diagnostics import (
     AnalysisCoordinates,
     conservation_violation,
     decay_check,
-    isometry_violation,
     lasalle_function,
     lyapunov_digraph,
     lyapunov_series,

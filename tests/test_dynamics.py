@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import balanced_weights, col, make_scenario
-from distopt import dynamics
+from conftest import balanced_weights, col, linear_system_matrix, make_scenario
+from distopt import dynamics, schedulers
 from distopt.costs import CATALOG_NAMES, NetworkCost, catalog, network_cost, quadratic_cost
 from distopt.dynamics import (
     EULER_TABLEAU,
@@ -20,7 +20,6 @@ from distopt.dynamics import (
     flow,
     flow_matrix,
     held_terms,
-    linear_system_matrix,
     rk4,
     simulate,
 )
@@ -32,7 +31,14 @@ from distopt.graph import (
     out_laplacian,
     preset_graph,
 )
-from distopt.schedulers import CentralizedEvent, Continuous, EulerScheme, Periodic
+from distopt.schedulers import (
+    CentralizedEvent,
+    Continuous,
+    DistributedEvent,
+    EulerScheme,
+    Periodic,
+)
+from test_acceptance import ring_certificates
 
 
 def stack(x, v):
@@ -278,6 +284,88 @@ class TestGradientCalls:
         partial = excinfo.value.trace
         assert partial is not None and 2 <= partial.t.size < 101
         assert np.isfinite(partial.x).all() and np.isfinite(partial.v).all()
+
+
+@st.composite
+def block_cases(draw):
+    """An affine network (as :func:`affine_cases`) over one to three random
+    balanced digraphs, switched when more than one, under a random scheme:
+    continuous, periodic (on or off the step grid), centralized events,
+    distributed events or Euler."""
+    n = draw(st.integers(2, 6))
+    d = draw(st.integers(1, 2))
+    graphs = [WeightedDigraph(n, draw(balanced_weights(n))) for _ in range(draw(st.integers(1, 3)))]
+    a = draw(st.lists(st.floats(-5.0, 5.0), min_size=n * d, max_size=n * d))
+    costs = [quadratic_cost(a[i * d:(i + 1) * d]) for i in range(n)]
+    if d == 1:
+        costs = [draw(st.sampled_from([c, catalog("f2"), catalog("f10")])) for c in costs]
+    h = draw(st.sampled_from([1e-3, 4e-3]))
+    scheme = draw(st.sampled_from([
+        Continuous(),
+        Periodic(delta=h * draw(st.sampled_from([7.0, 7.5, 90.5]))),
+        CentralizedEvent(kappa=draw(st.floats(0.02, 0.5)), tau=h * draw(st.floats(0.5, 20.0))),
+        DistributedEvent(eps=np.full(n, draw(st.floats(0.01, 0.3)))),
+        EulerScheme(delta=h),
+    ]))
+    topology = {"graph": graphs[0]} if len(graphs) == 1 else {
+        "schedule": SwitchingSchedule(tuple(graphs), dwell=h * draw(st.integers(5, 80)))}
+    seed = draw(st.integers(0, 2**16))
+    v0 = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(n, d))
+    return make_scenario(costs, **topology, scheme=scheme, alpha=draw(st.floats(0.5, 2.0)),
+                         beta=draw(st.floats(0.5, 2.0)), t_final=300 * h, h=h,
+                         stride=draw(st.sampled_from([1, 3])), seed=seed, v0=v0 - v0.mean(axis=0))
+
+
+class TestBlockAdvance:
+    """An affine network advances whole blocks of RK4 (or Euler) steps per
+    product, the screens clear the quiet nodes and the exact law decides at
+    the others: the same run with one step per block (BLOCK_STEPS = 1, the
+    per-node loop) gives the same event log and states to rounding."""
+
+    @staticmethod
+    def per_node(sc):
+        with mock.patch.object(dynamics, "BLOCK_STEPS", 1):
+            return simulate(sc)
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(block_cases())
+    def test_block_run_matches_per_node_run(self, sc):
+        got, want = simulate(sc), self.per_node(sc)
+        np.testing.assert_array_equal(got.event_agents, want.event_agents)
+        np.testing.assert_array_equal(got.event_times, want.event_times)
+        np.testing.assert_array_equal(got.t, want.t)
+        scale = max(1.0, float(np.abs(want.x).max()), float(np.abs(want.v).max()))
+        for name in ("x", "v", "x_hat"):
+            assert np.abs(getattr(got, name) - getattr(want, name)).max() <= 1e-12 * scale, name
+        assert np.abs(got.v.sum(axis=1)).max() <= 1e-12 * scale
+
+    def test_screen_leaves_few_nodes_to_the_exact_law(self, monkeypatch):
+        _, _, _, _, tau, kap = ring_certificates()
+        sc = make_scenario(ring_quadratics(), graph=preset_graph("cycle10"),
+                           scheme=CentralizedEvent(kappa=kap, tau=tau), t_final=2.0, stride=1)
+        polls, due = [0], schedulers._centralized_due
+
+        def counted(*args):
+            polls[0] += 1
+            return due(*args)
+
+        monkeypatch.setattr(schedulers, "_centralized_due", counted)
+        broadcasts = np.unique(simulate(sc).event_times).size - 1  # t = 0 is not polled
+        # the per-node loop polls all 2,000 nodes
+        assert 0 < broadcasts <= polls[0] <= 100
+
+    @pytest.mark.parametrize("scheme", [Continuous(), CentralizedEvent(kappa=0.06, tau=0.5)])
+    def test_blowup_at_the_same_node(self, scheme):
+        # h = 1 on cycle10 grows a mode by 5 per step (see the folded-path test)
+        sc = make_scenario(ring_quadratics(), graph=preset_graph("cycle10"), scheme=scheme,
+                           t_final=100.0, h=1.0, stride=1)
+        partial = []
+        for run in (simulate, self.per_node):
+            with pytest.raises(NumericalBlowup) as excinfo:
+                run(sc)
+            partial.append((str(excinfo.value), excinfo.value.trace.t.size))
+        assert partial[0] == partial[1]
+        assert 2 <= partial[0][1] < dynamics.BLOCK_STEPS
 
 
 class TestBlowupCheck:

@@ -23,6 +23,8 @@ from distopt.schedulers import (
     _centralized_due,
     _distributed_due,
     _threshold,
+    centralized_screen,
+    distributed_screen,
     event_stats,
     periodic_due,
 )
@@ -244,6 +246,56 @@ class TestCascadeProperty:
         assert _cascade(x_next, x_hat, thr, weights, eps2, dout) == expected
         assert np.array_equal(x_hat, expect_hat)
         assert np.array_equal(thr, _threshold(x_hat, weights, eps2))
+
+
+@st.composite
+def screen_cases(draw):
+    """A (kb, N, d) stack of states around a broadcast ``x_hat``, their node
+    times, a dwell, and one state j put on the boundary of each law: kappa
+    and the thresholds are set from state j, a hair inside the firing side."""
+    kb, n, d = draw(st.integers(1, 12)), draw(st.integers(2, 6)), draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    shift = draw(st.sampled_from([0.0, 1.0, 1e3]))  # a common offset the projector removes
+    x_hat = rng.uniform(-3.0, 3.0, size=(n, d)) + shift
+    xs = x_hat + np.cumsum(rng.normal(scale=0.3, size=(kb, n, d)), axis=0)
+    j = draw(st.integers(0, kb - 1))
+    ts = 1e-3 * np.arange(1, kb + 1)
+    pi = np.eye(n) - 1.0 / n
+    xc, dev = pi @ xs[j], pi @ (x_hat - xs[j])
+    kappa = float(np.vdot(dev, dev)) / float(np.vdot(xc, xc)) * (1.0 - 4e-16)
+    dout = rng.uniform(0.5, 3.0, size=n)
+    drift = x_hat - xs[j]
+    thr = 4.0 * dout * (drift * drift).sum(axis=1) * (1.0 - 4e-16)
+    thr[draw(st.integers(0, n - 1))] *= draw(st.sampled_from([1.0, 1e6]))
+    return xs, x_hat, ts, draw(st.sampled_from([0.0, 2.5e-3, 1.0])), kappa, thr, dout
+
+
+class TestScreens:
+    """The block screens may flag a node where the exact law stays quiet, but
+    never pass one where it fires, ties included."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(screen_cases())
+    def test_centralized_screen_never_passes_a_firing_node(self, case):
+        xs, x_hat, ts, tau, kappa, _, _ = case
+        assume(kappa < 1.0)
+        fires = [_centralized_due(x, x_hat, kappa, 0.0, tau, t) for x, t in zip(xs, ts)]
+        first = fires.index(True) if True in fires else len(xs)
+        assert centralized_screen(xs, x_hat, kappa, 0.0, tau, ts) <= first
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(screen_cases())
+    def test_distributed_screen_never_passes_a_firing_node(self, case):
+        xs, x_hat, _, _, _, thr, dout = case
+        fires = [_distributed_due(x, x_hat, thr, dout).any() for x in xs]
+        first = fires.index(True) if True in fires else len(xs)
+        assert distributed_screen(xs, x_hat, thr, dout) <= first
+
+    def test_quiet_block_is_cleared(self):
+        x_hat = col([0.0, 1.0, 2.0])
+        xs = np.stack([x_hat + 1e-3 * k for k in range(1, 6)])  # a common drift only
+        assert centralized_screen(xs, x_hat, 0.1, 0.0, 0.0, 1e-3 * np.arange(1, 6)) == 5
+        assert distributed_screen(xs, x_hat, np.ones(3), np.ones(3)) == 5
 
 
 class TestEventStats:
