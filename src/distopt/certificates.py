@@ -49,14 +49,9 @@ def gamma(alpha: float, beta: float, phi: float, bounds: ConvexityBounds,
 
 def gamma_prime(alpha: float, beta: float, phi: float, bounds: ConvexityBounds,
                 lambda_hat_2: float) -> float:
-    """Margin for the distributed event-triggered scheme.
-
-    Identical to :func:`gamma` except the coupling term enters with half
-    weight: gamma' = gamma - (9/2) beta lhat2 phi alpha.
-    """
-    m, M = bounds.m_lower, bounds.M_upper
-    return (alpha**2 * (phi + 1) * m + 4.5 * beta * lambda_hat_2 * phi * alpha
-            - 4 * alpha**2 * (M * m + (phi + 1) ** 2))
+    """Margin for the distributed event-triggered scheme: :func:`gamma` at beta / 2,
+    the coupling term at half weight, gamma' = gamma - (9/2) beta lhat2 phi alpha."""
+    return gamma(alpha, beta / 2, phi, bounds, lambda_hat_2)
 
 
 def suggest_beta(alpha: float, phi: float, lambda_hat_2: float) -> float:
@@ -230,8 +225,6 @@ def _tau_i_and_theta(alpha, beta, eps, costs, g, x0, v0, phi, gamma_prime_value,
         raise Infeasible(f"gamma' = {gamma_prime_value:.6g} <= 0")
     eps = np.atleast_1d(np.asarray(eps, dtype=float))
     n = costs.n_agents
-    if eps.shape != (n,):
-        raise ValidationError(f"eps vector length {eps.shape} != agent count {n}")
     Ms = [a.M for a in costs.agents]
     if any(M is None for M in Ms):
         missing = [a.name or str(i) for i, a in enumerate(costs.agents) if a.M is None]
@@ -432,7 +425,7 @@ def certify(scenario) -> CertificateReport:
         feasible={
             "digraph_rate": bool(feasible_digraph),
             "periodic": bool(phi_step > 0),
-            "centralized_event": bool(phi_step > 0 and (kap is None or kap < 1)),
+            "centralized_event": bool(phi_step > 0),  # kappa() raises for kappa >= 1
             "distributed_event": bool(feasible_distributed),
         },
     )

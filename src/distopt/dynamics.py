@@ -10,7 +10,6 @@ sum of the ``v^i`` is a constant of motion, so runs must start from
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -330,16 +329,6 @@ def grid_steps(span: float, h: float, name: str) -> int:
     return steps
 
 
-def period_steps(delta: float, h: float) -> int:
-    """Steps of size ``h`` between periodic broadcasts: the most that fit
-    in ``delta``, so the realized period never exceeds ``delta``.  Raises
-    ValidationError naming ``scheme.delta`` when ``delta < h``."""
-    steps = math.floor(delta / h + schedulers.GRID_SLACK)
-    if steps < 1:
-        raise ValidationError(f"scheme.delta {delta} is shorter than the step h = {h}")
-    return steps
-
-
 def _resolve_topology(scenario, h: float):
     """Return (graphs, laplacians, order, steps_per_dwell)."""
     sched = getattr(scenario, "schedule", None)
@@ -374,12 +363,12 @@ def simulate(scenario: "Scenario") -> Trace:
     The step is fixed-step RK4 of size ``h``, or forward Euler of size
     ``delta`` for an Euler scheme, whose broadcasts are implicit at every
     step (no event log, ``x_hat = x``), each through an :class:`AffineRK`.
-    At a polled node the scheme acts first (broadcasts update `x_hat` and
-    the event log), so samples reflect post-broadcast state.  Every node is
-    polled, except that a :class:`FoldedRK` advances a block per product, up
-    to t_final, a topology switch or a periodic node (every
-    :func:`period_steps`), and polls only the first node the scheme's screen
-    flags in it; the quiet nodes before that one are recorded in bulk.
+    A sampled scheme's :func:`schedulers.trigger_law` fires first at a polled
+    node (broadcasts update ``x_hat`` and the event log), so samples reflect
+    post-broadcast state.  Every node is polled, except that a
+    :class:`FoldedRK` advances a block per product, up to t_final, a
+    topology switch or a periodic node, and polls only the first node the
+    law's screen flags in it; the quiet nodes before it are recorded in bulk.
 
     Raises BadInitialization when sum_i v^i(0) != 0, ValidationError when
     ``t_final`` or a dwell is not a positive multiple of the step or a
@@ -390,20 +379,18 @@ def simulate(scenario: "Scenario") -> Trace:
     n, d = nc.n_agents, nc.dim
     p = AlgorithmParams(scenario.alpha, scenario.beta)
     scheme = scenario.scheme
-    kind = getattr(scheme, "kind", None)
-    if kind not in schedulers.SCHEMES:
-        raise ValidationError(f"unsupported scheme for simulate: {scheme!r}")
-    euler = kind == "euler"
-    sampled = kind not in ("continuous", "euler")
+    scheme_info = schedulers.scheme_dict(scheme)  # raises ValidationError for a foreign scheme
+    euler = scheme_info["kind"] == "euler"
     h = float(scheme.delta if euler else scenario.h)
     if not h > 0:
         raise ValidationError(f"h must be positive, got {h}")
     n_steps = grid_steps(scenario.t_final, h, "t_final")
-    every = period_steps(scheme.delta, h) if kind == "periodic" else None
     graphs, laps, order, spd = _resolve_topology(scenario, h)
     z = _initial_state(scenario, n, d)
     x = z[:n]
     x_hat = x.copy()
+    law = schedulers.trigger_law(scheme, h, graphs)
+    sampled = law is not None  # continuous information and Euler have no broadcasts
     x_star = _oracle_or_none(nc)
 
     stride = max(1, int(scenario.stride))
@@ -414,29 +401,13 @@ def simulate(scenario: "Scenario") -> Trace:
     V = np.empty((n_smp, n, d))
     XH = np.empty((n_smp, n, d))
     ERR = np.full((n_smp, n), np.nan)
-    ev_agents: list[int] = []
-    ev_times: list[float] = []
 
-    if kind == "distributed_event":
-        eps = np.asarray(scheme.eps, dtype=float)
-        if eps.shape != (n,):
-            raise ValidationError(f"eps vector length {eps.shape} != agent count {n}")
-        eps2 = eps**2
-        douts = tuple(g.out_degrees for g in graphs)
-        # built from the t = 0 broadcast (x_hat = x); _cascade keeps it current
-        thr = schedulers._threshold(x_hat, graphs[order[0]].weights, eps2)
-    everyone = list(range(n))
-    last_broadcast = -math.inf
     gi = order[0]
+    clocks = [s for s in (spd, getattr(law, "every", 0)) if s]  # switch and periodic cadences
     # one kernel per switching graph; sampled information holds its L x_hat in b
     kernels = [AffineRK(nc, p, flow_matrix(0 * lap if sampled else lap, p), h,
                         EULER_TABLEAU if euler else RK4_TABLEAU) for lap in laps]
     block = kernels[0].block if isinstance(kernels[0], FoldedRK) else 1  # steps per product
-
-    def record(si: int) -> None:
-        X[si] = x
-        V[si] = z[n:]
-        XH[si] = x_hat if sampled else x
 
     def trace(si: int) -> Trace:
         """The first ``si`` samples and the event log so far."""
@@ -450,9 +421,9 @@ def simulate(scenario: "Scenario") -> Trace:
             v=V[:si],
             x_hat=XH[:si],
             err=ERR[:si],
-            event_agents=np.asarray(ev_agents, dtype=int),
-            event_times=np.asarray(ev_times, dtype=float),
-            scheme=schedulers.scheme_dict(scheme),
+            event_agents=np.asarray(law.agents if sampled else [], dtype=int),
+            event_times=np.asarray(law.times if sampled else [], dtype=float),
+            scheme=scheme_info,
             h=h,
             stride=int(scenario.stride),
             alpha=float(scenario.alpha),
@@ -466,29 +437,10 @@ def simulate(scenario: "Scenario") -> Trace:
         switched = spd is not None and order[(k // spd) % len(order)] != gi
         if switched:
             gi = order[(k // spd) % len(order)]
-            if kind == "distributed_event":
-                thr = schedulers._threshold(x_hat, graphs[gi].weights, eps2)
-        if sampled:
-            if k == 0:
-                fired = everyone
-            elif kind == "periodic":
-                fired = everyone if schedulers.periodic_due(t, every * h, last_broadcast) else []
-            elif kind == "centralized_event":
-                # x_hat holds every agent's state at the last broadcast
-                due = schedulers._centralized_due(x, x_hat, scheme.kappa, last_broadcast,
-                                                  scheme.tau, t)
-                fired = everyone if due else []
-            else:
-                fired = schedulers._cascade(x, x_hat, thr, graphs[gi].weights, eps2, douts[gi])
-            if fired:
-                x_hat[fired] = x[fired]
-                last_broadcast = t
-                ev_agents.extend(fired)
-                ev_times.extend([t] * len(fired))
-            if fired or switched:
-                kernels[gi].hold(held_terms(laps[gi], p, x_hat))
+        if sampled and (law.fire(k, x, x_hat, gi) or switched):
+            kernels[gi].hold(held_terms(laps[gi], p, x_hat))
         if k == ks[si]:
-            record(si)
+            X[si], V[si], XH[si] = x, z[n:], x_hat if sampled else x
             si += 1
         if k == n_steps:
             break
@@ -498,17 +450,11 @@ def simulate(scenario: "Scenario") -> Trace:
             if not _finite(z):
                 raise NumericalBlowup(f"state escaped finite range at t = {t + h:.6g}", trace(si))
         else:  # advance to t_final, a switch or a periodic node, then screen the block
-            zs = kernels[gi].advance(z, min([block, n_steps - k]
-                                            + [s - k % s for s in (spd, every) if s]))
+            zs = kernels[gi].advance(z, min([block, n_steps - k] + [s - k % s for s in clocks]))
             # ok: how many leading states lie within +-BLOWUP_LIMIT (nan and inf do not)
             ok = int(np.append(~(np.abs(zs) <= BLOWUP_LIMIT).all(axis=(1, 2)), True).argmax())
             xs = zs[:min(ok, len(zs) - 1), :n]
-            q = len(xs)  # no screen: periodic, continuous and Euler poll block ends only
-            if kind == "centralized_event":
-                q = schedulers.centralized_screen(xs, x_hat, scheme.kappa, last_broadcast,
-                                                  scheme.tau, (k + 1 + np.arange(q)) * h)
-            elif kind == "distributed_event":
-                q = schedulers.distributed_screen(xs, x_hat, thr, douts[gi])
+            q = law.screen(xs, k, x_hat) if sampled else len(xs)  # the next node to poll
             rows = zs[ks[si] - k - 1:q:stride]  # the samples among the quiet nodes
             e = si + len(rows)
             X[si:e], V[si:e] = rows[:, :n], rows[:, n:]

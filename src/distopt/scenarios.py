@@ -85,7 +85,7 @@ class Scenario:
         dynamics.grid_steps(self.t_final, self.scheme.delta if kind == "euler" else self.h,
                             "t_final")
         if kind == "periodic":
-            dynamics.period_steps(self.scheme.delta, self.h)
+            schedulers.period_steps(self.scheme.delta, self.h)
         if self.stride < 1:
             raise ValidationError(f"stride must be at least 1, got {self.stride}")
         n = len(self.costs)
@@ -93,6 +93,10 @@ class Scenario:
         g0 = self.graph if self.graph is not None else self.schedule.graphs[0]
         if g0.n != n:
             raise ValidationError(f"graph has {g0.n} nodes but {n} costs given")
+        for name, eps in (("scheme.eps", getattr(self.scheme, "eps", None)),
+                          ("analysis.eps_vec", self.analysis.eps_vec)):
+            if eps is not None and len(eps) != n:
+                raise ValidationError(f"{name} has {len(eps)} entries but there are {n} agents")
         self.x0 = np.asarray(self.x0, dtype=float).reshape(n, d)
         self.v0 = np.asarray(self.v0, dtype=float).reshape(n, d)
         vsum = np.abs(self.v0.sum(axis=0)).max()
@@ -326,7 +330,7 @@ def _write_outputs(trace, scenario, out: Path, wall: float, status: str,
         "alpha": scenario.alpha,
         "beta": scenario.beta,
         "h": trace.h,
-        "realized_period": (dynamics.period_steps(scenario.scheme.delta, trace.h) * trace.h
+        "realized_period": (schedulers.period_steps(scenario.scheme.delta, trace.h) * trace.h
                             if scenario.scheme.kind == "periodic" else None),
         "t_final": scenario.t_final,
         "seed": scenario.seed,

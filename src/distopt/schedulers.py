@@ -1,15 +1,16 @@
 """Communication-time generation and event statistics.
 
 Three discrete schemes decide when broadcast values refresh: a synchronous
-periodic clock, a centralized state-dependent trigger with an enforced
-dwell, and a distributed per-agent trigger with a positive threshold
-floor.  Trigger conditions are evaluated at integration nodes: each detection
-lags the continuous-time law by under one step, but the lag accumulates over
-events (2.1e-2 by t = 1 at h = 1e-3 on the ten-agent ring).
+periodic clock, a centralized state-dependent trigger with an enforced dwell,
+and a distributed per-agent trigger with a positive threshold floor.  Each
+event law is one signed function g, polled as g > 0 at integration nodes: each
+detection lags the continuous-time law by under one step, but the lag
+accumulates over events (2.1e-2 by t = 1 at h = 1e-3 on the ten-agent ring).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from typing import ClassVar, get_args
@@ -19,7 +20,8 @@ import numpy as np
 from .errors import ValidationError
 
 GRID_SLACK = 1e-9  # absorbs float noise when node times are k*h products
-SCREEN_SLACK = 1e-9  # relative margin of the block screens over the exact laws' rounding
+SCREEN_SLACK = 1e-9  # relative margin of a block screen over the node poll's rounding
+_ZERO = np.zeros(())  # numpy compares an array with it faster than with a Python 0
 
 
 @dataclass(frozen=True)
@@ -128,6 +130,16 @@ def scheme_from_dict(d: dict, n_agents: int | None = None) -> CommScheme:
     return cls(**args)
 
 
+def period_steps(delta: float, h: float) -> int:
+    """Steps of size ``h`` between periodic broadcasts: the most that fit
+    in ``delta``, so the realized period never exceeds ``delta``.  Raises
+    ValidationError naming ``scheme.delta`` when ``delta < h``."""
+    steps = math.floor(delta / h + GRID_SLACK)
+    if steps < 1:
+        raise ValidationError(f"scheme.delta {delta} is shorter than the step h = {h}")
+    return steps
+
+
 def periodic_due(t: float, delta: float, last: float) -> bool:
     """True when the next synchronous broadcast is due.
 
@@ -141,44 +153,24 @@ def periodic_due(t: float, delta: float, last: float) -> bool:
     return t - last >= delta - GRID_SLACK
 
 
-_PROJECTORS: dict[int, np.ndarray] = {}  # Pi = I - 11'/N by agent count N
+@functools.cache
+def _projector(n: int) -> np.ndarray:
+    return np.eye(n) - 1.0 / n  # Pi = I - 11'/N
+
+
+def centralized_g(x, x_hat, kappa):
+    """Signed centralized law g = ||Pi (x_hat - x)||^2 - kappa ||Pi x||^2 at one (N, d)
+    state ``x`` (a scalar) or at each state of a (kb, N, d) stack (kb values)."""
+    pi = _projector(x.shape[-2])
+    xc = pi @ x
+    dev = pi @ x_hat - xc
+    return np.einsum("...ij,...ij->...", dev, dev) - kappa * np.einsum("...ij,...ij->...", xc, xc)
 
 
 def _centralized_due(x, x_at_last, kappa, t_last, tau, t) -> bool:
-    """Broadcast-now test of the centralized law at time ``t``.
-
-    Fires at the first instant past the dwell ``tau`` since the last
-    broadcast at ``t_last`` where the centered drift since then exceeds
-    kappa times the centered current state:
-    ||Pi (x(t_last) - x(t))||^2 > kappa ||Pi x(t)||^2.
-    """
-    if t - t_last < tau:
-        return False
-    pi = _PROJECTORS.get(len(x))
-    if pi is None:
-        pi = _PROJECTORS[len(x)] = np.eye(len(x)) - 1.0 / len(x)
-    xc = pi @ x
-    dev = pi @ x_at_last - xc
-    return float(np.vdot(dev, dev)) > kappa * float(np.vdot(xc, xc))
-
-
-def centralized_screen(xs, x_hat, kappa, t_last, tau, ts) -> int:
-    """Index of the first state of the (kb, N, d) stack ``xs``, at times ``ts``, where
-    :func:`_centralized_due` may fire (kb if none): past the dwell, g = ||Pi (x_hat - x)||^2
-    - kappa ||Pi x||^2 from -SCREEN_SLACK (||x||^2 + ||x_hat||^2) up.  The margin covers
-    the two computations' rounding: it may flag a quiet node, never pass a firing one."""
-    xc = xs - xs.mean(axis=1, keepdims=True)
-    dev = (x_hat - x_hat.mean(axis=0)) - xc
-    g = np.einsum("kij,kij->k", dev, dev) - kappa * np.einsum("kij,kij->k", xc, xc)
-    slack = SCREEN_SLACK * (np.einsum("kij,kij->k", xs, xs) + float(np.vdot(x_hat, x_hat)))
-    return int(np.append((ts - t_last >= tau) & (g > -slack), True).argmax())
-
-
-def distributed_screen(xs, x_hat, thr, dout) -> int:
-    """Index of the first state of the (kb, N, d) stack ``xs`` where some agent may be
-    due under :func:`_cascade` (kb if none), against ``thr`` less a relative SCREEN_SLACK."""
-    due = _distributed_due(xs, x_hat, (1.0 - SCREEN_SLACK) * thr, dout).any(axis=1)
-    return int(np.append(due, True).argmax())
+    """Node poll of the centralized law at time ``t``: :func:`centralized_g` > 0 with
+    x_hat = x(t_last), past the dwell ``tau`` since the last broadcast at ``t_last``."""
+    return t - t_last >= tau and bool(centralized_g(x, x_at_last, kappa) > 0)
 
 
 def _threshold(x_hat: np.ndarray, weights: np.ndarray, eps2) -> np.ndarray:
@@ -189,18 +181,12 @@ def _threshold(x_hat: np.ndarray, weights: np.ndarray, eps2) -> np.ndarray:
     return (weights * (diffs * diffs).sum(axis=2)).sum(axis=1) + eps2
 
 
-def _distributed_due(x: np.ndarray, x_hat: np.ndarray, thr: np.ndarray,
-                     dout: np.ndarray) -> np.ndarray:
-    """Broadcast-now mask of the distributed law over all agents.
-
-    Agent i fires when 4 d_out^i ||xhat^i - x^i||^2 exceeds
-    ``thr = _threshold(x_hat, weights, eps2)``, all evaluated on last
-    broadcast values.  Only the drift side is formed here; the caller
-    rebuilds ``thr`` whenever ``x_hat`` or the graph changes.  ``x`` may be
-    a (kb, N, d) stack of states, for a (kb, N) mask.
-    """
+def distributed_g(x, x_hat, thr, dout):
+    """Signed distributed law g_i = 4 d_out^i ||x_hat^i - x^i||^2 - thr_i of every agent
+    at one (N, d) state ``x`` (N values) or at each state of a (kb, N, d) stack (kb, N),
+    with ``thr = _threshold(x_hat, weights, eps2)`` held by the caller."""
     drift = x_hat - x
-    return 4.0 * dout * (drift * drift).sum(axis=-1) > thr
+    return 4.0 * dout * np.add.reduce(drift * drift, axis=-1) - thr  # .sum without its wrapper
 
 
 def _cascade(x: np.ndarray, x_hat: np.ndarray, thr: np.ndarray, weights: np.ndarray,
@@ -215,7 +201,7 @@ def _cascade(x: np.ndarray, x_hat: np.ndarray, thr: np.ndarray, weights: np.ndar
     drift and cannot re-fire at the same node, so at most N sweeps run.
     """
     fired: list[int] = []
-    due = _distributed_due(x, x_hat, thr, dout)
+    due = distributed_g(x, x_hat, thr, dout) > _ZERO
     while np.count_nonzero(due):  # a sweep from agent 0 fires iff some agent is due
         start = 0
         while (ahead := due[start:].nonzero()[0]).size:
@@ -223,9 +209,79 @@ def _cascade(x: np.ndarray, x_hat: np.ndarray, thr: np.ndarray, weights: np.ndar
             x_hat[i] = x[i]
             fired.append(i)
             thr[:] = _threshold(x_hat, weights, eps2)
-            due = _distributed_due(x, x_hat, thr, dout)
+            due = distributed_g(x, x_hat, thr, dout) > _ZERO
             start = i + 1
     return sorted(fired)
+
+
+class _Law:
+    """Trigger state of one run of a sampled scheme, stepped by ``h`` over the switching
+    ``graphs``.  ``fire(k, x, x_hat, gi)`` polls node k under graph ``gi``: everyone at
+    k = 0, later those the law finds due, whose ``x_hat`` it refreshes and logs.
+    ``screen(xs, k, x_hat)`` returns the index of the first state of the (kb, N, d) stack
+    of nodes k + 1 .. k + kb where the poll may fire (kb if none): the next periodic
+    node, or the first with g > -SCREEN_SLACK * scale."""
+
+    def __init__(self, scheme, h: float, graphs):
+        self.scheme, self.h, self.graphs, self.gi, self.last = scheme, h, graphs, None, -math.inf
+        self.agents, self.times = [], []  # the event log: who broadcast, and when
+
+    def _broadcast(self, k: int, x: np.ndarray, x_hat: np.ndarray, fired: list[int]) -> list[int]:
+        if fired:
+            x_hat[fired] = x[fired]
+            self.last = k * self.h
+            self.agents += fired
+            self.times += [self.last] * len(fired)
+        return fired
+
+
+class _PeriodicLaw(_Law):
+    def __init__(self, scheme, h, graphs):
+        super().__init__(scheme, h, graphs)
+        self.every = period_steps(scheme.delta, h)
+
+    def fire(self, k, x, x_hat, gi):  # periodic_due is True at k = 0, before any broadcast
+        due = periodic_due(k * self.h, self.every * self.h, self.last)
+        return self._broadcast(k, x, x_hat, list(range(len(x))) if due else [])
+
+    def screen(self, xs, k, x_hat) -> int:
+        return min(-(k + 1) % self.every, len(xs))
+
+
+class _CentralizedLaw(_Law):
+    def fire(self, k, x, x_hat, gi):  # x_hat holds every agent's state at the last broadcast
+        kappa, tau = self.scheme.kappa, self.scheme.tau
+        due = k == 0 or _centralized_due(x, x_hat, kappa, self.last, tau, k * self.h)
+        return self._broadcast(k, x, x_hat, list(range(len(x))) if due else [])
+
+    def screen(self, xs, k, x_hat) -> int:
+        ts = (k + 1 + np.arange(len(xs))) * self.h
+        scale = np.einsum("kij,kij->k", xs, xs) + float(np.vdot(x_hat, x_hat))
+        g = centralized_g(xs, x_hat, self.scheme.kappa)
+        flags = (ts - self.last >= self.scheme.tau) & (g > -SCREEN_SLACK * scale)
+        return int(np.append(flags, True).argmax())
+
+
+class _DistributedLaw(_Law):
+    def fire(self, k, x, x_hat, gi):
+        if gi != self.gi:  # the first node or a topology switch: the threshold follows
+            self.gi, self.eps2, g = gi, self.scheme.eps**2, self.graphs[gi]
+            self.weights, self.dout = g.weights, g.out_degrees
+            self.thr = _threshold(x_hat, g.weights, self.eps2)
+        fired = (list(range(len(x))) if k == 0 else
+                 _cascade(x, x_hat, self.thr, self.weights, self.eps2, self.dout))
+        return self._broadcast(k, x, x_hat, fired) if fired else fired
+
+    def screen(self, xs, k, x_hat) -> int:
+        g = distributed_g(xs, x_hat, self.thr, self.dout)
+        return int(np.append((g > -SCREEN_SLACK * self.thr).any(axis=1), True).argmax())
+
+
+def trigger_law(scheme: CommScheme, h: float, graphs) -> _Law | None:
+    """The :class:`_Law` of a sampled scheme, None for continuous information and Euler."""
+    law = {Periodic: _PeriodicLaw, CentralizedEvent: _CentralizedLaw,
+           DistributedEvent: _DistributedLaw}.get(type(scheme))
+    return None if law is None else law(scheme, h, graphs)
 
 
 @dataclass(frozen=True)

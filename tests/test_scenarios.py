@@ -98,6 +98,19 @@ class TestParsing:
         assert isinstance(sc.scheme, DistributedEvent)
         assert sc.scheme.eps.shape == (10,)
 
+    def test_eps_length_checked_at_parse(self):
+        cfg = preset_dict("fig5")
+        cfg["scheme"]["eps"] = [0.002] * 9
+        with pytest.raises(ValidationError, match=r"scheme\.eps has 9 entries"):
+            scenario_from_dict(cfg)
+
+    def test_analysis_eps_vec_length_checked_at_parse(self):
+        cfg = preset_dict("fig3a") | {"analysis": {"box": [-5.0, 5.0], "eps_vec": [0.1] * 3}}
+        with pytest.raises(ValidationError, match=r"analysis\.eps_vec has 3 entries"):
+            scenario_from_dict(cfg)
+        cfg["analysis"]["eps_vec"] = [0.1] * 10
+        assert len(scenario_from_dict(cfg).analysis.eps_vec) == 10
+
     def test_explicit_x0(self):
         cfg = dict(MINIMAL) | {"x0": list(range(10))}
         sc = scenario_from_dict(cfg)

@@ -21,12 +21,12 @@ from distopt.schedulers import (
     Periodic,
     _cascade,
     _centralized_due,
-    _distributed_due,
     _threshold,
-    centralized_screen,
-    distributed_screen,
+    centralized_g,
+    distributed_g,
     event_stats,
     periodic_due,
+    trigger_law,
 )
 
 
@@ -95,8 +95,8 @@ class TestPeriodicDue:
 
 
 def due(x, x_hat, g, eps2):
-    """``_distributed_due`` on a graph, its threshold built from ``x_hat``."""
-    return _distributed_due(x, x_hat, _threshold(x_hat, g.weights, eps2), g.out_degrees)
+    """The distributed node poll, g > 0, on a graph, its threshold built from ``x_hat``."""
+    return distributed_g(x, x_hat, _threshold(x_hat, g.weights, eps2), g.out_degrees) > 0
 
 
 def cascade(x, x_hat, g, eps2):
@@ -270,9 +270,32 @@ def screen_cases(draw):
     return xs, x_hat, ts, draw(st.sampled_from([0.0, 2.5e-3, 1.0])), kappa, thr, dout
 
 
+def centralized_law(kappa, tau, x_hat, h=1e-3):
+    """The centralized law of a run stepped by ``h``, past its t = 0 broadcast of
+    ``x_hat``.  The law reads ``kappa`` and ``tau`` only, so a plain namespace stands
+    in for the scheme and admits the draws' tau = 0 (no dwell)."""
+    law = schedulers._CentralizedLaw(SimpleNamespace(kappa=kappa, tau=tau), h, ())
+    law.fire(0, x_hat, x_hat.copy(), 0)
+    return law
+
+
+def distributed_screen_law(thr, dout):
+    """A distributed law holding the threshold ``thr`` and out-degrees ``dout``, for its
+    screen only (its graph plays no part in the screen)."""
+    law = trigger_law(DistributedEvent(eps=np.ones(len(dout))), 1e-3, ())
+    law.thr, law.dout = thr, dout
+    return law
+
+
+def first_true(flags) -> int:
+    """Index of the first True in ``flags``, its length if none."""
+    flags = list(flags)
+    return flags.index(True) if True in flags else len(flags)
+
+
 class TestScreens:
-    """The block screens may flag a node where the exact law stays quiet, but
-    never pass one where it fires, ties included."""
+    """A law's block screen may flag a node where its node poll stays quiet, but
+    never passes one where it fires, ties included."""
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(screen_cases())
@@ -280,22 +303,54 @@ class TestScreens:
         xs, x_hat, ts, tau, kappa, _, _ = case
         assume(kappa < 1.0)
         fires = [_centralized_due(x, x_hat, kappa, 0.0, tau, t) for x, t in zip(xs, ts)]
-        first = fires.index(True) if True in fires else len(xs)
-        assert centralized_screen(xs, x_hat, kappa, 0.0, tau, ts) <= first
+        # the screen covers nodes 1 .. kb, at the times ts, after the broadcast at node 0
+        assert centralized_law(kappa, tau, x_hat).screen(xs, 0, x_hat) <= first_true(fires)
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(screen_cases())
     def test_distributed_screen_never_passes_a_firing_node(self, case):
         xs, x_hat, _, _, _, thr, dout = case
-        fires = [_distributed_due(x, x_hat, thr, dout).any() for x in xs]
-        first = fires.index(True) if True in fires else len(xs)
-        assert distributed_screen(xs, x_hat, thr, dout) <= first
+        fires = [(distributed_g(x, x_hat, thr, dout) > 0).any() for x in xs]
+        assert distributed_screen_law(thr, dout).screen(xs, 0, x_hat) <= first_true(fires)
 
     def test_quiet_block_is_cleared(self):
         x_hat = col([0.0, 1.0, 2.0])
         xs = np.stack([x_hat + 1e-3 * k for k in range(1, 6)])  # a common drift only
-        assert centralized_screen(xs, x_hat, 0.1, 0.0, 0.0, 1e-3 * np.arange(1, 6)) == 5
-        assert distributed_screen(xs, x_hat, np.ones(3), np.ones(3)) == 5
+        assert centralized_law(0.1, 0.0, x_hat).screen(xs, 0, x_hat) == 5
+        assert distributed_screen_law(np.ones(3), np.ones(3)).screen(xs, 0, x_hat) == 5
+
+
+class TestPollIsSignOfG:
+    """Each event law's node poll fires exactly where its signed g is positive (past the
+    dwell, for the centralized law), and the periodic screen names the next node its
+    poll fires at."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(screen_cases(), st.integers(1, 12))
+    def test_centralized_poll(self, case, k):
+        xs, x_hat, _, tau, kappa, _, _ = case
+        assume(kappa < 1.0)
+        for x in xs:
+            fired = centralized_law(kappa, tau, x_hat).fire(k, x, x_hat.copy(), 0)
+            assert bool(fired) == (k * 1e-3 >= tau and centralized_g(x, x_hat, kappa) > 0)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(cascade_cases())
+    def test_distributed_poll(self, case):
+        weights, x, x_hat, eps = case
+        law = trigger_law(DistributedEvent(eps=eps), 1e-3, (WeightedDigraph(len(x), weights),))
+        law.fire(0, x_hat, x_hat.copy(), 0)  # the t = 0 broadcast builds the threshold
+        g = distributed_g(x, x_hat, _threshold(x_hat, weights, eps**2), weights.sum(axis=1))
+        assert bool(law.fire(1, x, x_hat.copy(), 0)) == (g > 0).any()
+
+    @pytest.mark.parametrize("delta", [0.005, 0.0075, 0.03])
+    def test_periodic_poll_matches_its_screen(self, delta):
+        law, x = trigger_law(Periodic(delta=delta), 1e-3, ()), col([1.0, 2.0])
+        fires = [bool(law.fire(k, x, x.copy(), 0)) for k in range(41)]
+        assert fires[0]
+        # from any node k, the screen of nodes k + 1 .. 40 names the next one that fires
+        for k in range(40):
+            assert law.screen(np.zeros((40 - k, 2, 1)), k, x) == first_true(fires[k + 1:])
 
 
 class TestEventStats:
