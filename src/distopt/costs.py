@@ -75,11 +75,6 @@ class NetworkCost:
         Ms = [a.M for a in self.agents]
         return None if any(v is None for v in Ms) else float(max(Ms))
 
-    @property
-    def locally_lipschitz_only(self) -> bool:
-        """True when some member lacks a global gradient Lipschitz constant."""
-        return any(a.M is None for a in self.agents)
-
     @cached_property
     def affine(self) -> tuple[np.ndarray, np.ndarray] | None:
         """The stacked gradient as one affine map (H, c), block-diagonal H
@@ -99,39 +94,31 @@ class NetworkCost:
 
     def grad_list(self, ys: list) -> list:
         """Per-agent gradients of the flat, row-major entries ``ys`` (N d
-        floats), flat in the same order.  Overflow maps to signed inf.
+        floats), flat in the same order: the one caller of the members'
+        gradients.  Overflow maps to inf signed as the agent's first entry.
         Scalar costs are evaluated here one float at a time; any other
-        network goes through :meth:`grad_stack`'s per-agent path."""
+        network, and any overflow, goes agent by agent through ``gradient``."""
         funcs = self._scalar_gradients
-        if funcs is None:
-            xs = np.array(ys, dtype=float).reshape(self.n_agents, self.dim)
-            return self.grad_stack(xs).ravel().tolist()
-        try:
-            return [f(v) for f, v in zip(funcs, ys)]
-        except OverflowError:
-            out = []
-            for f, v in zip(funcs, ys):
-                try:
-                    out.append(f(v))
-                except OverflowError:
-                    out.append(math.copysign(math.inf, v))
-            return out
+        if funcs is not None:
+            try:
+                return [f(v) for f, v in zip(funcs, ys)]
+            except OverflowError:
+                pass
+        xs = np.array(ys, dtype=float).reshape(self.n_agents, self.dim)
+        out = np.empty_like(xs)
+        for i, (a, x) in enumerate(zip(self.agents, xs)):
+            try:
+                out[i] = a.gradient(x)
+            except OverflowError:
+                out[i] = math.copysign(math.inf, x[0])
+        return out.ravel().tolist()
 
     def grad_stack(self, xs: np.ndarray) -> np.ndarray:
-        """Stacked per-agent gradients, (N, d). Overflow maps to signed inf.
-        Scalar costs (d = 1) go through :meth:`grad_list`."""
-        if self._scalar_gradients is not None and xs.shape[1] == 1:
-            return np.array(self.grad_list(xs.ravel().tolist()), dtype=float).reshape(xs.shape)
-        out = np.empty_like(xs, dtype=float)
-        for i, a in enumerate(self.agents):
-            try:
-                out[i] = a.gradient(xs[i])
-            except OverflowError:
-                out[i] = math.copysign(math.inf, float(xs[i, 0]))
-        return out
+        """Stacked per-agent gradients, (N, d): :meth:`grad_list` as an array."""
+        return np.array(self.grad_list(xs.ravel().tolist())).reshape(xs.shape)
 
     def global_gradient(self, x: np.ndarray) -> np.ndarray:
-        return np.sum([a.gradient(x) for a in self.agents], axis=0)
+        return self.grad_stack(np.tile(x, (self.n_agents, 1))).sum(axis=0)
 
 
 def _entry(name, value, grad, m=None, M=None, locally_lipschitz=False, affine=None):
@@ -253,36 +240,35 @@ def network_cost(models) -> NetworkCost:
     return NetworkCost(agents=models)
 
 
-def _safe_global_grad_1d(nc: NetworkCost, x: float) -> float:
-    total = 0.0
-    for a in nc.agents:
-        try:
-            total += a.scalar_gradient(x) if a.scalar_gradient else float(a.gradient(np.array([x]))[0])
-        except OverflowError:
-            return math.copysign(math.inf, x)
-    return total
-
-
 def minimize_global(nc: NetworkCost, tol: float = 1e-12) -> np.ndarray:
     """Solve sum_i grad f^i(x) = 0 for a strictly convex aggregate.
 
-    For d = 1 the aggregate gradient is strictly increasing, so the solver
-    expands a bracket outward from [-1, 1] (capped at +/- 1e6) and bisects;
-    the result satisfies |sum grad| <= tol.  For d > 1 a damped Newton
-    iteration with a finite-difference Hessian is used.
-
-    Raises Unbounded when no sign change exists inside the cap and
-    OracleFailure when the tolerance cannot be met.
+    An affine network (every member carries ``affine``) is solved exactly:
+    x = -(sum_i H^i)^{-1} sum_i c^i, and a singular sum raises Unbounded.
+    Any other network with d = 1 has a strictly increasing aggregate
+    gradient, so the solver expands a bracket outward from [-1, 1] (capped
+    at +/- 1e6) and bisects; the result satisfies |sum grad| <= tol, and
+    Unbounded is raised when no sign change exists inside the cap.
+    OracleFailure is raised when the bisection cannot meet the tolerance,
+    and for non-affine networks with d > 1, which have no oracle.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if nc.affine is not None:
+        n, d = nc.n_agents, nc.dim
+        big_h, c = nc.affine  # block-diagonal, so summing all blocks sums the H^i
+        try:
+            return np.linalg.solve(big_h.reshape(n, d, n, d).sum(axis=(0, 2)),
+                                   -c.reshape(n, d).sum(axis=0))
+        except np.linalg.LinAlgError:
+            raise Unbounded("sum of the members' H is singular: no unique stationary point") from None
     if nc.dim == 1:
         return _bisect_1d(nc, tol)
-    return _newton_nd(nc, tol)
+    raise OracleFailure(f"no oracle for a non-affine network with d = {nc.dim}")
 
 
 def _bisect_1d(nc: NetworkCost, tol: float) -> np.ndarray:
-    g = lambda x: _safe_global_grad_1d(nc, x)  # noqa: E731
+    g = lambda x: sum(nc.grad_list([x] * nc.n_agents))  # noqa: E731
     lo, hi = -1.0, 1.0
     while g(lo) > 0:
         lo *= 2.0
@@ -307,39 +293,6 @@ def _bisect_1d(nc: NetworkCost, tol: float) -> np.ndarray:
         if abs(g(root)) > tol:
             raise OracleFailure(f"bisection stalled at |grad| = {abs(g(root)):.3e} > {tol:.3e}")
     return np.array([root])
-
-
-def _newton_nd(nc: NetworkCost, tol: float, max_iter: int = 200) -> np.ndarray:
-    d = nc.dim
-    x = np.zeros(d)
-    for _ in range(max_iter):
-        grad = nc.global_gradient(x)
-        gn = float(np.linalg.norm(grad))
-        if gn <= tol:
-            return x
-        hess = np.empty((d, d))
-        fd = 1e-6 * max(1.0, float(np.linalg.norm(x)))
-        for k in range(d):
-            e = np.zeros(d)
-            e[k] = fd
-            hess[:, k] = (nc.global_gradient(x + e) - nc.global_gradient(x - e)) / (2 * fd)
-        try:
-            step = np.linalg.solve(0.5 * (hess + hess.T), -grad)
-        except np.linalg.LinAlgError:
-            step = -grad
-        if float(step @ grad) > 0:  # not a descent direction
-            step = -grad
-        scale = 1.0
-        for _ in range(60):
-            if float(np.linalg.norm(nc.global_gradient(x + scale * step))) < gn:
-                break
-            scale *= 0.5
-        else:
-            raise OracleFailure("Newton line search failed to reduce the gradient")
-        x = x + scale * step
-    if float(np.linalg.norm(nc.global_gradient(x))) <= tol:
-        return x
-    raise OracleFailure(f"Newton did not reach tolerance {tol:.3e} in {max_iter} iterations")
 
 
 def check_convexity_constants(model: CostModel, box=(-10.0, 10.0), samples: int = 2000,
@@ -368,12 +321,11 @@ def check_convexity_constants(model: CostModel, box=(-10.0, 10.0), samples: int 
     return m_est, M_est
 
 
-def with_estimated_constants(model: CostModel, box=(-10.0, 10.0),
-                             samples: int = 2000, seed: int = 0) -> CostModel:
+def with_estimated_constants(model: CostModel, box=(-10.0, 10.0)) -> CostModel:
     """Fill missing m/M with empirical estimates over ``box``."""
     if model.m is not None and model.M is not None:
         return model
-    m_est, M_est = check_convexity_constants(model, box, samples, seed)
+    m_est, M_est = check_convexity_constants(model, box)
     return replace(
         model,
         m=model.m if model.m is not None else m_est,

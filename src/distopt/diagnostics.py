@@ -128,9 +128,10 @@ def lasalle_function(coords: AnalysisCoordinates, alpha: float, beta: float,
 
 def _reduced_inv_quad(g: WeightedDigraph, w2: np.ndarray) -> np.ndarray:
     """w2' (R'LR)^{-1} w2 for one flattened ``w_rest`` or a stack of them;
-    the reduced Laplacian is built once per call."""
+    the reduced Laplacian is built and inverted once per call (``solve`` with
+    a stacked right-hand side would factor it again for every sample)."""
     w2m = w2.reshape(*w2.shape[:-1], g.n - 1, -1)
-    return np.sum(w2m * np.linalg.solve(reduced_laplacian(g), w2m), axis=(-2, -1))
+    return np.sum(w2m * (np.linalg.inv(reduced_laplacian(g)) @ w2m), axis=(-2, -1))
 
 
 _ENERGIES = {
@@ -229,8 +230,7 @@ class Reconstruction:
 
 
 def reconstruct_gradient(observer: int, target: int, trace: Trace, g: WeightedDigraph,
-                         v_target_0: np.ndarray | None,
-                         weights_row: np.ndarray | None = None) -> Reconstruction:
+                         v_target_0: np.ndarray | None) -> Reconstruction:
     """Rebuild the target's local gradient from broadcast histories.
 
     The observer must receive the target's broadcasts and those of every
@@ -244,7 +244,7 @@ def reconstruct_gradient(observer: int, target: int, trace: Trace, g: WeightedDi
     n = trace.n_agents
     if not (0 <= observer < n and 0 <= target < n) or observer == target:
         raise ValidationError(f"bad observer/target pair ({observer}, {target})")
-    w_row = g.weights[target] if weights_row is None else np.asarray(weights_row, dtype=float)
+    w_row = g.weights[target]
     if g.weights[observer, target] <= 0:
         raise InsufficientVisibility(f"agent {observer} does not receive from {target}")
     for k in np.nonzero(g.weights[target])[0]:

@@ -207,16 +207,15 @@ def complement_basis(n: int) -> DisagreementBasis:
     return DisagreementBasis(r=r, R=R)
 
 
-def reduced_laplacian(g: WeightedDigraph, basis: DisagreementBasis | None = None) -> np.ndarray:
+def reduced_laplacian(g: WeightedDigraph) -> np.ndarray:
     """Compress the Laplacian onto the disagreement subspace (R^T L R).
 
     Raises NotConnected when the smallest eigenvalue of the compressed
     matrix's symmetric part is at most 1e-10, which for undirected graphs
     happens exactly when the graph is disconnected.
     """
-    if basis is None:
-        basis = complement_basis(g.n)
-    m = basis.R.T @ out_laplacian(g) @ basis.R
+    r = complement_basis(g.n).R
+    m = r.T @ out_laplacian(g) @ r
     if np.linalg.eigvalsh(0.5 * (m + m.T))[0] <= 1e-10:
         raise NotConnected("reduced Laplacian is singular; graph is not connected")
     return m

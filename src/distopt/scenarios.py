@@ -81,9 +81,12 @@ class Scenario:
             raise ValidationError(f"t_final must be positive, got {self.t_final}")
         if not self.h > 0:
             raise ValidationError(f"h must be positive, got {self.h}")
+        dynamics.AlgorithmParams(self.alpha, self.beta)  # raises unless both are positive
         kind = getattr(self.scheme, "kind", None)
-        dynamics.grid_steps(self.t_final, self.scheme.delta if kind == "euler" else self.h,
-                            "t_final")
+        step = self.scheme.delta if kind == "euler" else self.h
+        dynamics.grid_steps(self.t_final, step, "t_final")
+        if self.schedule is not None:
+            dynamics.grid_steps(self.schedule.dwell, step, "switching.dwell")
         if kind == "periodic":
             schedulers.period_steps(self.scheme.delta, self.h)
         if self.stride < 1:
@@ -113,6 +116,17 @@ def _required(spec: dict, key: str, where: str):
     if key not in spec:
         raise ValidationError(f"{where} is missing")
     return spec[key]
+
+
+def _number(value, where: str, cast=float):
+    """``cast(value)``, or a ValidationError naming the field ``where``; with
+    ``cast=int`` a fractional value is refused, not rounded."""
+    try:
+        if cast is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(value)
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{where} must be a number ({cast.__name__}), got {value!r}") from None
 
 
 def _cost_from_dict(spec: dict, where: str) -> CostModel:
@@ -154,11 +168,18 @@ def _draw_initial(spec, n: int, d: int, rng: np.random.Generator, default_box) -
     if isinstance(spec, dict) and "box" in spec:
         lo, hi = _box(spec["box"], "x0.box")
         return rng.uniform(lo, hi, size=(n, d))
-    arr = np.asarray(spec, dtype=float)
+    return _state(spec, n, d, "x0")
+
+
+def _state(spec, n: int, d: int, where: str) -> np.ndarray:
+    """An (n, d) array from ``n d`` numbers, or a ValidationError naming ``where``."""
     try:
-        return arr.reshape(n, d)
-    except ValueError as exc:
-        raise ValidationError(f"x0 has {arr.size} entries, expected {n * d}") from exc
+        arr = np.asarray(spec, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{where} must be a list of numbers, got {spec!r}") from None
+    if arr.size != n * d:
+        raise ValidationError(f"{where} has {arr.size} entries, expected {n * d}")
+    return arr.reshape(n, d)
 
 
 def scenario_from_dict(cfg: dict, seed: int | None = None) -> Scenario:
@@ -167,8 +188,8 @@ def scenario_from_dict(cfg: dict, seed: int | None = None) -> Scenario:
     ``seed`` overrides the seed in the dict (used by the CLI's --seed).
     Raises ValidationError naming the offending field.
     """
-    if not cfg.get("costs"):
-        raise ValidationError("scenario needs a non-empty 'costs' list")
+    if not (isinstance(cfg.get("costs"), list) and cfg["costs"]):
+        raise ValidationError(f"scenario needs a non-empty 'costs' list, got {cfg.get('costs')!r}")
     costs = tuple(_cost_from_dict(c, f"costs[{i}]") for i, c in enumerate(cfg["costs"]))
     n = len(costs)
     d = costs[0].dim
@@ -182,7 +203,7 @@ def scenario_from_dict(cfg: dict, seed: int | None = None) -> Scenario:
                            for i, gd in enumerate(_required(sw, "graphs", "switching.graphs")))
         schedule = dynamics.SwitchingSchedule(
             graphs=graphs,
-            dwell=float(_required(sw, "dwell", "switching.dwell")),
+            dwell=_number(_required(sw, "dwell", "switching.dwell"), "switching.dwell"),
             order=tuple(sw.get("order", ())),
         )
     elif "graph" in cfg:
@@ -191,30 +212,27 @@ def scenario_from_dict(cfg: dict, seed: int | None = None) -> Scenario:
         raise ValidationError("scenario needs 'graph' or 'switching'")
 
     scheme = schedulers.scheme_from_dict(cfg.get("scheme", {"kind": "continuous"}), n)
-    use_seed = int(cfg.get("seed", DEFAULT_SEED)) if seed is None else int(seed)
+    use_seed = _number(cfg.get("seed", DEFAULT_SEED), "seed", int) if seed is None else int(seed)
     rng = np.random.default_rng(use_seed)
     x0 = _draw_initial(cfg.get("x0"), n, d, rng, DEFAULT_BOX)
-    if cfg.get("v0") is None:
-        v0 = np.zeros((n, d))
-    else:
-        v0 = np.asarray(cfg["v0"], dtype=float).reshape(n, d)
+    v0 = np.zeros((n, d)) if cfg.get("v0") is None else _state(cfg["v0"], n, d, "v0")
     ana = cfg.get("analysis", {})
     analysis = AnalysisOptions(
-        eps=float(ana.get("eps", 0.5)),
-        delta=float(ana.get("delta", 1.0)),
-        phi=None if ana.get("phi") is None else float(ana["phi"]),
+        eps=_number(ana.get("eps", 0.5), "analysis.eps"),
+        delta=_number(ana.get("delta", 1.0), "analysis.delta"),
+        phi=None if ana.get("phi") is None else _number(ana["phi"], "analysis.phi"),
         box=None if ana.get("box") is None else _box(ana["box"], "analysis.box"),
         eps_vec=None if ana.get("eps_vec") is None else tuple(float(e) for e in ana["eps_vec"]),
     )
     return Scenario(
         name=str(cfg.get("name", "scenario")),
         costs=costs,
-        alpha=float(cfg.get("alpha", 1.0)),
-        beta=float(cfg.get("beta", 1.0)),
+        alpha=_number(cfg.get("alpha", 1.0), "alpha"),
+        beta=_number(cfg.get("beta", 1.0), "beta"),
         scheme=scheme,
-        t_final=float(cfg.get("t_final", 40.0)),
-        h=float(cfg.get("h", DEFAULT_H)),
-        stride=int(cfg.get("stride", DEFAULT_STRIDE)),
+        t_final=_number(cfg.get("t_final", 40.0), "t_final"),
+        h=_number(cfg.get("h", DEFAULT_H), "h"),
+        stride=_number(cfg.get("stride", DEFAULT_STRIDE), "stride", int),
         seed=use_seed,
         x0=x0,
         v0=v0,

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ValidationError
 
 GRID_SLACK = 1e-9  # absorbs float noise when node times are k*h products
-SCREEN_SLACK = 1e-9  # relative margin of a block screen over the node poll's rounding
+SCREEN_SLACK = 1e-9  # relative margin of the centralized screen over the node poll's rounding
 _ZERO = np.zeros(())  # numpy compares an array with it faster than with a Python 0
 
 
@@ -220,7 +220,7 @@ class _Law:
     k = 0, later those the law finds due, whose ``x_hat`` it refreshes and logs.
     ``screen(xs, k, x_hat)`` returns the index of the first state of the (kb, N, d) stack
     of nodes k + 1 .. k + kb where the poll may fire (kb if none): the next periodic
-    node, or the first with g > -SCREEN_SLACK * scale."""
+    node, the first with g > 0 (distributed) or g > -SCREEN_SLACK * scale (centralized)."""
 
     def __init__(self, scheme, h: float, graphs):
         self.scheme, self.h, self.graphs, self.gi, self.last = scheme, h, graphs, None, -math.inf
@@ -274,7 +274,7 @@ class _DistributedLaw(_Law):
 
     def screen(self, xs, k, x_hat) -> int:
         g = distributed_g(xs, x_hat, self.thr, self.dout)
-        return int(np.append((g > -SCREEN_SLACK * self.thr).any(axis=1), True).argmax())
+        return int(np.append((g > _ZERO).any(axis=1), True).argmax())  # g rounds as at a node
 
 
 def trigger_law(scheme: CommScheme, h: float, graphs) -> _Law | None:

@@ -10,6 +10,7 @@ from conftest import balanced_weights, col, isometry_violation, make_scenario, m
 from distopt.certificates import certify, matrix_E_extreme, matrix_F_extremes
 from distopt.costs import CostModel, network_cost, quadratic_cost
 from distopt.diagnostics import (
+    _reduced_inv_quad,
     AnalysisCoordinates,
     conservation_violation,
     decay_check,
@@ -32,6 +33,7 @@ from distopt.graph import (
     build_digraph,
     complement_basis,
     preset_graph,
+    reduced_laplacian,
     spectral_summary,
 )
 from distopt.scenarios import AnalysisOptions
@@ -289,6 +291,19 @@ class TestWholeTrace:
         assert V.shape == p_sq.shape == trace.t.shape
         assert np.allclose(V, [energy(c) for c in coords], rtol=1e-12, atol=0.0)
         assert np.allclose(p_sq, [c.p_norm_sq for c in coords], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_reduced_inv_quad_of_a_stack_matches_per_sample_solve(self, d):
+        # the stack goes through one inverse; each sample here through its own solve
+        g = build_digraph(4, [(1, 2, 1.0), (2, 3, 2.0), (3, 4, 0.5), (4, 1, 1.5), (2, 1, 1.0),
+                              (3, 2, 2.0), (4, 3, 0.5), (1, 4, 1.5)])
+        w2 = np.random.default_rng(d).normal(size=(40, 3 * d))
+        red = reduced_laplacian(g)
+        want = [float(np.sum(w.reshape(3, d) * np.linalg.solve(red, w.reshape(3, d)))) for w in w2]
+        got = _reduced_inv_quad(g, w2)
+        assert got.shape == (40,)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        assert float(_reduced_inv_quad(g, w2[7])) == pytest.approx(want[7], rel=1e-13)
 
     def test_isometry_violation_matches_per_sample(self, ring_run):
         # both sides are rounding gaps, quantized to ulps of ||x - x_bar||

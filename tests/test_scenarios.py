@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -75,6 +76,29 @@ class TestParsing:
     def test_missing_costs_rejected(self):
         with pytest.raises(ValidationError):
             scenario_from_dict({"graph": {"preset": "k2"}})
+
+    @pytest.mark.parametrize("change, named", [
+        ({"alpha": "fast"}, "alpha"),
+        ({"alpha": -1}, "alpha"),
+        ({"beta": 0}, "beta"),
+        ({"t_final": "long"}, "t_final"),
+        ({"h": [1e-3]}, "h"),
+        ({"stride": "ten"}, "stride"),
+        ({"stride": 2.5}, "stride"),
+        ({"seed": "abc"}, "seed"),
+        ({"seed": None}, "seed"),
+        ({"analysis": {"eps": "half"}}, "analysis.eps"),
+        ({"analysis": {"phi": "nine"}}, "analysis.phi"),
+        ({"v0": [0.0] * 9}, "v0"),
+        ({"v0": ["a"] * 10}, "v0"),
+        ({"x0": [0.0] * 11}, "x0"),
+        ({"costs": 5}, "costs"),
+        ({"switching": {"presets": ["fig2", "fig2r3"], "dwell": 0.0105}}, "switching.dwell"),
+        ({"switching": {"presets": ["fig2", "fig2r3"], "dwell": "two"}}, "switching.dwell"),
+    ])
+    def test_bad_field_fails_at_parse_naming_it(self, change, named):
+        with pytest.raises(ValidationError, match=re.escape(named)):
+            scenario_from_dict(dict(MINIMAL) | change)
 
     def test_t_final_off_the_step_grid_rejected(self):
         # 0.2005 with h = 1e-3 would otherwise be cut to 0.2
@@ -281,6 +305,8 @@ class TestCli:
         ({"x0": {"box": [1.0]}}, "x0.box"),
         ({"analysis": {"box": [1.0]}}, "analysis.box"),
         ({"analysis": {"box": [5.0, -5.0]}}, "analysis.box"),
+        ({"alpha": "fast"}, "alpha"),
+        ({"costs": 5}, "costs"),
     ])
     def test_run_bad_field_exits_2_naming_it(self, tmp_path, capsys, change, named):
         path = write_json(tmp_path, self.quick_cfg() | change)
