@@ -121,13 +121,13 @@ def kappa(alpha: float, beta: float, eps: float, delta: float, phi: float,
     return value
 
 
-def matrix_F_extremes(alpha: float, phi: float, N: int, d: int = 1) -> tuple[float, float]:
+def matrix_F_extremes(alpha: float, phi: float, N: int) -> tuple[float, float]:
     """Extreme eigenvalues of the energy-coefficient matrix F.
 
     F is block diagonal: a scalar block alpha (phi+1)/18 of size d and
     (N-1)d copies of the symmetric pair
     0.5 [[alpha (phi+1), 1], [1, 1/alpha]], so the extremes follow from
-    the 2x2 closed form.
+    the 2x2 closed form and do not depend on d.
     """
     if not (alpha > 0 and phi > 0):
         raise ValidationError("alpha and phi must be positive")
@@ -231,8 +231,6 @@ def _tau_i_and_theta(alpha, beta, eps, costs, g, x0, v0, phi, gamma_prime_value,
         raise MissingLipschitz(f"no global gradient Lipschitz constant for: {', '.join(missing)}")
     eta = min(7.0 / 16.0, gamma_prime_value / 9.0)
     x_bar, v_bar = equilibrium(costs, AlgorithmParams(alpha, beta))
-    x0 = np.asarray(x0, dtype=float).reshape(n, -1)
-    v0 = np.asarray(v0, dtype=float).reshape(n, -1)
     p0 = math.sqrt(float(np.sum((x0 - x_bar) ** 2)) + float(np.sum((v0 - v_bar) ** 2)))
     theta = (lamF_max / lamF_min) * p0 + steady_state_bound(
         phi, alpha, beta, lamF_min, lamF_max, eta, eps)
@@ -348,22 +346,16 @@ def certify(scenario) -> CertificateReport:
     Uses the scenario's analysis options (eps, delta, phi, estimation box);
     phi defaults to the maximizer of gamma for the digraph verdict and of
     gamma' for the distributed one, each clipped to the feasible region
-    phi + 1 > 4 M.  For switching scenarios the smallest algebraic
-    connectivity over the realization set is used.
+    phi + 1 > 4 M.  Over the scenario's graphs (one, or the switching set)
+    the smallest algebraic connectivity is used.
     """
     analysis = scenario.analysis
     costs = scenario.network
     bounds, costs_est = _resolve_bounds(costs, analysis.box)
-    sched = getattr(scenario, "schedule", None)
-    if sched is not None:
-        specs = [spectral_summary(g) for g in sched.graphs]
-        spectrum = min(specs, key=lambda s: s.lambda_hat_2)
-        graph = sched.graphs[0]
-        undirected = all(g.is_undirected for g in sched.graphs)
-    else:
-        graph = scenario.graph
-        spectrum = spectral_summary(graph)
-        undirected = graph.is_undirected
+    graphs = scenario.graphs
+    spectrum = min((spectral_summary(g) for g in graphs), key=lambda s: s.lambda_hat_2)
+    graph = graphs[0]
+    undirected = all(g.is_undirected for g in graphs)
     lh2 = spectrum.lambda_hat_2
     lam2 = spectrum.lambda_hat_2 if undirected else spectrum.re_lambda_2
     lamN = spectrum.lambda_N
@@ -379,8 +371,8 @@ def certify(scenario) -> CertificateReport:
         phi_d = max(m / 8.0 + 9.0 * beta * lh2 / (16.0 * alpha), 4.0 * M * (1 + 1e-9)) - 1.0
     g_val = gamma(alpha, beta, phi, bounds, lh2)
     gp_val = gamma_prime(alpha, beta, phi_d, bounds, lh2)
-    lamF_min, lamF_max = matrix_F_extremes(alpha, phi, costs.n_agents, costs.dim)
-    lamFd_min, lamFd_max = matrix_F_extremes(alpha, phi_d, costs.n_agents, costs.dim)
+    lamF_min, lamF_max = matrix_F_extremes(alpha, phi, costs.n_agents)
+    lamFd_min, lamFd_max = matrix_F_extremes(alpha, phi_d, costs.n_agents)
     feasible_digraph = g_val > 0 and phi + 1 > 4 * M
     feasible_distributed = gp_val > 0 and phi_d + 1 > 4 * M
 

@@ -25,9 +25,7 @@ class CostModel:
     """Differentiable convex cost on R^d with optional convexity constants.
 
     ``m`` is a strong-convexity constant and ``M`` a global gradient
-    Lipschitz constant when known.  ``locally_lipschitz`` marks costs whose
-    gradient is Lipschitz only on compact sets; such costs carry no global
-    ``M``.  ``value`` maps a (d,) array to a float, ``gradient`` to a (d,)
+    Lipschitz constant when known.  ``value`` maps a (d,) array to a float, ``gradient`` to a (d,)
     array.  For d = 1 the optional scalar gradient maps a float to a
     float: when every member of a network has one,
     :meth:`NetworkCost.grad_list` calls it on plain floats, so the inner
@@ -40,7 +38,6 @@ class CostModel:
     gradient: Callable[[np.ndarray], np.ndarray]
     m: float | None = None
     M: float | None = None
-    locally_lipschitz: bool = False
     name: str = ""
     scalar_gradient: Callable[[float], float] | None = field(default=None, repr=False, compare=False)
     affine: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
@@ -121,14 +118,13 @@ class NetworkCost:
         return self.grad_stack(np.tile(x, (self.n_agents, 1))).sum(axis=0)
 
 
-def _entry(name, value, grad, m=None, M=None, locally_lipschitz=False, affine=None):
+def _entry(name, value, grad, m=None, M=None, affine=None):
     return CostModel(
         dim=1,
         value=lambda x, _f=value: _f(float(x[0])),
         gradient=lambda x, _g=grad: np.array([_g(float(x[0]))]),
         m=m,
         M=M,
-        locally_lipschitz=locally_lipschitz,
         name=name,
         scalar_gradient=grad,
         affine=None if affine is None else (np.array([[affine[0]]]), np.array([affine[1]])),
@@ -178,19 +174,18 @@ def _g9(x):
 
 
 _CATALOG: dict[str, CostModel] = {
-    "f1": _entry("f1", _f1, _g1, locally_lipschitz=True),
+    "f1": _entry("f1", _f1, _g1),
     "f2": _entry("f2", lambda x: (x - 4) ** 2, lambda x: 2 * (x - 4), m=2.0, M=2.0,
                  affine=(2.0, -8.0)),
     "f3": _entry("f3", _f3, _g3),
     "f4": _entry("f4", lambda x: x * x + math.exp(0.1 * x),
-                 lambda x: 2 * x + 0.1 * math.exp(0.1 * x), locally_lipschitz=True),
+                 lambda x: 2 * x + 0.1 * math.exp(0.1 * x)),
     "f5": _entry("f5", _f5, _g5),
     "f6": _entry("f6", _f6, _g6),
     "f7": _entry("f7", lambda x: 0.2 * math.exp(-0.2 * x) + 0.4 * math.exp(0.4 * x),
-                 lambda x: -0.04 * math.exp(-0.2 * x) + 0.16 * math.exp(0.4 * x),
-                 locally_lipschitz=True),
+                 lambda x: -0.04 * math.exp(-0.2 * x) + 0.16 * math.exp(0.4 * x)),
     "f8": _entry("f8", lambda x: x**4 + 2 * x * x + 2,
-                 lambda x: 4 * x**3 + 4 * x, locally_lipschitz=True),
+                 lambda x: 4 * x**3 + 4 * x),
     "f9": _entry("f9", _f9, _g9),
     "f10": _entry("f10", lambda x: (x + 2) ** 2, lambda x: 2 * (x + 2), m=2.0, M=2.0,
                  affine=(2.0, 4.0)),

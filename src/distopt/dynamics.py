@@ -5,7 +5,7 @@ communication.
 Two state blocks evolve per agent: the estimate ``x^i`` and an integral
 correction ``v^i`` driven by the weighted disagreement with neighbors.  The
 sum of the ``v^i`` is a constant of motion, so runs must start from
-``sum_i v^i(0) = 0``.
+``sum_i v^i(0) = 0``, which a :class:`~distopt.scenarios.Scenario` checks when built.
 """
 
 from __future__ import annotations
@@ -17,13 +17,7 @@ import numpy as np
 
 from . import schedulers
 from .costs import NetworkCost, minimize_global
-from .errors import (
-    BadInitialization,
-    NumericalBlowup,
-    OracleFailure,
-    Unbounded,
-    ValidationError,
-)
+from .errors import NumericalBlowup, OracleFailure, Unbounded, ValidationError
 from .graph import WeightedDigraph, is_strongly_connected, is_weight_balanced, out_laplacian
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -68,7 +62,7 @@ class SwitchingSchedule:
             raise ValidationError("dwell must be positive")
         order = self.order or tuple(range(len(self.graphs)))
         if any(not (0 <= i < len(self.graphs)) for i in order):
-            raise ValidationError("switching order indexes outside the graph list")
+            raise ValidationError("switching.order indexes outside the graph list")
         object.__setattr__(self, "order", order)
         for k, g in enumerate(self.graphs):
             if not is_strongly_connected(g):
@@ -313,50 +307,6 @@ def equilibrium(nc: NetworkCost, p: AlgorithmParams) -> tuple[np.ndarray, np.nda
     return x_bar, v_bar
 
 
-def _oracle_or_none(nc: NetworkCost):
-    try:
-        return minimize_global(nc)
-    except (Unbounded, OracleFailure):
-        return None
-
-
-def grid_steps(span: float, h: float, name: str) -> int:
-    """Number of steps of size ``h`` in ``span``; raises ValidationError
-    naming ``name`` unless ``span`` is a positive multiple of ``h``."""
-    steps = round(span / h)
-    if steps < 1 or abs(steps * h - span) > 1e-9:
-        raise ValidationError(f"{name} {span} must be a positive multiple of the step {h}")
-    return steps
-
-
-def _resolve_topology(scenario, h: float):
-    """Return (graphs, laplacians, order, steps_per_dwell)."""
-    sched = getattr(scenario, "schedule", None)
-    if sched is None:
-        g = scenario.graph
-        return (g,), (out_laplacian(g),), (0,), None
-    spd = grid_steps(sched.dwell, h, "dwell")
-    laps = tuple(out_laplacian(g) for g in sched.graphs)
-    return sched.graphs, laps, sched.order, spd
-
-
-def _initial_state(scenario, n: int, d: int) -> np.ndarray:
-    """The stacked (2N, d) start z = [x0; v0]."""
-    z = np.concatenate([np.asarray(scenario.x0, dtype=float).reshape(n, d),
-                        np.asarray(scenario.v0, dtype=float).reshape(n, d)])
-    vsum = np.abs(z[n:].sum(axis=0)).max()
-    if vsum > 1e-12 * max(1.0, float(np.abs(z[n:]).max())):
-        raise BadInitialization(f"initial v must sum to zero per coordinate, |sum| = {vsum:.3e}")
-    return z
-
-
-def _sample_steps(n_steps: int, stride: int) -> list[int]:
-    ks = list(range(0, n_steps + 1, max(1, stride)))
-    if ks[-1] != n_steps:
-        ks.append(n_steps)
-    return ks
-
-
 def simulate(scenario: "Scenario") -> Trace:
     """Integrate a scenario with node-aligned communication.
 
@@ -370,31 +320,34 @@ def simulate(scenario: "Scenario") -> Trace:
     topology switch or a periodic node, and polls only the first node the
     law's screen flags in it; the quiet nodes before it are recorded in bulk.
 
-    Raises BadInitialization when sum_i v^i(0) != 0, ValidationError when
-    ``t_final`` or a dwell is not a positive multiple of the step or a
-    periodic ``delta`` is shorter than it, and NumericalBlowup (carrying
-    the partial trace) when the state escapes the finite range.
+    The scenario was validated when built, so the only error raised here is
+    NumericalBlowup (carrying the partial trace) when the state escapes the
+    finite range.
     """
     nc = scenario.network
     n, d = nc.n_agents, nc.dim
     p = AlgorithmParams(scenario.alpha, scenario.beta)
     scheme = scenario.scheme
-    scheme_info = schedulers.scheme_dict(scheme)  # raises ValidationError for a foreign scheme
-    euler = scheme_info["kind"] == "euler"
-    h = float(scheme.delta if euler else scenario.h)
-    if not h > 0:
-        raise ValidationError(f"h must be positive, got {h}")
-    n_steps = grid_steps(scenario.t_final, h, "t_final")
-    graphs, laps, order, spd = _resolve_topology(scenario, h)
-    z = _initial_state(scenario, n, d)
+    h = scenario.step
+    n_steps = scenario.n_steps
+    scheme_info = schedulers.scheme_dict(scheme)
+    sched = scenario.schedule
+    order, spd = (sched.order, round(sched.dwell / h)) if sched is not None else ((0,), None)
+    laps = [out_laplacian(g) for g in scenario.graphs]
+    z = np.concatenate([scenario.x0, scenario.v0])
     x = z[:n]
     x_hat = x.copy()
-    law = schedulers.trigger_law(scheme, h, graphs)
+    law = schedulers.trigger_law(scheme, h, scenario.graphs)
     sampled = law is not None  # continuous information and Euler have no broadcasts
-    x_star = _oracle_or_none(nc)
+    try:
+        x_star = minimize_global(nc)
+    except (Unbounded, OracleFailure):
+        x_star = None
 
-    stride = max(1, int(scenario.stride))
-    ks = _sample_steps(n_steps, stride)
+    stride = scenario.stride
+    ks = list(range(0, n_steps + 1, stride))
+    if ks[-1] != n_steps:
+        ks.append(n_steps)
     n_smp = len(ks)
     T = np.array(ks) * h
     X = np.empty((n_smp, n, d))
@@ -406,7 +359,7 @@ def simulate(scenario: "Scenario") -> Trace:
     clocks = [s for s in (spd, getattr(law, "every", 0)) if s]  # switch and periodic cadences
     # one kernel per switching graph; sampled information holds its L x_hat in b
     kernels = [AffineRK(nc, p, flow_matrix(0 * lap if sampled else lap, p), h,
-                        EULER_TABLEAU if euler else RK4_TABLEAU) for lap in laps]
+                        EULER_TABLEAU if scheme.kind == "euler" else RK4_TABLEAU) for lap in laps]
     block = kernels[0].block if isinstance(kernels[0], FoldedRK) else 1  # steps per product
 
     def trace(si: int) -> Trace:
@@ -425,7 +378,7 @@ def simulate(scenario: "Scenario") -> Trace:
             event_times=np.asarray(law.times if sampled else [], dtype=float),
             scheme=scheme_info,
             h=h,
-            stride=int(scenario.stride),
+            stride=stride,
             alpha=float(scenario.alpha),
             beta=float(scenario.beta),
             x_star=None if x_star is None else np.asarray(x_star, dtype=float),

@@ -53,10 +53,6 @@ class Infeasible(DistoptError):
     """Requested certificate has no feasible value for these inputs."""
 
 
-class BadInitialization(DistoptError):
-    """Initial integral states do not sum to zero."""
-
-
 class NumericalBlowup(DistoptError):
     """State escaped the finite range during integration.
 

@@ -137,11 +137,9 @@ def out_laplacian(g: WeightedDigraph) -> np.ndarray:
     return np.diag(g.out_degrees) - g.weights
 
 
-def is_weight_balanced(g: WeightedDigraph, tol: float = BALANCE_TOL) -> bool:
-    """True iff weighted in- and out-degrees agree at every node within tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return bool(np.max(np.abs(g.in_degrees - g.out_degrees)) <= tol)
+def is_weight_balanced(g: WeightedDigraph) -> bool:
+    """True iff weighted in- and out-degrees agree at every node within BALANCE_TOL."""
+    return bool(np.max(np.abs(g.in_degrees - g.out_degrees)) <= BALANCE_TOL)
 
 
 def is_strongly_connected(g: WeightedDigraph) -> bool:

@@ -4,7 +4,8 @@ A scenario is a JSON-compatible dict (see README for the schema) that
 fully determines one run: topology, per-agent costs, gains, communication
 scheme, horizon, step, sampling stride, seed, and initial conditions.
 Parsing materializes the initial state immediately, so a scenario plus its
-seed reproduces bit-identical outputs.
+seed reproduces bit-identical outputs.  A :class:`Scenario` is frozen and
+validated when built, so the modules that run it check nothing again.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 from . import certificates, diagnostics, dynamics, schedulers
 from .costs import CostModel, NetworkCost, catalog, network_cost, quadratic_cost
 from .errors import (
+    DimMismatch,
     DistoptError,
     ParseError,
     UnknownPreset,
@@ -54,9 +56,19 @@ class AnalysisOptions:
     eps_vec: tuple[float, ...] | None = None
 
 
-@dataclass
+def grid_steps(span: float, h: float, name: str) -> int:
+    """Number of steps of size ``h`` in ``span``; raises ValidationError
+    naming ``name`` unless ``span`` is a positive multiple of ``h``."""
+    steps = round(span / h) if math.isfinite(span / h) else 0
+    if steps < 1 or abs(steps * h - span) > 1e-9:
+        raise ValidationError(f"{name} {span} must be a positive multiple of the step {h}")
+    return steps
+
+
+@dataclass(frozen=True)
 class Scenario:
-    """Fully materialized run description (see module docstring)."""
+    """Fully materialized run description (see module docstring), validated when built;
+    ``graphs``, ``step``, ``n_steps`` and ``network`` resolve the run it describes."""
 
     name: str
     costs: tuple[CostModel, ...]
@@ -73,8 +85,12 @@ class Scenario:
     schedule: dynamics.SwitchingSchedule | None = None
     analysis: AnalysisOptions = field(default_factory=AnalysisOptions)
     out_dir: str | None = None
+    network: NetworkCost = field(init=False, repr=False, compare=False)
+    n_steps: int = field(init=False, repr=False, compare=False)  # steps of size step to t_final
 
     def __post_init__(self):
+        if not isinstance(self.scheme, schedulers.CommScheme):
+            raise ValidationError(f"scheme {self.scheme!r} is not a schedulers.CommScheme")
         if (self.graph is None) == (self.schedule is None):
             raise ValidationError("exactly one of graph/schedule must be set")
         if not self.t_final > 0:
@@ -82,33 +98,50 @@ class Scenario:
         if not self.h > 0:
             raise ValidationError(f"h must be positive, got {self.h}")
         dynamics.AlgorithmParams(self.alpha, self.beta)  # raises unless both are positive
-        kind = getattr(self.scheme, "kind", None)
-        step = self.scheme.delta if kind == "euler" else self.h
-        dynamics.grid_steps(self.t_final, step, "t_final")
+        object.__setattr__(self, "n_steps", grid_steps(self.t_final, self.step, "t_final"))
         if self.schedule is not None:
-            dynamics.grid_steps(self.schedule.dwell, step, "switching.dwell")
-        if kind == "periodic":
+            grid_steps(self.schedule.dwell, self.step, "switching.dwell")
+        if self.scheme.kind == "periodic":
             schedulers.period_steps(self.scheme.delta, self.h)
         if self.stride < 1:
             raise ValidationError(f"stride must be at least 1, got {self.stride}")
-        n = len(self.costs)
-        d = self.costs[0].dim
-        g0 = self.graph if self.graph is not None else self.schedule.graphs[0]
-        if g0.n != n:
-            raise ValidationError(f"graph has {g0.n} nodes but {n} costs given")
+        try:
+            object.__setattr__(self, "network", network_cost(self.costs))
+        except DimMismatch as exc:
+            raise ValidationError(f"costs: {exc}") from None
+        n, d = self.network.n_agents, self.network.dim
+        for g in self.graphs:
+            if g.n != n:
+                raise ValidationError(f"graph has {g.n} nodes but {n} costs given")
         for name, eps in (("scheme.eps", getattr(self.scheme, "eps", None)),
                           ("analysis.eps_vec", self.analysis.eps_vec)):
             if eps is not None and len(eps) != n:
                 raise ValidationError(f"{name} has {len(eps)} entries but there are {n} agents")
-        self.x0 = np.asarray(self.x0, dtype=float).reshape(n, d)
-        self.v0 = np.asarray(self.v0, dtype=float).reshape(n, d)
+        object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).reshape(n, d))
+        object.__setattr__(self, "v0", np.asarray(self.v0, dtype=float).reshape(n, d))
         vsum = np.abs(self.v0.sum(axis=0)).max()
         if vsum > 1e-12 * max(1.0, float(np.abs(self.v0).max())):
             raise ValidationError(f"v0 must sum to zero per coordinate, |sum| = {vsum:.3e}")
 
     @property
-    def network(self) -> NetworkCost:
-        return network_cost(self.costs)
+    def graphs(self) -> tuple[WeightedDigraph, ...]:
+        """The fixed graph as a 1-tuple, or the switching schedule's graphs."""
+        return (self.graph,) if self.schedule is None else self.schedule.graphs
+
+    @property
+    def step(self) -> float:
+        """The integration step: ``h``, or ``delta`` for an Euler scheme."""
+        return float(self.scheme.delta if self.scheme.kind == "euler" else self.h)
+
+
+_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _typed(value, kind: type, where: str):
+    """``value`` if it is a ``kind``, or a ValidationError naming the field ``where``."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{where} must be {_KINDS[kind]}, got {value!r}")
+    return value
 
 
 def _required(spec: dict, key: str, where: str):
@@ -129,24 +162,43 @@ def _number(value, where: str, cast=float):
         raise ValidationError(f"{where} must be a number ({cast.__name__}), got {value!r}") from None
 
 
+def _floats(spec, where: str) -> np.ndarray:
+    """``spec`` as a float array, or a ValidationError naming the field ``where``."""
+    try:
+        return np.asarray(spec, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{where} must be a list of numbers, got {spec!r}") from None
+
+
 def _cost_from_dict(spec: dict, where: str) -> CostModel:
     kind = spec.get("kind") if isinstance(spec, dict) else None
     if kind == "catalog":
-        return catalog(_required(spec, "name", f"{where}.name"))
+        return catalog(_typed(_required(spec, "name", f"{where}.name"), str, f"{where}.name"))
     if kind == "quadratic":
-        return quadratic_cost(_required(spec, "a", f"{where}.a"), float(spec.get("b", 0.0)))
+        a = _floats(_required(spec, "a", f"{where}.a"), f"{where}.a")
+        if a.ndim > 1 or not a.size:
+            raise ValidationError(f"{where}.a must be a flat, non-empty list, got {spec['a']!r}")
+        return quadratic_cost(a, _number(spec.get("b", 0.0), f"{where}.b"))
     raise ValidationError(f"unknown cost kind {kind!r} in {where} = {spec!r}")
 
 
 def _graph_from_dict(spec: dict, where: str) -> WeightedDigraph:
-    if "preset" in spec:
-        return preset_graph(spec["preset"])
+    if "preset" in _typed(spec, dict, where):
+        return preset_graph(_typed(spec["preset"], str, f"{where}.preset"))
     if "file" in spec:
-        return load_graph(spec["file"])
+        return load_graph(_typed(spec["file"], str, f"{where}.file"))
     if "edges" in spec:
-        n = int(_required(spec, "n", f"{where}.n"))
-        return build_digraph(n, [tuple(e) for e in spec["edges"]])
+        n = _number(_required(spec, "n", f"{where}.n"), f"{where}.n", int)
+        edges = enumerate(_typed(spec["edges"], list, f"{where}.edges"))
+        return build_digraph(n, [_edge(e, f"{where}.edges[{k}]") for k, e in edges])
     raise ValidationError(f"graph spec needs 'preset', 'file' or 'edges': {spec}")
+
+
+def _edge(spec, where: str) -> tuple[int, int, float]:
+    """A 1-based (receiver, sender, weight) triple, or a ValidationError naming ``where``."""
+    if not (isinstance(spec, list) and len(spec) == 3):
+        raise ValidationError(f"{where} must be a [receiver, sender, weight] triple, got {spec!r}")
+    return _number(spec[0], where, int), _number(spec[1], where, int), _number(spec[2], where)
 
 
 def _box(spec, where: str) -> tuple[float, float]:
@@ -156,27 +208,21 @@ def _box(spec, where: str) -> tuple[float, float]:
         lo, hi = (float(b) for b in spec)
     except (TypeError, ValueError):
         raise ValidationError(f"{where} must be a [lo, hi] pair of numbers, got {spec!r}") from None
-    if not lo < hi:
-        raise ValidationError(f"{where} {spec!r} is empty: need lo < hi")
+    if not -math.inf < lo < hi < math.inf:
+        raise ValidationError(f"{where} {spec!r} is empty or unbounded: need finite lo < hi")
     return lo, hi
 
 
-def _draw_initial(spec, n: int, d: int, rng: np.random.Generator, default_box) -> np.ndarray:
-    if spec is None:
-        lo, hi = default_box
-        return rng.uniform(lo, hi, size=(n, d))
-    if isinstance(spec, dict) and "box" in spec:
-        lo, hi = _box(spec["box"], "x0.box")
+def _draw_initial(spec, n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    if spec is None or (isinstance(spec, dict) and "box" in spec):
+        lo, hi = DEFAULT_BOX if spec is None else _box(spec["box"], "x0.box")
         return rng.uniform(lo, hi, size=(n, d))
     return _state(spec, n, d, "x0")
 
 
 def _state(spec, n: int, d: int, where: str) -> np.ndarray:
     """An (n, d) array from ``n d`` numbers, or a ValidationError naming ``where``."""
-    try:
-        arr = np.asarray(spec, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{where} must be a list of numbers, got {spec!r}") from None
+    arr = _floats(spec, where)
     if arr.size != n * d:
         raise ValidationError(f"{where} has {arr.size} entries, expected {n * d}")
     return arr.reshape(n, d)
@@ -195,16 +241,20 @@ def scenario_from_dict(cfg: dict, seed: int | None = None) -> Scenario:
     d = costs[0].dim
     graph = schedule = None
     if "switching" in cfg:
-        sw = cfg["switching"]
+        sw = _typed(cfg["switching"], dict, "switching")
         if "presets" in sw:
-            graphs = tuple(preset_graph(p) for p in sw["presets"])
+            names = enumerate(_typed(sw["presets"], list, "switching.presets"))
+            graphs = tuple(preset_graph(_typed(p, str, f"switching.presets[{i}]"))
+                           for i, p in names)
         else:
-            graphs = tuple(_graph_from_dict(gd, f"switching.graphs[{i}]")
-                           for i, gd in enumerate(_required(sw, "graphs", "switching.graphs")))
+            specs = enumerate(_typed(_required(sw, "graphs", "switching.graphs"), list,
+                                     "switching.graphs"))
+            graphs = tuple(_graph_from_dict(gd, f"switching.graphs[{i}]") for i, gd in specs)
+        order = enumerate(_typed(sw.get("order", []), list, "switching.order"))
         schedule = dynamics.SwitchingSchedule(
             graphs=graphs,
             dwell=_number(_required(sw, "dwell", "switching.dwell"), "switching.dwell"),
-            order=tuple(sw.get("order", ())),
+            order=tuple(_number(i, f"switching.order[{k}]", int) for k, i in order),
         )
     elif "graph" in cfg:
         graph = _graph_from_dict(cfg["graph"], "graph")
@@ -213,16 +263,19 @@ def scenario_from_dict(cfg: dict, seed: int | None = None) -> Scenario:
 
     scheme = schedulers.scheme_from_dict(cfg.get("scheme", {"kind": "continuous"}), n)
     use_seed = _number(cfg.get("seed", DEFAULT_SEED), "seed", int) if seed is None else int(seed)
+    if use_seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {use_seed}")
     rng = np.random.default_rng(use_seed)
-    x0 = _draw_initial(cfg.get("x0"), n, d, rng, DEFAULT_BOX)
+    x0 = _draw_initial(cfg.get("x0"), n, d, rng)
     v0 = np.zeros((n, d)) if cfg.get("v0") is None else _state(cfg["v0"], n, d, "v0")
-    ana = cfg.get("analysis", {})
+    ana = _typed(cfg.get("analysis", {}), dict, "analysis")
     analysis = AnalysisOptions(
         eps=_number(ana.get("eps", 0.5), "analysis.eps"),
         delta=_number(ana.get("delta", 1.0), "analysis.delta"),
         phi=None if ana.get("phi") is None else _number(ana["phi"], "analysis.phi"),
         box=None if ana.get("box") is None else _box(ana["box"], "analysis.box"),
-        eps_vec=None if ana.get("eps_vec") is None else tuple(float(e) for e in ana["eps_vec"]),
+        eps_vec=(None if ana.get("eps_vec") is None
+                 else tuple(_floats(ana["eps_vec"], "analysis.eps_vec").ravel().tolist())),
     )
     return Scenario(
         name=str(cfg.get("name", "scenario")),
@@ -239,7 +292,7 @@ def scenario_from_dict(cfg: dict, seed: int | None = None) -> Scenario:
         graph=graph,
         schedule=schedule,
         analysis=analysis,
-        out_dir=cfg.get("out"),
+        out_dir=None if cfg.get("out") is None else _typed(cfg["out"], str, "out"),
     )
 
 

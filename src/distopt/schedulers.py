@@ -20,7 +20,6 @@ import numpy as np
 from .errors import ValidationError
 
 GRID_SLACK = 1e-9  # absorbs float noise when node times are k*h products
-SCREEN_SLACK = 1e-9  # relative margin of the centralized screen over the node poll's rounding
 _ZERO = np.zeros(())  # numpy compares an array with it faster than with a Python 0
 
 
@@ -39,8 +38,8 @@ class Periodic:
     delta: float
 
     def __post_init__(self):
-        if not self.delta > 0:
-            raise ValidationError(f"periodic delta must be positive, got {self.delta}")
+        if not 0 < self.delta < math.inf:
+            raise ValidationError(f"periodic delta must be positive and finite, got {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -82,8 +81,8 @@ class EulerScheme:
     delta: float
 
     def __post_init__(self):
-        if not self.delta > 0:
-            raise ValidationError(f"euler delta must be positive, got {self.delta}")
+        if not 0 < self.delta < math.inf:
+            raise ValidationError(f"euler delta must be positive and finite, got {self.delta}")
 
 
 CommScheme = Continuous | Periodic | CentralizedEvent | DistributedEvent | EulerScheme
@@ -111,8 +110,8 @@ def scheme_from_dict(d: dict, n_agents: int | None = None) -> CommScheme:
     if not isinstance(d, dict):
         raise ValidationError(f"scheme must be an object with a 'kind', got {d!r}")
     kind = d.get("kind")
-    if kind not in SCHEMES:
-        raise ValidationError(f"unknown scheme kind {kind!r}")
+    if not (isinstance(kind, str) and kind in SCHEMES):
+        raise ValidationError(f"scheme.kind {kind!r} is unknown; known: {', '.join(SCHEMES)}")
     cls = SCHEMES[kind]
     args = {}
     for f in fields(cls):
@@ -220,7 +219,7 @@ class _Law:
     k = 0, later those the law finds due, whose ``x_hat`` it refreshes and logs.
     ``screen(xs, k, x_hat)`` returns the index of the first state of the (kb, N, d) stack
     of nodes k + 1 .. k + kb where the poll may fire (kb if none): the next periodic
-    node, the first with g > 0 (distributed) or g > -SCREEN_SLACK * scale (centralized)."""
+    node, or the first with g > 0, which rounds as at a node."""
 
     def __init__(self, scheme, h: float, graphs):
         self.scheme, self.h, self.graphs, self.gi, self.last = scheme, h, graphs, None, -math.inf
@@ -256,9 +255,8 @@ class _CentralizedLaw(_Law):
 
     def screen(self, xs, k, x_hat) -> int:
         ts = (k + 1 + np.arange(len(xs))) * self.h
-        scale = np.einsum("kij,kij->k", xs, xs) + float(np.vdot(x_hat, x_hat))
-        g = centralized_g(xs, x_hat, self.scheme.kappa)
-        flags = (ts - self.last >= self.scheme.tau) & (g > -SCREEN_SLACK * scale)
+        past_dwell = ts - self.last >= self.scheme.tau
+        flags = past_dwell & (centralized_g(xs, x_hat, self.scheme.kappa) > 0)
         return int(np.append(flags, True).argmax())
 
 

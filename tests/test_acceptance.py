@@ -190,7 +190,7 @@ def test_criterion_06_certified_digraph_decay(k2, quad_pair, quad_pair_nc):
     trace = simulate(sc)
     report = decay_check(trace, "digraph", bound, g=k2, nc=quad_pair_nc,
                          alpha=alpha, phi=phi)
-    lamF_max = matrix_F_extremes(alpha, phi, 2, 1)[1]
+    lamF_max = matrix_F_extremes(alpha, phi, 2)[1]
     rate_bound = rate_digraph(g_val, lamF_max)
     ok = report.passed and report.fraction_ok == 1.0 and report.fitted_rate >= 0.95 * rate_bound
     _check(6, "energy decays at the certified digraph margin (gamma = 90)",

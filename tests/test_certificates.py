@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -158,7 +159,7 @@ class TestKappa:
 
 class TestMatrixF:
     def test_worked_example_against_dense_solver(self):
-        lo, hi = matrix_F_extremes(1.0, 9.0, 2, 1)
+        lo, hi = matrix_F_extremes(1.0, 9.0, 2)
         dense = np.linalg.eigvalsh(matrix_F(1.0, 9.0, 2, 1))
         assert lo == pytest.approx(dense[0], abs=1e-12)
         assert hi == pytest.approx(dense[-1], abs=1e-12)
@@ -167,7 +168,7 @@ class TestMatrixF:
         assert hi == pytest.approx((11 + math.sqrt(85)) / 4, abs=1e-12)
 
     def test_first_block_value(self):
-        lo, hi = matrix_F_extremes(2.0, 8.0, 3, 1)
+        lo, hi = matrix_F_extremes(2.0, 8.0, 3)
         dense = np.linalg.eigvalsh(matrix_F(2.0, 8.0, 3, 1))
         assert dense[0] == pytest.approx(lo, abs=1e-12)
         assert np.isclose(dense, 2.0 * 9.0 / 18.0, atol=1e-12).any()
@@ -177,7 +178,7 @@ class TestMatrixF:
         for _ in range(200):
             a, phi = rng.uniform(0.05, 10.0, size=2)
             n = int(rng.integers(2, 7))
-            lo, hi = matrix_F_extremes(a, phi, n, 1)
+            lo, hi = matrix_F_extremes(a, phi, n)
             dense = np.linalg.eigvalsh(matrix_F(a, phi, n, 1))
             assert lo > 0
             assert lo == pytest.approx(dense[0], abs=1e-10)
@@ -255,7 +256,7 @@ class TestRates:
 class TestTauI:
     def test_positive_and_shrinks_with_eps(self, k2, quad_pair):
         nc = network_cost(quad_pair)
-        lamF_min, lamF_max = matrix_F_extremes(1.0, 9.0, 2, 1)
+        lamF_min, lamF_max = matrix_F_extremes(1.0, 9.0, 2)
         gp = gamma_prime(1.0, 6.0, 9.0, B22, 2.0)
         x0 = np.zeros((2, 1))
         v0 = np.zeros((2, 1))
@@ -271,7 +272,7 @@ class TestTauI:
         # theta = (lamF_max/lamF_min) sqrt(2 + 72) + bound; frozen from the
         # closed forms evaluated by hand
         nc = network_cost(quad_pair)
-        lamF_min, lamF_max = matrix_F_extremes(1.0, 9.0, 2, 1)
+        lamF_min, lamF_max = matrix_F_extremes(1.0, 9.0, 2)
         tau_i = _tau_i_and_theta(1.0, 6.0, [0.002, 0.002], nc, k2,
                                  np.zeros((2, 1)), np.zeros((2, 1)),
                                  9.0, 90.0, lamF_min, lamF_max)[0]
@@ -332,7 +333,7 @@ class TestCertify:
         assert rep.eta == pytest.approx(7.0 / 16.0)
         assert (np.asarray(rep.tau_i) > 0).all() and rep.rate_distributed > 0
         # a given analysis.phi serves both verdicts
-        sc.analysis = AnalysisOptions(phi=9.0)
+        sc = dataclasses.replace(sc, analysis=AnalysisOptions(phi=9.0))
         assert certify(sc).phi_distributed == 9.0
 
     def test_low_beta_fails_digraph_flag(self, k2, quad_pair):

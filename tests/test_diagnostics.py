@@ -102,7 +102,7 @@ class TestEnergyFunctions:
             n = int(rng.integers(2, 6))
             c = coords_of(rng.normal(), rng.normal(size=n - 1), 0.0,
                           rng.normal(size=n - 1))
-            lo, hi = matrix_F_extremes(alpha, phi, n, 1)
+            lo, hi = matrix_F_extremes(alpha, phi, n)
             val = lyapunov_digraph(c, alpha, phi)
             p_sq = c.p_norm_sq
             assert lo * p_sq - 1e-10 <= val <= hi * p_sq + 1e-10

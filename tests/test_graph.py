@@ -121,7 +121,7 @@ class TestBalanceAndConnectivity:
             g = random_digraph(rng, balanced=bool(k % 2))
             lap = out_laplacian(g)
             via_columns = np.abs(lap.sum(axis=0)).max() <= 1e-9
-            assert is_weight_balanced(g, tol=1e-9) == via_columns
+            assert is_weight_balanced(g) == via_columns
 
     def test_strong_connectivity_cases(self):
         assert is_strongly_connected(preset_graph("dicycle3"))

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -29,6 +31,35 @@ MINIMAL = {
     "costs": [{"kind": "catalog", "name": f"f{i}"} for i in range(1, 11)],
     "scheme": {"kind": "continuous"},
 }
+
+
+# malformed fields, each of which fails at parse naming its field, alike on a
+# ten-agent and a two-agent scenario
+MALFORMED = [
+    ({"analysis": 5}, "analysis"),
+    ({"graph": 5}, "graph"),
+    ({"switching": 5}, "switching"),
+    ({"graph": {"preset": 5}}, "graph.preset"),
+    ({"graph": {"file": 5}}, "graph.file"),
+    ({"switching": {"presets": 5, "dwell": 1.0}}, "switching.presets"),
+    ({"switching": {"presets": ["k2", 5], "dwell": 1.0}}, "switching.presets[1]"),
+    ({"switching": {"presets": ["k2"], "dwell": 1.0, "order": 5}}, "switching.order"),
+    ({"analysis": {"eps_vec": [0.1, "x"]}}, "analysis.eps_vec"),
+    ({"costs": [{"kind": "quadratic", "a": "x"}]}, "costs[0].a"),
+    ({"costs": [{"kind": "quadratic", "a": [1.0], "b": "x"}]}, "costs[0].b"),
+    ({"graph": {"n": 2, "edges": [[1, 2], [2, 1, 1.0]]}}, "graph.edges[0]"),
+    ({"graph": {"n": "two", "edges": [[1, 2, 1.0]]}}, "graph.n"),
+    ({"costs": [{"kind": "quadratic", "a": [1.0]}, {"kind": "quadratic", "a": [1.0, 2.0]}]},
+     "costs: cost dimensions differ"),
+    ({"switching": {"graphs": 5, "dwell": 1.0}}, "switching.graphs"),
+    ({"out": 5}, "out"),
+    ({"scheme": {"kind": ["periodic"]}}, "scheme.kind"),
+    ({"seed": -1}, "seed"),
+    ({"t_final": math.inf}, "t_final"),
+    ({"x0": {"box": [-1.0, math.inf]}}, "x0.box"),
+    ({"costs": [{"kind": "quadratic", "a": [[1.0]]}]}, "costs[0].a"),
+    ({"scheme": {"kind": "periodic", "delta": math.inf}}, "periodic delta"),
+]
 
 
 def write_json(tmp_path, cfg, name="scenario.json"):
@@ -95,10 +126,20 @@ class TestParsing:
         ({"costs": 5}, "costs"),
         ({"switching": {"presets": ["fig2", "fig2r3"], "dwell": 0.0105}}, "switching.dwell"),
         ({"switching": {"presets": ["fig2", "fig2r3"], "dwell": "two"}}, "switching.dwell"),
-    ])
+        ({"switching": {"presets": ["fig2", "k3"], "dwell": 2.0}}, "graph has 3 nodes"),
+    ] + MALFORMED)
     def test_bad_field_fails_at_parse_naming_it(self, change, named):
         with pytest.raises(ValidationError, match=re.escape(named)):
             scenario_from_dict(dict(MINIMAL) | change)
+
+    def test_scenario_is_frozen_and_resolves_the_run_once(self):
+        sc = scenario_from_dict(dict(MINIMAL) | {"t_final": 2.0})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sc.alpha = 2.0
+        assert sc.network is sc.network
+        assert sc.graphs == (sc.graph,) and sc.step == sc.h and sc.n_steps == 2000
+        moved = dataclasses.replace(sc, alpha=2.0)  # a changed copy is validated afresh
+        assert moved.alpha == 2.0 and moved.network is not sc.network
 
     def test_t_final_off_the_step_grid_rejected(self):
         # 0.2005 with h = 1e-3 would otherwise be cut to 0.2
@@ -307,7 +348,7 @@ class TestCli:
         ({"analysis": {"box": [5.0, -5.0]}}, "analysis.box"),
         ({"alpha": "fast"}, "alpha"),
         ({"costs": 5}, "costs"),
-    ])
+    ] + MALFORMED)
     def test_run_bad_field_exits_2_naming_it(self, tmp_path, capsys, change, named):
         path = write_json(tmp_path, self.quick_cfg() | change)
         out = tmp_path / "out"

@@ -294,9 +294,9 @@ def first_true(flags) -> int:
 
 
 class TestScreens:
-    """A law's block screen may flag a node where its node poll stays quiet, but
-    never passes one where it fires, ties included.  The distributed screen tests
-    g > 0 as the poll does, so it names exactly the first node the poll fires at."""
+    """A law's block screen names exactly the first node where its node poll fires,
+    ties included: each screen tests g > 0 as the poll does, and g over a stack
+    rounds as at each state."""
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(screen_cases())
@@ -305,7 +305,7 @@ class TestScreens:
         assume(kappa < 1.0)
         fires = [_centralized_due(x, x_hat, kappa, 0.0, tau, t) for x, t in zip(xs, ts)]
         # the screen covers nodes 1 .. kb, at the times ts, after the broadcast at node 0
-        assert centralized_law(kappa, tau, x_hat).screen(xs, 0, x_hat) <= first_true(fires)
+        assert centralized_law(kappa, tau, x_hat).screen(xs, 0, x_hat) == first_true(fires)
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(screen_cases())
@@ -318,14 +318,18 @@ class TestScreens:
     @given(st.integers(1, 12), st.integers(2, 8), st.sampled_from([1, 2, 3]),
            st.integers(0, 2**16), st.sampled_from([0.0, 1.0, 1e3]))
     def test_distributed_g_of_a_stack_is_bitwise_per_state(self, kb, n, d, seed, shift):
-        # the screen's g > 0 carries no margin: over a (kb, N, d) stack, g rounds
-        # exactly as at each (N, d) state the node poll sees
+        # the screens' g > 0 carries no margin: over a (kb, N, d) stack, the
+        # distributed and the centralized g round exactly as at each (N, d) state
+        # the node poll sees
         rng = np.random.default_rng(seed)
         x_hat = rng.uniform(-3.0, 3.0, size=(n, d)) + shift
         xs = x_hat + np.cumsum(rng.normal(scale=0.3, size=(kb, n, d)), axis=0)
         thr, dout = rng.uniform(0.0, 5.0, size=n), rng.uniform(0.5, 3.0, size=n)
         per_state = np.stack([distributed_g(x, x_hat, thr, dout) for x in xs])
         assert np.array_equal(distributed_g(xs, x_hat, thr, dout), per_state)
+        kappa = rng.uniform(0.0, 1.0)
+        per_state = np.array([centralized_g(x, x_hat, kappa) for x in xs])
+        assert np.array_equal(centralized_g(xs, x_hat, kappa), per_state)
 
     def test_quiet_block_is_cleared(self):
         x_hat = col([0.0, 1.0, 2.0])
