@@ -47,7 +47,7 @@ class AnalysisCoordinates:
 
 
 def _sq(a: np.ndarray) -> np.ndarray:  # squared norm over the last axis
-    return (a * a).sum(axis=-1)
+    return np.einsum("...i,...i->...", a, a)
 
 
 def _per_state(value):  # a float for one state, the (K,) array for a stack
@@ -74,10 +74,19 @@ def to_analysis_coords(x: np.ndarray, v: np.ndarray, equilibrium_point,
     u = v - v_bar
     return AnalysisCoordinates(
         z1=basis.r @ y,
-        z_rest=(basis.R.T @ y).reshape(*y.shape[:-2], -1),
+        z_rest=_over_agents(basis.R.T, y).reshape(*y.shape[:-2], -1),
         w1=basis.r @ u,
-        w_rest=(basis.R.T @ u).reshape(*u.shape[:-2], -1),
+        w_rest=_over_agents(basis.R.T, u).reshape(*u.shape[:-2], -1),
     )
+
+
+def _over_agents(m: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``m @ y`` for one (N, d) state; for a (K, N, d) stack, the same per state as one
+    2-D product over the agent axis (a broadcast ``m @ y`` makes K small products)."""
+    if y.ndim == 2:
+        return m @ y
+    k, n, d = y.shape
+    return (y.swapaxes(1, 2).reshape(k * d, n) @ m.T).reshape(k, d, -1).swapaxes(1, 2)
 
 
 def lyapunov_digraph(coords: AnalysisCoordinates, alpha: float, phi: float) -> float | np.ndarray:
@@ -131,7 +140,7 @@ def _reduced_inv_quad(g: WeightedDigraph, w2: np.ndarray) -> np.ndarray:
     the reduced Laplacian is built and inverted once per call (``solve`` with
     a stacked right-hand side would factor it again for every sample)."""
     w2m = w2.reshape(*w2.shape[:-1], g.n - 1, -1)
-    return np.sum(w2m * (np.linalg.inv(reduced_laplacian(g)) @ w2m), axis=(-2, -1))
+    return np.einsum("...ij,...ij->...", w2m, _over_agents(np.linalg.inv(reduced_laplacian(g)), w2m))
 
 
 _ENERGIES = {
@@ -200,8 +209,8 @@ def decay_check(trace: Trace, which: str, bound: float, *, g: WeightedDigraph,
     ok = margin <= 0.0
     window = V >= V[0] * 1e-16
     if window.sum() >= 2:
-        slope = np.polyfit(trace.t[window], np.log(np.maximum(V[window], 1e-300)), 1)[0]
-        fitted = -0.5 * float(slope)
+        tw = trace.t[window] - trace.t[window].mean()  # least squares in closed form
+        fitted = -0.5 * float(tw @ np.log(np.maximum(V[window], 1e-300)) / (tw @ tw))
     else:
         fitted = math.nan
     return DecayReport(

@@ -315,10 +315,14 @@ def simulate(scenario: "Scenario") -> Trace:
     step (no event log, ``x_hat = x``), each through an :class:`AffineRK`.
     A sampled scheme's :func:`schedulers.trigger_law` fires first at a polled
     node (broadcasts update ``x_hat`` and the event log), so samples reflect
-    post-broadcast state.  Every node is polled, except that a
-    :class:`FoldedRK` advances a block per product, up to t_final, a
-    topology switch or a periodic node, and polls only the first node the
-    law's screen flags in it; the quiet nodes before it are recorded in bulk.
+    post-broadcast state.  A :class:`FoldedRK` advances a block per product, up
+    to t_final, a topology switch or a periodic node, and the law screens all
+    of it (the centralized law past its dwell, found as an index, with the
+    Pi x_hat it holds).  The run goes on from the first flagged node, polled,
+    else from the block's last node, unpolled; the quiet nodes before are
+    recorded in bulk.  Past t = 0 the law is polled only at flagged nodes (each
+    periodic node is one) and switches, where the distributed threshold must
+    follow the new graph.  Other networks poll every node.
 
     The scenario was validated when built, so the only error raised here is
     NumericalBlowup (carrying the partial trace) when the state escapes the
@@ -385,12 +389,13 @@ def simulate(scenario: "Scenario") -> Trace:
         )
 
     si = k = 0
+    poll = True  # node k needs the exact law: no screen has cleared it
     while True:
         t = k * h
         switched = spd is not None and order[(k // spd) % len(order)] != gi
         if switched:
             gi = order[(k // spd) % len(order)]
-        if sampled and (law.fire(k, x, x_hat, gi) or switched):
+        if sampled and (poll or switched) and (law.fire(k, x, x_hat, gi) or switched):
             kernels[gi].hold(held_terms(laps[gi], p, x_hat))
         if k == ks[si]:
             X[si], V[si], XH[si] = x, z[n:], x_hat if sampled else x
@@ -404,20 +409,21 @@ def simulate(scenario: "Scenario") -> Trace:
                 raise NumericalBlowup(f"state escaped finite range at t = {t + h:.6g}", trace(si))
         else:  # advance to t_final, a switch or a periodic node, then screen the block
             zs = kernels[gi].advance(z, min([block, n_steps - k] + [s - k % s for s in clocks]))
-            # ok: how many leading states lie within +-BLOWUP_LIMIT (nan and inf do not)
-            ok = int(np.append(~(np.abs(zs) <= BLOWUP_LIMIT).all(axis=(1, 2)), True).argmax())
-            xs = zs[:min(ok, len(zs) - 1), :n]
-            q = law.screen(xs, k, x_hat) if sampled else len(xs)  # the next node to poll
-            rows = zs[ks[si] - k - 1:q:stride]  # the samples among the quiet nodes
+            ok = len(zs)  # how many leading states lie within +-BLOWUP_LIMIT (nan and inf do not)
+            if not -BLOWUP_LIMIT <= zs.min() <= zs.max() <= BLOWUP_LIMIT:
+                ok = schedulers.first_true(~(np.abs(zs) <= BLOWUP_LIMIT).all(axis=(1, 2)))
+            q = law.screen(zs[:ok, :n], k, x_hat) if sampled else ok  # the first flagged node
+            poll, nxt = q < len(zs), min(q, len(zs) - 1)  # a cleared block goes on from its end
+            rows = zs[ks[si] - k - 1:nxt:stride]  # the samples among the quiet nodes
             e = si + len(rows)
             X[si:e], V[si:e] = rows[:, :n], rows[:, n:]
             XH[si:e] = x_hat if sampled else rows[:, :n]
             si = e
-            if q == ok:
+            if q == ok < len(zs):
                 raise NumericalBlowup(f"state escaped finite range at t = {t + (q + 1) * h:.6g}",
                                       trace(si))
-            z = zs[q]
-            k += q + 1
+            z = zs[nxt]
+            k += nxt + 1
         x = z[:n]
     return trace(n_smp)
 

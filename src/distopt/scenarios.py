@@ -189,8 +189,11 @@ def _graph_from_dict(spec: dict, where: str) -> WeightedDigraph:
         return load_graph(_typed(spec["file"], str, f"{where}.file"))
     if "edges" in spec:
         n = _number(_required(spec, "n", f"{where}.n"), f"{where}.n", int)
-        edges = enumerate(_typed(spec["edges"], list, f"{where}.edges"))
-        return build_digraph(n, [_edge(e, f"{where}.edges[{k}]") for k, e in edges])
+        edges = _typed(spec["edges"], list, f"{where}.edges")
+        if n > max(1, len(edges)):  # checked before build_digraph allocates n x n weights
+            raise ValidationError(f"{where}.n = {n} needs at least n edges to be strongly "
+                                  f"connected, got {len(edges)}")
+        return build_digraph(n, [_edge(e, f"{where}.edges[{k}]") for k, e in enumerate(edges)])
     raise ValidationError(f"graph spec needs 'preset', 'file' or 'edges': {spec}")
 
 

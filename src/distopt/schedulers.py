@@ -10,6 +10,7 @@ accumulates over events (2.1e-2 by t = 1 at h = 1e-3 on the ten-agent ring).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, fields
@@ -157,12 +158,13 @@ def _projector(n: int) -> np.ndarray:
     return np.eye(n) - 1.0 / n  # Pi = I - 11'/N
 
 
-def centralized_g(x, x_hat, kappa):
+def centralized_g(x, x_hat, kappa, pi_x_hat=None):
     """Signed centralized law g = ||Pi (x_hat - x)||^2 - kappa ||Pi x||^2 at one (N, d)
-    state ``x`` (a scalar) or at each state of a (kb, N, d) stack (kb values)."""
+    state ``x`` (a scalar) or at each state of a (kb, N, d) stack (kb values);
+    ``pi_x_hat``, when given, is Pi x_hat formed once by the caller."""
     pi = _projector(x.shape[-2])
     xc = pi @ x
-    dev = pi @ x_hat - xc
+    dev = (pi @ x_hat if pi_x_hat is None else pi_x_hat) - xc
     return np.einsum("...ij,...ij->...", dev, dev) - kappa * np.einsum("...ij,...ij->...", xc, xc)
 
 
@@ -213,6 +215,12 @@ def _cascade(x: np.ndarray, x_hat: np.ndarray, thr: np.ndarray, weights: np.ndar
     return sorted(fired)
 
 
+def first_true(flags: np.ndarray) -> int:
+    """Index of the first True in ``flags``, its length if none."""
+    hits = flags.nonzero()[0]
+    return int(hits[0]) if hits.size else len(flags)
+
+
 class _Law:
     """Trigger state of one run of a sampled scheme, stepped by ``h`` over the switching
     ``graphs``.  ``fire(k, x, x_hat, gi)`` polls node k under graph ``gi``: everyone at
@@ -251,13 +259,15 @@ class _CentralizedLaw(_Law):
     def fire(self, k, x, x_hat, gi):  # x_hat holds every agent's state at the last broadcast
         kappa, tau = self.scheme.kappa, self.scheme.tau
         due = k == 0 or _centralized_due(x, x_hat, kappa, self.last, tau, k * self.h)
-        return self._broadcast(k, x, x_hat, list(range(len(x))) if due else [])
+        fired = self._broadcast(k, x, x_hat, list(range(len(x))) if due else [])
+        if fired:  # Pi x_hat for the screens, rounded as the poll forms it
+            self.pi_x_hat = _projector(len(x)) @ x_hat
+        return fired
 
-    def screen(self, xs, k, x_hat) -> int:
-        ts = (k + 1 + np.arange(len(xs))) * self.h
-        past_dwell = ts - self.last >= self.scheme.tau
-        flags = past_dwell & (centralized_g(xs, x_hat, self.scheme.kappa) > 0)
-        return int(np.append(flags, True).argmax())
+    def screen(self, xs, k, x_hat) -> int:  # g past the dwell, found by the poll's own test
+        h, last, tau = self.h, self.last, self.scheme.tau
+        j = bisect.bisect_left(range(len(xs)), True, key=lambda i: (k + 1 + i) * h - last >= tau)
+        return j + first_true(centralized_g(xs[j:], x_hat, self.scheme.kappa, self.pi_x_hat) > 0)
 
 
 class _DistributedLaw(_Law):
@@ -272,7 +282,7 @@ class _DistributedLaw(_Law):
 
     def screen(self, xs, k, x_hat) -> int:
         g = distributed_g(xs, x_hat, self.thr, self.dout)
-        return int(np.append((g > _ZERO).any(axis=1), True).argmax())  # g rounds as at a node
+        return first_true((g > _ZERO).any(axis=1))  # g rounds as at a node
 
 
 def trigger_law(scheme: CommScheme, h: float, graphs) -> _Law | None:

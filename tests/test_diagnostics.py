@@ -275,13 +275,12 @@ class TestWholeTrace:
         trace = simulate(make_scenario(costs, graph=g, t_final=2.0, stride=1, seed=3))
         return trace, g, network_cost(costs)
 
-    @pytest.mark.parametrize("which, phi", [("digraph", 9.0), ("undirected", 2.0),
-                                            ("lasalle", None)])
-    def test_lyapunov_series_matches_per_sample(self, ring_run, which, phi):
-        trace, g, nc = ring_run
+    @staticmethod
+    def check_series_per_sample(run, which, phi):
+        trace, g, nc = run
         V, p_sq = lyapunov_series(trace, which, g=g, nc=nc, alpha=1.0, phi=phi)
         eq = equilibrium(nc, AlgorithmParams(1.0, 1.0))
-        basis = complement_basis(10)
+        basis = complement_basis(trace.n_agents)
         energy = {"digraph": lambda c: lyapunov_digraph(c, 1.0, phi),
                   "undirected": lambda c: lyapunov_undirected(c, 1.0, 1.0, phi, g),
                   "lasalle": lambda c: lasalle_function(c, 1.0, 1.0, g)}[which]
@@ -291,6 +290,40 @@ class TestWholeTrace:
         assert V.shape == p_sq.shape == trace.t.shape
         assert np.allclose(V, [energy(c) for c in coords], rtol=1e-12, atol=0.0)
         assert np.allclose(p_sq, [c.p_norm_sq for c in coords], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("which, phi", [("digraph", 9.0), ("undirected", 2.0),
+                                            ("lasalle", None)])
+    def test_lyapunov_series_matches_per_sample(self, ring_run, which, phi):
+        self.check_series_per_sample(ring_run, which, phi)
+
+    @pytest.fixture
+    def plane_run(self):
+        # d = 2: the stack's coordinates go through the agent-axis product and back
+        costs = [quadratic_cost([1.0 - i, 0.5 * i]) for i in range(4)]
+        g = build_digraph(4, [(1, 2, 1.0), (2, 1, 1.0), (2, 3, 2.0), (3, 2, 2.0), (3, 4, 0.5),
+                              (4, 3, 0.5), (4, 1, 1.5), (1, 4, 1.5)])
+        trace = simulate(make_scenario(costs, graph=g, t_final=1.0, stride=1, seed=5))
+        return trace, g, network_cost(costs)
+
+    @pytest.mark.parametrize("which, phi", [("digraph", 9.0), ("undirected", 2.0),
+                                            ("lasalle", None)])
+    def test_lyapunov_series_matches_per_sample_in_the_plane(self, plane_run, which, phi):
+        assert plane_run[0].x.shape[2] == 2
+        self.check_series_per_sample(plane_run, which, phi)
+
+    def test_stack_coords_match_per_state_in_the_plane(self, plane_run):
+        # z_rest and w_rest keep the agent index slow: entry 2 i + c is coordinate c of row i
+        trace, g, nc = plane_run
+        eq = equilibrium(nc, AlgorithmParams(1.0, 1.0))
+        basis = complement_basis(4)
+        stack = to_analysis_coords(trace.x, trace.v, eq, basis)
+        assert stack.z_rest.shape == stack.w_rest.shape == (trace.t.size, 6)
+        scale = max(float(np.abs(trace.x - eq[0]).max()), float(np.abs(trace.v - eq[1]).max()))
+        for k in range(trace.t.size):
+            one = to_analysis_coords(trace.x[k], trace.v[k], eq, basis)
+            for name in ("z1", "z_rest", "w1", "w_rest"):
+                np.testing.assert_allclose(getattr(stack, name)[k], getattr(one, name),
+                                           rtol=1e-12, atol=1e-14 * scale, err_msg=name)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_reduced_inv_quad_of_a_stack_matches_per_sample_solve(self, d):

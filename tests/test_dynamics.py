@@ -362,8 +362,8 @@ class TestBlockAdvance:
 
         monkeypatch.setattr(schedulers, "_centralized_due", counted)
         broadcasts = np.unique(simulate(sc).event_times).size - 1  # t = 0 is not polled
-        # the per-node loop polls all 2,000 nodes
-        assert 0 < broadcasts <= polls[0] <= 100
+        # the per-node loop polls all 2,000 nodes; here only the flagged ones, and each fires
+        assert polls[0] == broadcasts > 0
 
     @pytest.mark.parametrize("scheme", [Continuous(), CentralizedEvent(kappa=0.06, tau=0.5)])
     def test_blowup_at_the_same_node(self, scheme):

@@ -59,6 +59,8 @@ MALFORMED = [
     ({"x0": {"box": [-1.0, math.inf]}}, "x0.box"),
     ({"costs": [{"kind": "quadratic", "a": [[1.0]]}]}, "costs[0].a"),
     ({"scheme": {"kind": "periodic", "delta": math.inf}}, "periodic delta"),
+    ({"graph": {"n": 1e308, "edges": [[1, 2, 1.0], [2, 1, 1.0]]}}, "graph.n"),
+    ({"graph": {"n": 10**9, "edges": [[1, 2, 1.0], [2, 1, 1.0]]}}, "graph.n"),
 ]
 
 
