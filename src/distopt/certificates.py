@@ -206,10 +206,10 @@ def steady_state_bound(phi: float, alpha: float, beta: float, lamF_min: float,
     return float(phi * alpha * beta * lamF_max * np.sum(eps_vec**2) / (4 * eta * lamF_min))
 
 
-def _tau_i_and_theta(alpha, beta, eps, costs, g, x0, v0, phi, gamma_prime_value,
+def _tau_i_and_theta(alpha, beta, eps, costs, dout, x0, v0, phi, gamma_prime_value,
                      lamF_min, lamF_max) -> tuple[np.ndarray, float]:
     """Per-agent lower bounds on distributed inter-event times, and the
-    trajectory bound theta they rest on.
+    trajectory bound theta they rest on, at the out-degrees ``dout``.
 
     tau^i = ln(1 + alpha M^i eps^i
                / (2 sqrt(dout^i) (alpha M^i + 2 beta dout^i + 1) theta))
@@ -234,7 +234,6 @@ def _tau_i_and_theta(alpha, beta, eps, costs, g, x0, v0, phi, gamma_prime_value,
     p0 = math.sqrt(float(np.sum((x0 - x_bar) ** 2)) + float(np.sum((v0 - v_bar) ** 2)))
     theta = (lamF_max / lamF_min) * p0 + steady_state_bound(
         phi, alpha, beta, lamF_min, lamF_max, eta, eps)
-    dout = g.out_degrees
     out = np.empty(n)
     for i in range(n):
         aM = alpha * Ms[i]
@@ -346,19 +345,20 @@ def certify(scenario) -> CertificateReport:
     Uses the scenario's analysis options (eps, delta, phi, estimation box);
     phi defaults to the maximizer of gamma for the digraph verdict and of
     gamma' for the distributed one, each clipped to the feasible region
-    phi + 1 > 4 M.  Over the scenario's graphs (one, or the switching set)
-    the smallest algebraic connectivity is used.
+    phi + 1 > 4 M.  Over the scenario's graphs (one, or the switching set, in
+    any order) each takes its worst case: the smallest lambda_hat_2 and Re
+    lambda_2, the largest lambda_N and lambda_E, each agent's largest d_out.
     """
     analysis = scenario.analysis
     costs = scenario.network
     bounds, costs_est = _resolve_bounds(costs, analysis.box)
     graphs = scenario.graphs
-    spectrum = min((spectral_summary(g) for g in graphs), key=lambda s: s.lambda_hat_2)
-    graph = graphs[0]
+    spectra = [spectral_summary(g) for g in graphs]
     undirected = all(g.is_undirected for g in graphs)
-    lh2 = spectrum.lambda_hat_2
-    lam2 = spectrum.lambda_hat_2 if undirected else spectrum.re_lambda_2
-    lamN = spectrum.lambda_N
+    lh2 = min(s.lambda_hat_2 for s in spectra)
+    re_lam2 = min(s.re_lambda_2 for s in spectra)
+    lam2 = lh2 if undirected else re_lam2
+    lamN = max(s.lambda_N for s in spectra)
     alpha, beta = float(scenario.alpha), float(scenario.beta)
     eps_s, delta_s = float(analysis.eps), float(analysis.delta)
     m, M = bounds.m_lower, bounds.M_upper
@@ -383,7 +383,7 @@ def certify(scenario) -> CertificateReport:
         zeta, tau = tau_period(alpha, beta, eps_s, delta_s, bounds, lam2, lamN)
         kap = kappa(alpha, beta, eps_s, delta_s, phi_step, lam2, lamN)
         if undirected:
-            lamE = matrix_E_extreme(alpha, beta, phi_step, graph, costs.dim)
+            lamE = max(matrix_E_extreme(alpha, beta, phi_step, g, costs.dim) for g in graphs)
             r_per = rate_periodic(eps_s, delta_s, lamE)
             r_cen = rate_centralized(eps_s, delta_s, phi_step, alpha, beta, lam2, lamE)
 
@@ -396,19 +396,20 @@ def certify(scenario) -> CertificateReport:
         eps_vec = np.asarray(analysis.eps_vec, dtype=float)
     if eps_vec is not None and feasible_distributed:
         ss_bound = steady_state_bound(phi_d, alpha, beta, lamFd_min, lamFd_max, eta, eps_vec)
-        tau_i, theta = _tau_i_and_theta(alpha, beta, eps_vec, costs_est, graph, scenario.x0,
+        dout = np.max([g.out_degrees for g in graphs], axis=0)
+        tau_i, theta = _tau_i_and_theta(alpha, beta, eps_vec, costs_est, dout, scenario.x0,
                                         scenario.v0, phi_d, gp_val, lamFd_min, lamFd_max)
         r_dist = eta / lamFd_max
 
     report = CertificateReport(
         alpha=alpha, beta=beta, epsilon=eps_s, delta=delta_s, phi=phi, phi_distributed=phi_d,
         phi_step=phi_step, m_lower=m, M_upper=M,
-        lambda_hat_2=lh2, lambda_2=lam2, lambda_N=lamN, re_lambda_2=spectrum.re_lambda_2,
+        lambda_hat_2=lh2, lambda_2=lam2, lambda_N=lamN, re_lambda_2=re_lam2,
         gamma=g_val, gamma_prime=gp_val,
         zeta=zeta, tau=tau, kappa=kap, eta=eta, theta=theta, tau_i=tau_i,
         lamF_min=lamF_min, lamF_max=lamF_max, lamE_max=lamE,
         rate_digraph=rate_digraph(g_val, lamF_max) if feasible_digraph else None,
-        rate_quadratic=rate_quadratic(alpha, beta, spectrum.re_lambda_2),
+        rate_quadratic=rate_quadratic(alpha, beta, re_lam2),
         rate_periodic=r_per, rate_centralized=r_cen, rate_distributed=r_dist,
         steady_state_bound=ss_bound,
         suggested_beta=suggest_beta(alpha, phi, lh2) if lh2 > 0 else math.inf,

@@ -73,9 +73,9 @@ def to_analysis_coords(x: np.ndarray, v: np.ndarray, equilibrium_point,
     y = x - x_bar
     u = v - v_bar
     return AnalysisCoordinates(
-        z1=basis.r @ y,
+        z1=_over_agents(basis.r[None], y).reshape(*y.shape[:-2], -1),
         z_rest=_over_agents(basis.R.T, y).reshape(*y.shape[:-2], -1),
-        w1=basis.r @ u,
+        w1=_over_agents(basis.r[None], u).reshape(*u.shape[:-2], -1),
         w_rest=_over_agents(basis.R.T, u).reshape(*u.shape[:-2], -1),
     )
 

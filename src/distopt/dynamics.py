@@ -24,10 +24,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .scenarios import Scenario
 
 BLOWUP_LIMIT = 1e12
-BLOWUP_SQUARED = BLOWUP_LIMIT**2
 CSV_CHUNK = 25  # samples formatted per write in Trace.to_csv
 ERR_CHUNK = 256  # samples per block of the trace's err column; larger blocks raise peak RSS
-BLOCK_STEPS = 64  # steps FoldedRK.advance returns per product; a block's tail past an event is lost
+BLOCK_STEPS = 64  # FoldedRK's block: steps per product, cheap to drop past an event
 BLOCK_BYTES = 2**19  # cap on FoldedRK's stacked powers and partial sums
 
 
@@ -203,8 +202,11 @@ class AffineRK:
     stage input x_j and the increment z(t + h) - z(t) are linear maps of
     u = [z; 1; g_1; ...; g_s], composed here once: a step is one product
     per stage around its gradient call, and z plus the last product.  b
-    enters through the column on the 1 entry, re-formed by :meth:`hold`.
-    An affine network (``NetworkCost.affine``) gets a :class:`FoldedRK`."""
+    enters through the column on the 1 entry, re-formed by :meth:`hold`.  :meth:`advance`
+    stacks up to ``block`` steps for ``simulate``.  An affine network
+    (``NetworkCost.affine``) gets a :class:`FoldedRK`, which advances in one product."""
+
+    block = 8  # steps per advance; a tail dropped past an event has cost its gradient calls
 
     def __new__(cls, nc: NetworkCost, *args, **kwargs):
         return super().__new__(FoldedRK if nc.affine is not None else cls)
@@ -242,7 +244,7 @@ class AffineRK:
         for mp, blk in zip(self._maps, self._b_blocks):
             mp[:, 2 * self._m] = blk @ b
 
-    def __call__(self, z: np.ndarray) -> np.ndarray:
+    def __call__(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         u, m, grad = self._u, self._m, self._grad
         u[:2 * m] = z.ravel()
         hi = 3 * m + 1
@@ -250,7 +252,14 @@ class AffineRK:
         for w in self._stages:
             u[hi:hi + m] = grad((w @ u[:hi]).tolist())
             hi += m
-        return z + (self._final @ u).reshape(z.shape)
+        return np.add(z, (self._final @ u).reshape(z.shape), out=out)
+
+    def advance(self, z: np.ndarray, steps: int) -> np.ndarray:
+        """The next ``steps`` (at most ``block``) states after ``z``, stacked (steps, 2N, d)."""
+        out = np.empty((steps, *z.shape))
+        for j in range(steps):
+            z = self(z, out[j])
+        return out
 
 
 class FoldedRK(AffineRK):
@@ -285,12 +294,11 @@ class FoldedRK(AffineRK):
         return (self._powers[:rows] @ z.ravel() + self._offsets[:rows]).reshape(steps, *z.shape)
 
 
-def _finite(z: np.ndarray) -> bool:
-    """Every entry within +-BLOWUP_LIMIT; False for nan and inf as well.
-    One dot product clears the usual case: the sum of squares bounds every
-    square, and nan, inf and large entries fall through to the exact test."""
-    flat = z.ravel()
-    return bool(flat @ flat <= BLOWUP_SQUARED) or max(z.max(), -z.min()) <= BLOWUP_LIMIT
+def _within_limit(zs: np.ndarray) -> int:
+    """How many leading states of ``zs`` lie within +-BLOWUP_LIMIT (nan and inf do not)."""
+    if -BLOWUP_LIMIT <= zs.min() <= zs.max() <= BLOWUP_LIMIT:
+        return len(zs)
+    return schedulers.first_true(~(np.abs(zs) <= BLOWUP_LIMIT).all(axis=(1, 2)))
 
 
 def equilibrium(nc: NetworkCost, p: AlgorithmParams) -> tuple[np.ndarray, np.ndarray]:
@@ -307,6 +315,7 @@ def equilibrium(nc: NetworkCost, p: AlgorithmParams) -> tuple[np.ndarray, np.nda
     return x_bar, v_bar
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a blowup raises NumericalBlowup instead
 def simulate(scenario: "Scenario") -> Trace:
     """Integrate a scenario with node-aligned communication.
 
@@ -315,14 +324,14 @@ def simulate(scenario: "Scenario") -> Trace:
     step (no event log, ``x_hat = x``), each through an :class:`AffineRK`.
     A sampled scheme's :func:`schedulers.trigger_law` fires first at a polled
     node (broadcasts update ``x_hat`` and the event log), so samples reflect
-    post-broadcast state.  A :class:`FoldedRK` advances a block per product, up
-    to t_final, a topology switch or a periodic node, and the law screens all
-    of it (the centralized law past its dwell, found as an index, with the
-    Pi x_hat it holds).  The run goes on from the first flagged node, polled,
-    else from the block's last node, unpolled; the quiet nodes before are
-    recorded in bulk.  Past t = 0 the law is polled only at flagged nodes (each
-    periodic node is one) and switches, where the distributed threshold must
-    follow the new graph.  Other networks poll every node.
+    post-broadcast state.  The kernel advances a block (of ``block`` steps at
+    most) up to t_final, a topology switch or a periodic node, and the law
+    screens all of it (the centralized law past its dwell, found as an index,
+    with the Pi x_hat it holds).  The run goes on from the first flagged node,
+    polled, else from the block's last node, unpolled; the quiet nodes before
+    are recorded in bulk, the rest dropped.  Past t = 0 the law is polled only
+    at flagged nodes (each periodic node is one) and switches, where the
+    distributed threshold must follow the new graph.
 
     The scenario was validated when built, so the only error raised here is
     NumericalBlowup (carrying the partial trace) when the state escapes the
@@ -331,10 +340,7 @@ def simulate(scenario: "Scenario") -> Trace:
     nc = scenario.network
     n, d = nc.n_agents, nc.dim
     p = AlgorithmParams(scenario.alpha, scenario.beta)
-    scheme = scenario.scheme
-    h = scenario.step
-    n_steps = scenario.n_steps
-    scheme_info = schedulers.scheme_dict(scheme)
+    scheme, h, n_steps = scenario.scheme, scenario.step, scenario.n_steps
     sched = scenario.schedule
     order, spd = (sched.order, round(sched.dwell / h)) if sched is not None else ((0,), None)
     laps = [out_laplacian(g) for g in scenario.graphs]
@@ -364,7 +370,7 @@ def simulate(scenario: "Scenario") -> Trace:
     # one kernel per switching graph; sampled information holds its L x_hat in b
     kernels = [AffineRK(nc, p, flow_matrix(0 * lap if sampled else lap, p), h,
                         EULER_TABLEAU if scheme.kind == "euler" else RK4_TABLEAU) for lap in laps]
-    block = kernels[0].block if isinstance(kernels[0], FoldedRK) else 1  # steps per product
+    block = kernels[0].block  # steps per advance
 
     def trace(si: int) -> Trace:
         """The first ``si`` samples and the event log so far."""
@@ -380,7 +386,7 @@ def simulate(scenario: "Scenario") -> Trace:
             err=ERR[:si],
             event_agents=np.asarray(law.agents if sampled else [], dtype=int),
             event_times=np.asarray(law.times if sampled else [], dtype=float),
-            scheme=scheme_info,
+            scheme=schedulers.scheme_dict(scheme),
             h=h,
             stride=stride,
             alpha=float(scenario.alpha),
@@ -391,7 +397,6 @@ def simulate(scenario: "Scenario") -> Trace:
     si = k = 0
     poll = True  # node k needs the exact law: no screen has cleared it
     while True:
-        t = k * h
         switched = spd is not None and order[(k // spd) % len(order)] != gi
         if switched:
             gi = order[(k // spd) % len(order)]
@@ -402,28 +407,21 @@ def simulate(scenario: "Scenario") -> Trace:
             si += 1
         if k == n_steps:
             break
-        if block == 1:
-            z = kernels[gi](z)
-            k += 1
-            if not _finite(z):
-                raise NumericalBlowup(f"state escaped finite range at t = {t + h:.6g}", trace(si))
-        else:  # advance to t_final, a switch or a periodic node, then screen the block
-            zs = kernels[gi].advance(z, min([block, n_steps - k] + [s - k % s for s in clocks]))
-            ok = len(zs)  # how many leading states lie within +-BLOWUP_LIMIT (nan and inf do not)
-            if not -BLOWUP_LIMIT <= zs.min() <= zs.max() <= BLOWUP_LIMIT:
-                ok = schedulers.first_true(~(np.abs(zs) <= BLOWUP_LIMIT).all(axis=(1, 2)))
-            q = law.screen(zs[:ok, :n], k, x_hat) if sampled else ok  # the first flagged node
-            poll, nxt = q < len(zs), min(q, len(zs) - 1)  # a cleared block goes on from its end
-            rows = zs[ks[si] - k - 1:nxt:stride]  # the samples among the quiet nodes
-            e = si + len(rows)
-            X[si:e], V[si:e] = rows[:, :n], rows[:, n:]
-            XH[si:e] = x_hat if sampled else rows[:, :n]
-            si = e
-            if q == ok < len(zs):
-                raise NumericalBlowup(f"state escaped finite range at t = {t + (q + 1) * h:.6g}",
-                                      trace(si))
-            z = zs[nxt]
-            k += nxt + 1
+        # advance to t_final, a switch or a periodic node, then screen the block
+        zs = kernels[gi].advance(z, min([block, n_steps - k] + [s - k % s for s in clocks]))
+        ok = _within_limit(zs)
+        q = law.screen(zs[:ok, :n], k, x_hat) if sampled else ok  # the first flagged node
+        poll, nxt = q < len(zs), min(q, len(zs) - 1)  # a cleared block goes on from its end
+        rows = zs[ks[si] - k - 1:nxt:stride]  # the samples among the quiet nodes
+        e = si + len(rows)
+        X[si:e], V[si:e] = rows[:, :n], rows[:, n:]
+        XH[si:e] = x_hat if sampled else rows[:, :n]
+        si = e
+        if q == ok < len(zs):
+            raise NumericalBlowup(f"state escaped finite range at t = {k * h + (q + 1) * h:.6g}",
+                                  trace(si))
+        z = zs[nxt]
+        k += nxt + 1
         x = z[:n]
     return trace(n_smp)
 

@@ -22,7 +22,8 @@ from distopt.certificates import (
     suggest_beta,
     tau_period,
 )
-from distopt.costs import catalog, network_cost
+from distopt.costs import catalog, network_cost, quadratic_cost
+from distopt.dynamics import SwitchingSchedule
 from distopt.errors import Infeasible, MissingLipschitz, NotConnected, ValidationError
 from distopt.graph import build_digraph, complement_basis, preset_graph
 from distopt.scenarios import AnalysisOptions
@@ -260,10 +261,10 @@ class TestTauI:
         gp = gamma_prime(1.0, 6.0, 9.0, B22, 2.0)
         x0 = np.zeros((2, 1))
         v0 = np.zeros((2, 1))
-        tau_i = _tau_i_and_theta(1.0, 6.0, [0.002, 0.002], nc, k2, x0, v0,
+        tau_i = _tau_i_and_theta(1.0, 6.0, [0.002, 0.002], nc, k2.out_degrees, x0, v0,
                                  9.0, gp, lamF_min, lamF_max)[0]
         assert (tau_i > 0).all()
-        smaller = _tau_i_and_theta(1.0, 6.0, [2e-8, 2e-8], nc, k2, x0, v0,
+        smaller = _tau_i_and_theta(1.0, 6.0, [2e-8, 2e-8], nc, k2.out_degrees, x0, v0,
                                    9.0, gp, lamF_min, lamF_max)[0]
         assert (smaller < tau_i).all()
         assert (smaller < 1e-10).all()
@@ -273,7 +274,7 @@ class TestTauI:
         # closed forms evaluated by hand
         nc = network_cost(quad_pair)
         lamF_min, lamF_max = matrix_F_extremes(1.0, 9.0, 2)
-        tau_i = _tau_i_and_theta(1.0, 6.0, [0.002, 0.002], nc, k2,
+        tau_i = _tau_i_and_theta(1.0, 6.0, [0.002, 0.002], nc, k2.out_degrees,
                                  np.zeros((2, 1)), np.zeros((2, 1)),
                                  9.0, 90.0, lamF_min, lamF_max)[0]
         eta = 7.0 / 16.0
@@ -286,13 +287,13 @@ class TestTauI:
     def test_requires_lipschitz(self, k2):
         nc = network_cost([catalog("f8"), catalog("f2")])
         with pytest.raises(MissingLipschitz):
-            _tau_i_and_theta(1.0, 6.0, [0.1, 0.1], nc, k2, np.zeros((2, 1)),
+            _tau_i_and_theta(1.0, 6.0, [0.1, 0.1], nc, k2.out_degrees, np.zeros((2, 1)),
                              np.zeros((2, 1)), 9.0, 90.0, 0.4, 5.0)
 
     def test_requires_positive_margin(self, k2, quad_pair):
         nc = network_cost(quad_pair)
         with pytest.raises(Infeasible):
-            _tau_i_and_theta(1.0, 6.0, [0.1, 0.1], nc, k2, np.zeros((2, 1)),
+            _tau_i_and_theta(1.0, 6.0, [0.1, 0.1], nc, k2.out_degrees, np.zeros((2, 1)),
                              np.zeros((2, 1)), 9.0, -1.0, 0.4, 5.0)
 
 
@@ -370,6 +371,25 @@ class TestCertify:
                            analysis=AnalysisOptions(box=(-6.0, 6.0)))
         rep = certify(sc)
         assert rep.lamE_max is None and rep.rate_periodic is None
+
+    def test_switching_set_certified_at_its_worst_case_in_any_order(self):
+        costs = [quadratic_cost([2.0 * (i - 5)]) for i in range(1, 11)]
+        graphs = {name: preset_graph(name) for name in ("cycle10", "k10")}
+
+        def report(names, switching=True):
+            topology = ({"schedule": SwitchingSchedule(tuple(graphs[g] for g in names), dwell=0.5)}
+                        if switching else {"graph": graphs[names[0]]})
+            return certify(make_scenario(costs, **topology, beta=30.0,
+                                         scheme=DistributedEvent(eps=np.full(10, 0.05)),
+                                         analysis=AnalysisOptions(delta=4.0)))
+
+        rep = report(["cycle10", "k10"])
+        assert rep.to_dict() == report(["k10", "cycle10"]).to_dict()
+        singles = [report([name], switching=False) for name in graphs]
+        assert rep.lambda_hat_2 == min(r.lambda_hat_2 for r in singles)
+        assert rep.lambda_N == max(r.lambda_N for r in singles)
+        assert rep.lamE_max == max(r.lamE_max for r in singles)
+        assert rep.feasible["distributed_event"] and rep.tau_i is not None
 
 
 class TestMaximizeTau:

@@ -318,6 +318,9 @@ class TestWholeTrace:
         basis = complement_basis(4)
         stack = to_analysis_coords(trace.x, trace.v, eq, basis)
         assert stack.z_rest.shape == stack.w_rest.shape == (trace.t.size, 6)
+        assert stack.z1.shape == stack.w1.shape == (trace.t.size, 2)
+        np.testing.assert_allclose(stack.z1, np.einsum("i,kic->kc", basis.r, trace.x - eq[0]),
+                                   rtol=1e-12, atol=1e-14 * float(np.abs(trace.x - eq[0]).max()))
         scale = max(float(np.abs(trace.x - eq[0]).max()), float(np.abs(trace.v - eq[1]).max()))
         for k in range(trace.t.size):
             one = to_analysis_coords(trace.x[k], trace.v[k], eq, basis)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -39,6 +40,7 @@ from distopt.graph import (
     out_laplacian,
     preset_graph,
 )
+from distopt.scenarios import preset_dict, scenario_from_dict
 from distopt.schedulers import (
     CentralizedEvent,
     Continuous,
@@ -190,10 +192,10 @@ class TestKernelProperty:
                      (AffineRK(nc, p, flow_matrix(lap, p), h, EULER_TABLEAU)(z), z + h * field(z))]
         for got, want in pairs:
             assert got.shape == z.shape and got.dtype == np.float64
-            if not dynamics._finite(want):
+            if not dynamics._within_limit(want[None]):
                 # past the blowup limit simulate stops either way (an
                 # overflowed gradient times a zero map entry gives nan, not inf)
-                assert not dynamics._finite(got)
+                assert not dynamics._within_limit(got[None])
                 continue
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
@@ -285,8 +287,8 @@ class TestGradientCalls:
     def test_folded_path_still_stops_at_blowup(self):
         # L of cycle10 has eigenvalue 4, so h = 1 puts -beta h 4 = -4 outside
         # RK4's stability interval: that mode grows by |R(-4)| = 5 per step.
-        # The folded step overflows in numpy, not in a gradient, so _finite
-        # is the only guard.
+        # The folded step overflows in numpy, not in a gradient, so the
+        # block's bound check is the only guard.
         assert rk4_factor(-4.0) == pytest.approx(5.0)
         sc = make_scenario(ring_quadratics(), graph=preset_graph("cycle10"), t_final=100.0,
                            h=1.0, stride=1)
@@ -297,18 +299,23 @@ class TestGradientCalls:
         assert np.isfinite(partial.x).all() and np.isfinite(partial.v).all()
 
 
+CURVED = [name for name in CATALOG_NAMES if catalog(name).affine is None]
+
+
 @st.composite
-def block_cases(draw):
-    """An affine network (as :func:`affine_cases`) over one to three random
-    balanced digraphs, switched when more than one, under a random scheme:
-    continuous, periodic (on or off the step grid), centralized events,
-    distributed events or Euler."""
+def block_cases(draw, curved=False):
+    """An affine network (as :func:`affine_cases`), or with ``curved`` one of
+    non-affine catalog costs, over one to three random balanced digraphs,
+    switched when more than one, under a random scheme: continuous, periodic
+    (on or off the step grid), centralized events, distributed events or Euler."""
     n = draw(st.integers(2, 6))
-    d = draw(st.integers(1, 2))
+    d = 1 if curved else draw(st.integers(1, 2))
     graphs = [WeightedDigraph(n, draw(balanced_weights(n))) for _ in range(draw(st.integers(1, 3)))]
     a = draw(st.lists(st.floats(-5.0, 5.0), min_size=n * d, max_size=n * d))
     costs = [quadratic_cost(a[i * d:(i + 1) * d]) for i in range(n)]
-    if d == 1:
+    if curved:
+        costs = [catalog(draw(st.sampled_from(CURVED))) for _ in costs]
+    elif d == 1:
         costs = [draw(st.sampled_from([c, catalog("f2"), catalog("f10")])) for c in costs]
     h = draw(st.sampled_from([1e-3, 4e-3]))
     scheme = draw(st.sampled_from([
@@ -328,15 +335,25 @@ def block_cases(draw):
 
 
 class TestBlockAdvance:
-    """An affine network advances whole blocks of RK4 (or Euler) steps per
+    """Every network advances blocks of RK4 (or Euler) steps, an affine one per
     product, the screens clear the quiet nodes and the exact law decides at
-    the others: the same run with one step per block (BLOCK_STEPS = 1, the
-    per-node loop) gives the same event log and states to rounding."""
+    the others: the same run with one step per block (BLOCK_STEPS = 1 and
+    AffineRK.block = 1) gives the same event log and states, to rounding on
+    an affine network and exactly on a curved one, whose blocks take the
+    same steps."""
 
     @staticmethod
     def per_node(sc):
-        with mock.patch.object(dynamics, "BLOCK_STEPS", 1):
+        with mock.patch.object(dynamics, "BLOCK_STEPS", 1), mock.patch.object(AffineRK, "block", 1):
             return simulate(sc)
+
+    @staticmethod
+    def outcome(run, sc):
+        """The trace of a run and None, or the partial trace and message of its blowup."""
+        try:
+            return run(sc), None
+        except NumericalBlowup as exc:
+            return exc.trace, str(exc)
 
     @settings(derandomize=True, max_examples=80, deadline=None)
     @given(block_cases())
@@ -349,6 +366,48 @@ class TestBlockAdvance:
         for name in ("x", "v", "x_hat"):
             assert np.abs(getattr(got, name) - getattr(want, name)).max() <= 1e-12 * scale, name
         assert np.abs(got.v.sum(axis=1)).max() <= 1e-12 * scale
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(block_cases(curved=True))
+    def test_curved_block_run_equals_per_node_run(self, sc):
+        (got, err), (want, want_err) = self.outcome(simulate, sc), self.outcome(self.per_node, sc)
+        assert err == want_err
+        for name in ("t", "x", "v", "x_hat", "event_agents", "event_times"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+
+    def test_curved_blocks_drop_at_most_a_tail_per_flagged_node(self, monkeypatch, ten_suite):
+        grads, polls, grad_list, cascade = [0], [0], NetworkCost.grad_list, schedulers._cascade
+
+        def counted_grad(nc, ys):
+            grads[0] += 1
+            return grad_list(nc, ys)
+
+        def counted_cascade(*args):
+            polls[0] += 1
+            return cascade(*args)
+
+        monkeypatch.setattr(NetworkCost, "grad_list", counted_grad)
+        monkeypatch.setattr(schedulers, "_cascade", counted_cascade)
+        minimize_global(network_cost(ten_suite))  # simulate's oracle, counted apart
+        oracle, grads[0] = grads[0], 0
+        sc = make_scenario(ten_suite, graph=preset_graph("cycle10"),
+                           scheme=DistributedEvent(eps=np.full(10, 0.05)), t_final=1.0, h=1e-2)
+        trace = simulate(sc)
+        assert polls[0] > 0 and np.unique(trace.event_times).size == polls[0] + 1
+        assert oracle + 4 * 100 <= grads[0] <= oracle + 4 * (100 + (AffineRK.block - 1) * polls[0])
+
+    @pytest.mark.parametrize("name", ["fig1a", "fig5", "fig3a"])
+    def test_curved_blowup_stops_the_run_quietly(self, name):
+        # h = 0.5 throws every catalog preset out of range in its first step; the
+        # steps the block takes past that state warn nothing
+        sc = scenario_from_dict(preset_dict(name) | {"h": 0.5})
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(NumericalBlowup) as exc:
+            warnings.simplefilter("always")
+            simulate(sc)
+        assert str(exc.value) == "state escaped finite range at t = 0.5"
+        partial = exc.value.trace
+        assert partial.t.size == 1 and np.isfinite(partial.x).all() and np.isfinite(partial.v).all()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_screen_leaves_few_nodes_to_the_exact_law(self, monkeypatch):
         _, _, _, _, tau, kap = ring_certificates()
@@ -380,18 +439,22 @@ class TestBlockAdvance:
 
 
 class TestBlowupCheck:
+    """``_within_limit`` counts the leading states of a block within +-1e12."""
+
     def test_large_sum_of_squares_within_the_limit_passes(self):
-        # the dot product prefilter reads 1.62e25 > 1e24 here; the exact test decides
-        assert dynamics._finite(np.full((20, 1), 0.9e12))
+        # each state's sum of squares reads 1.62e25 > 1e24, but every entry is within
+        assert dynamics._within_limit(np.full((3, 20, 1), 0.9e12)) == 3
 
     def test_limit_is_inclusive(self):
-        assert dynamics._finite(stack(col([1e12, -1e12]), col([0.0, 0.0])))
+        z = stack(col([1e12, -1e12]), col([0.0, 0.0]))
+        assert dynamics._within_limit(np.stack([z, -z])) == 2
 
     @pytest.mark.parametrize("bad", [1.0000001e12, -1.0000001e12, np.nan, np.inf, -np.inf])
     def test_one_bad_entry_fails(self, bad):
-        z = np.zeros((6, 2))
-        z[4, 1] = bad
-        assert not dynamics._finite(z)
+        zs = np.zeros((5, 6, 2))
+        zs[2, 4, 1] = bad
+        assert dynamics._within_limit(zs) == 2
+        assert dynamics._within_limit(zs[2:]) == 0
 
 
 class TestRk4:

@@ -40,6 +40,7 @@ def test_traced_runs_record_the_trigger_laws():
     assert all(getattr(schedulers, name) is law for name, law in laws.items())
     names = [span[0] for span in tr.spans]
     assert "schedulers._centralized_due" in names
-    # fig5 polls its cascade at every node past t = 0
-    assert names.count("schedulers._cascade") == round(fig5.t_final / fig5.h)
+    # fig5 polls its cascade at each flagged node past t = 0, and each poll fires
+    nodes = np.rint(traces[1].event_times / fig5.h).astype(int)
+    assert names.count("schedulers._cascade") == np.unique(nodes[nodes > 0]).size > 0
     assert np.unique(traces[0].event_times).size > 1  # the ring broadcasts after t = 0 too
