@@ -11,6 +11,7 @@ sum of the ``v^i`` is a constant of motion, so runs must start from
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -125,7 +126,7 @@ class Trace:
                 cols += self.x[s:e].reshape(rows, d).T.tolist()
                 cols += self.v[s:e].reshape(rows, d).T.tolist()
                 cols += [self.err[s:e].ravel().tolist(), flags.tolist()]
-                fh.writelines(map(row.__mod__, zip(*cols)))
+                fh.write((row * rows) % tuple(chain.from_iterable(zip(*cols))))
 
     def events_to_csv(self, path) -> None:
         """Write the raw event log as ``agent,t`` rows (agent 1-based)."""
@@ -198,13 +199,15 @@ class AffineRK:
     """Explicit Runge-Kutta step of size ``h`` of z' = A z + b - alpha [grad f(x); 0]
     on the (2N, d) state z = [x; v], for a Butcher ``tableau``.
 
-    Outside the gradients g_j = grad f(x_j) the flow is affine, so each
-    stage input x_j and the increment z(t + h) - z(t) are linear maps of
-    u = [z; 1; g_1; ...; g_s], composed here once: a step is one product
-    per stage around its gradient call, and z plus the last product.  b
-    enters through the column on the 1 entry, re-formed by :meth:`hold`.  :meth:`advance`
-    stacks up to ``block`` steps for ``simulate``.  An affine network
-    (``NetworkCost.affine``) gets a :class:`FoldedRK`, which advances in one product."""
+    Each member with ``CostModel.affine`` (grad f^i = H x + c) folds in: -alpha H joins
+    A's (i, i) block and -alpha [c; 0] joins b.  Outside the gradients g_j of the other
+    members' entries ``sel`` (``NetworkCost.curved``) the flow is affine, so each stage
+    input x_j[sel] and the increment z(t + h) - z(t) are linear maps of u = [z; 1; g_1;
+    ...; g_s], composed here once: a step is one product per stage around its gradient
+    call, and z plus the last product.  b enters through the column on the 1 entry,
+    re-formed by :meth:`hold`.  :meth:`advance` stacks up to ``block`` steps for
+    ``simulate``.  With no curved member there are no stage maps, and ``AffineRK(...)``
+    builds a :class:`FoldedRK`, which advances in one product."""
 
     block = 8  # steps per advance; a tail dropped past an event has cost its gradient calls
 
@@ -212,54 +215,52 @@ class AffineRK:
         return super().__new__(FoldedRK if nc.affine is not None else cls)
 
     def __init__(self, nc: NetworkCost, p: AlgorithmParams, a: np.ndarray, h: float, tableau):
-        (rows, weights), m, n2 = tableau, nc.n_agents * nc.dim, 2 * nc.n_agents * nc.dim
-        a = np.kron(a, np.eye(nc.dim)) if nc.dim > 1 else a
-        folded, self._offset = nc.affine is not None, np.zeros(n2)
-        if folded:  # grad f(x) = H x + c: -alpha H joins A, -alpha [c; 0] joins b
-            a = a - np.pad(p.alpha * nc.affine[0], (0, m))
-            self._offset[:m] = -p.alpha * nc.affine[1]
-        # stage inputs Z_j and slopes K_j = A Z_j + b - alpha [g_j; 0] as maps of [z; b; g_1..g_s]
+        (rows, weights), n2 = tableau, 2 * nc.n_agents * nc.dim
+        (sel, curved), (big_h, c) = nc.curved, nc.folded  # -alpha H joins A, -alpha [c; 0] joins b
+        a = (np.kron(a, np.eye(nc.dim)) if nc.dim > 1 else a) - np.pad(p.alpha * big_h, (0, len(c)))
+        m, self._offset = len(sel), np.concatenate([-p.alpha * c, np.zeros(len(c))])
+        # stage inputs Z_j and slopes K_j = A Z_j + b - alpha [g_j on sel; 0] as maps of [z; b; g]
         z0, slopes, maps = np.eye(n2, 2 * n2 + len(weights) * m), [], []
         for j, row in enumerate(rows):
             zj = z0 + h * sum(c * k for c, k in zip(row, slopes))
-            maps.append(zj[:m, :2 * n2 + j * m])
+            maps.append(zj[sel, :2 * n2 + j * m])
             k = a @ zj
             k[:, n2:2 * n2] += np.eye(n2)
-            k[:m, 2 * n2 + j * m:2 * n2 + (j + 1) * m] -= p.alpha * np.eye(m)
+            k[sel, 2 * n2 + j * m + np.arange(m)] -= p.alpha
             slopes.append(k)
-        maps = maps[1:] + [h * sum(w * k for w, k in zip(weights, slopes))]
-        if folded:  # the gradient inputs are gone, and the stage maps with them
-            maps = [maps[-1][:, :2 * n2]]
+        maps = (maps[1:] if m else []) + [h * sum(w * k for w, k in zip(weights, slopes))]
         self._b_blocks = [mp[:, n2:2 * n2] for mp in maps]
         self._maps = [np.hstack([mp[:, :n2], np.zeros((len(mp), 1)), mp[:, 2 * n2:]])
                       for mp in maps]
         self._stages, self._final = self._maps[:-1], self._maps[-1]
         self._u = np.ones(self._final.shape[1])  # entry 2 N d stays 1
-        self._grad, self._m = nc.grad_list, m
+        self._grad, self._sel, self._m = curved and curved.grad_list, sel, m
         AffineRK.hold(self, np.zeros(n2))  # FoldedRK.hold needs the stacks it has yet to build
 
     def hold(self, b: np.ndarray) -> None:
         """Hold the (2N, d) term ``b`` of the flow (0 before the first call)."""
         b = b.ravel() + self._offset
         for mp, blk in zip(self._maps, self._b_blocks):
-            mp[:, 2 * self._m] = blk @ b
+            mp[:, b.size] = blk @ b  # the column on u's 1 entry, at 2 N d
 
-    def __call__(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        u, m, grad = self._u, self._m, self._grad
-        u[:2 * m] = z.ravel()
-        hi = 3 * m + 1
-        u[hi - m:hi] = grad(u[:m].tolist())
-        for w in self._stages:
-            u[hi:hi + m] = grad((w @ u[:hi]).tolist())
-            hi += m
-        return np.add(z, (self._final @ u).reshape(z.shape), out=out)
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        """The state one step after ``z``."""
+        return self.advance(z, 1)[0]
 
     def advance(self, z: np.ndarray, steps: int) -> np.ndarray:
         """The next ``steps`` (at most ``block``) states after ``z``, stacked (steps, 2N, d)."""
-        out = np.empty((steps, *z.shape))
-        for j in range(steps):
-            z = self(z, out[j])
-        return out
+        u, m, sel, grad, n2 = self._u, self._m, self._sel, self._grad, z.size
+        u[:n2] = z.ravel()  # u carries the state from step to step
+        out = np.empty((steps, n2))
+        for row in out:
+            hi = n2 + 1 + m
+            u[hi - m:hi] = grad(u[sel].tolist())
+            for w in self._stages:
+                u[hi:hi + m] = grad((w @ u[:hi]).tolist())
+                hi += m
+            u[:n2] += self._final @ u
+            row[:] = u[:n2]
+        return out.reshape(steps, *z.shape)
 
 
 class FoldedRK(AffineRK):
@@ -282,11 +283,6 @@ class FoldedRK(AffineRK):
     def hold(self, b: np.ndarray) -> None:
         super().hold(b)
         self._offsets = self._sums @ self._final[:, -1]
-
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        u = self._u
-        u[:-1] = z.ravel()
-        return z + (self._final @ u).reshape(z.shape)
 
     def advance(self, z: np.ndarray, steps: int) -> np.ndarray:
         """The next ``steps`` (at most ``block``) states after ``z``, stacked (steps, 2N, d)."""

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -135,6 +136,14 @@ class TestAffineForms:
         assert network_cost([catalog("f2"), catalog("f3")]).affine is None
 
 
+    def test_curved_members_split_off(self, ten_suite):
+        sel, sub = network_cost(ten_suite).curved
+        assert sel.tolist() == [0, 2, 3, 4, 5, 6, 7, 8]
+        assert sub.agents == tuple(c for c in ten_suite if c.affine is None)
+        sel, sub = network_cost([catalog("f2"), catalog("f10")]).curved
+        assert sel.size == 0 and sub is None
+
+
 class TestNetworkCost:
     def test_aggregates(self, quad_pair):
         nc = network_cost(quad_pair)
@@ -173,6 +182,38 @@ class TestNetworkCost:
         for i, model in enumerate(ten_suite):
             if i != 7:
                 assert nc.grad_list(xs.ravel().tolist())[i] == model.gradient(xs[i])[0]
+
+    def test_dispatcher_equals_the_members_scalar_gradients(self, ten_suite):
+        nc = network_cost(ten_suite)
+        for ys in (np.linspace(-3, 3, 10).tolist(), [0.0] * 10, [-1e3] * 10):
+            got = nc.grad_list(ys)
+            assert got == [m.scalar_gradient(y) for m, y in zip(ten_suite, ys)]
+            assert all(type(g) is float for g in got)
+        assert nc._scalar_gradients is nc._scalar_gradients  # built once per network
+
+    def test_dispatcher_of_one_member(self):
+        nc = network_cost([catalog("f3")])
+        assert nc.grad_list([0.7]) == [catalog("f3").scalar_gradient(0.7)]
+        assert nc.grad_list([1e200]) == [math.inf]  # x**3 overflows: the per-agent path
+        assert nc.grad_list([-1e200]) == [-math.inf]
+
+    def test_dispatcher_source_holds_no_member_text(self):
+        # names and reprs never reach the generated source
+        odd = dataclasses.replace(catalog("f4"), name='") or __import__("os") #')
+        nc = network_cost([odd, catalog("f5")])
+        assert nc.grad_list([0.5, -0.5]) == [catalog("f4").scalar_gradient(0.5),
+                                              catalog("f5").scalar_gradient(-0.5)]
+
+    def test_no_dispatcher_without_scalar_gradients(self):
+        assert network_cost([quadratic_cost([1.0, 2.0])])._scalar_gradients is None
+        # an affine network is folded by the kernel and solved by the oracle: no compile
+        affine = network_cost([catalog("f2"), quadratic_cost([3.0])])
+        assert affine._scalar_gradients is None
+        assert affine.grad_list([0.5, -0.5]) == [catalog("f2").scalar_gradient(0.5), -0.5 + 1.5]
+        plain = dataclasses.replace(catalog("f3"), scalar_gradient=None)
+        nc = network_cost([catalog("f3"), plain])
+        assert nc._scalar_gradients is None
+        assert nc.grad_list([0.3, 0.3]) == [catalog("f3").gradient(np.array([0.3]))[0]] * 2
 
     def test_grad_list_vector_costs_are_row_major(self):
         costs = [quadratic_cost([1.0, -2.0]), quadratic_cost([0.5, 4.0]), quadratic_cost([3.0, 0.0])]

@@ -248,6 +248,125 @@ class TestAffineFold:
                 np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
 
+CURVED = [name for name in CATALOG_NAMES if catalog(name).affine is None]
+
+
+def log_cosh_cost(a) -> CostModel:
+    """A curved cost on R^d with no affine form and no scalar gradient:
+    f(x) = x'x / 2 + log cosh(a'x), so the kernel calls its gradient."""
+    a = np.asarray(a, dtype=float)
+    return CostModel(dim=a.size, value=lambda x: 0.5 * float(x @ x) + math.log(math.cosh(a @ x)),
+                     gradient=lambda x: x + a * math.tanh(a @ x), m=1.0, name="log cosh")
+
+
+@st.composite
+def mixed_cases(draw):
+    """Like :func:`held_cases`, but the network mixes affine members with
+    curved ones: catalog costs and quadratics for d = 1, quadratics and
+    :func:`log_cosh_cost` for d = 2."""
+    n = draw(st.integers(2, 6))
+    d = draw(st.integers(1, 2))
+    weights = draw(balanced_weights(n))
+    a = draw(st.lists(st.floats(-2.0, 2.0), min_size=n * d, max_size=n * d))
+    quad = [quadratic_cost(a[i * d:(i + 1) * d]) for i in range(n)]
+    if d == 1:
+        curved = [catalog(nm) for nm in draw(st.lists(st.sampled_from(CURVED), min_size=n,
+                                                      max_size=n))]
+    else:
+        curved = [log_cosh_cost(a[i * d:(i + 1) * d]) for i in range(n)]
+    picks = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(lambda b: 0 < sum(b) < n))
+    costs = [c if curve else q for c, q, curve in zip(curved, quad, picks)]
+    p = AlgorithmParams(draw(st.floats(0.1, 5.0)), draw(st.floats(0.1, 10.0)))
+    h = draw(st.floats(1e-4, 0.1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    x = rng.uniform(-3.0, 3.0, size=(n, d))
+    z = np.concatenate([x, rng.uniform(-3.0, 3.0, size=(n, d))])
+    x_hat = x + rng.normal(scale=0.5, size=(n, d))
+    return network_cost(costs), out_laplacian(WeightedDigraph(n, weights)), p, h, z, x_hat
+
+
+class TestPartialFold:
+    """A network with affine and curved members folds the affine ones one by
+    one: the kernel's gradient calls get the curved members' entries only,
+    and its step is still the tableau's step over ``flow``."""
+
+    @staticmethod
+    def recorded(monkeypatch):
+        """Every list ``NetworkCost.grad_list`` receives, with its network's size."""
+        seen, grad_list = [], NetworkCost.grad_list
+
+        def record(nc, ys):
+            seen.append((nc.n_agents, list(ys)))
+            return grad_list(nc, ys)
+
+        monkeypatch.setattr(NetworkCost, "grad_list", record)
+        return seen
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(mixed_cases())
+    def test_mixed_step_matches_its_reference(self, case):
+        nc, lap, p, h, z, x_hat = case
+        field, held = flow(nc, p, lap), held_terms(lap, p, x_hat)
+        pairs = [(AffineRK(nc, p, flow_matrix(lap, p), h, RK4_TABLEAU)(z), rk4(field, z, h)),
+                 (sampled_step(nc, p, lap, x_hat, h)(z), held_rk4_reference(nc, p)(z, held, h)),
+                 (AffineRK(nc, p, flow_matrix(lap, p), h, EULER_TABLEAU)(z), z + h * field(z))]
+        for got, want in pairs:
+            assert got.shape == z.shape
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+    def test_vector_members_select_their_entries(self, monkeypatch):
+        # d = 2: the curved member is agent 1, its entries are 2 and 3 of x
+        nc = network_cost([quadratic_cost([1.0, -2.0]), log_cosh_cost([0.5, 1.5]),
+                           quadratic_cost([0.3, 0.0])])
+        np.testing.assert_array_equal(nc.curved[0], [2, 3])
+        lap, p, h = out_laplacian(WeightedDigraph(3, np.roll(np.eye(3), 1, axis=1))), \
+            AlgorithmParams(1.2, 2.0), 0.05
+        z = np.random.default_rng(3).uniform(-2.0, 2.0, size=(6, 2))
+        seen = self.recorded(monkeypatch)
+        got = AffineRK(nc, p, flow_matrix(lap, p), h, RK4_TABLEAU)(z)
+        assert len(seen) == 4 and seen[0] == (1, z[1].tolist())
+        np.testing.assert_allclose(got, rk4(flow(nc, p, lap), z, h), rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("scheme", [Continuous(), Periodic(delta=0.05),
+                                        DistributedEvent(eps=np.full(10, 0.05))])
+    def test_first_step_of_each_scheme(self, scheme, ten_suite):
+        # f1 .. f10 with f3 and f6 swapped for quadratics: four affine members
+        costs = [quadratic_cost([1.0]) if i in (2, 5) else c for i, c in enumerate(ten_suite)]
+        g, h = preset_graph("cycle10"), 1e-2
+        sc = make_scenario(costs, graph=g, scheme=scheme, alpha=1.5, beta=2.0, t_final=h, h=h,
+                           stride=1, v0=np.linspace(-1.0, 1.0, 10))
+        nc, p, lap = sc.network, AlgorithmParams(1.5, 2.0), out_laplacian(g)
+        z = stack(sc.x0, sc.v0)
+        if isinstance(scheme, Continuous):
+            want = rk4(flow(nc, p, lap), z, h)
+        else:  # everyone broadcasts at t = 0, so the first step holds x_hat = x0
+            want = held_rk4_reference(nc, p)(z, held_terms(lap, p, sc.x0), h)
+        trace = simulate(sc)
+        got = stack(trace.x[-1], trace.v[-1])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("scheme", [Continuous(), Periodic(delta=0.05)])
+    def test_grad_list_gets_the_curved_entries(self, monkeypatch, scheme, ten_suite):
+        # f2 and f10 (agents 1 and 9) fold: 8 floats per call, 4 calls per RK4 step
+        sc = make_scenario(ten_suite, graph=preset_graph("cycle10"), scheme=scheme,
+                           t_final=0.5, h=1e-2, stride=1)
+        seen = self.recorded(monkeypatch)
+        trace = simulate(sc)
+        steps = [ys for size, ys in seen if size == 8]
+        assert {size for size, _ in seen} == {8, 10}  # 10: the oracle's bisection
+        assert len(steps) == 4 * 50 and all(len(ys) == 8 for ys in steps)
+        curved = [i for i in range(10) if i not in (1, 9)]
+        for k in (0, 1, 49):  # each step's first call gets x[curved] at its node
+            assert steps[4 * k] == trace.x[k, curved, 0].tolist()
+
+    def test_one_curved_network_per_run(self, ten_suite):
+        nc = network_cost(ten_suite)
+        p, h = AlgorithmParams(1.0, 1.0), 1e-3
+        kernels = [AffineRK(nc, p, flow_matrix(out_laplacian(preset_graph(g)), p), h, RK4_TABLEAU)
+                   for g in ("cycle10", "k10")]
+        assert kernels[0]._grad.__self__ is kernels[1]._grad.__self__ is nc.curved[1]
+
+
 def ring_quadratics():
     """Ten unit-curvature quadratics, a_i = 2 (i - 5), as on the benchmark ring."""
     return [quadratic_cost([2.0 * (i - 5)]) for i in range(1, 11)]
@@ -297,9 +416,6 @@ class TestGradientCalls:
         partial = excinfo.value.trace
         assert partial is not None and 2 <= partial.t.size < 101
         assert np.isfinite(partial.x).all() and np.isfinite(partial.v).all()
-
-
-CURVED = [name for name in CATALOG_NAMES if catalog(name).affine is None]
 
 
 @st.composite
