@@ -24,12 +24,10 @@ BRACKET_LIMIT = 1e6
 class CostModel:
     """Differentiable convex cost on R^d with optional convexity constants.
 
-    ``m`` is a strong-convexity constant and ``M`` a global gradient
-    Lipschitz constant when known.  ``value`` maps a (d,) array to a float, ``gradient`` to a (d,)
-    array.  For d = 1 the optional scalar gradient maps a float to a
-    float: when every member of a network has one,
-    :meth:`NetworkCost.grad_list` calls it on plain floats, so the inner
-    simulation loops pay no array overhead.  The optional ``affine = (H, c)``,
+    ``m`` is a strong-convexity constant and ``M`` a global gradient Lipschitz constant when
+    known.  ``value`` maps a (d,) array to a float, ``gradient`` to a (d,) array.  For d = 1
+    the optional ``scalar_gradient`` maps a float to a float, which the RK kernel and
+    :meth:`NetworkCost.grad_list` call on plain floats.  The optional ``affine = (H, c)``,
     H (d, d) and c (d,), states that the gradient is exactly H x + c.
     """
 
@@ -73,51 +71,24 @@ class NetworkCost:
         return None if any(v is None for v in Ms) else float(max(Ms))
 
     @cached_property
-    def folded(self) -> tuple[np.ndarray, np.ndarray]:
-        """The affine members' gradients as one map (H, c), block-diagonal H
-        (N d, N d) and c (N d,), zero on the other members' entries."""
-        n, d = self.n_agents, self.dim
-        forms = [a.affine or (np.zeros((d, d)), np.zeros(d)) for a in self.agents]
-        big_h, diag = np.zeros((n, d, n, d)), np.arange(n)
-        big_h[diag, :, diag] = [h for h, _ in forms]
-        return big_h.reshape(n * d, n * d), np.concatenate([c for _, c in forms])
-
-    @property
     def affine(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The stacked gradient as one affine map, :attr:`folded`, if every member is affine."""
-        return self.folded if self.curved[1] is None else None
-
-    @cached_property
-    def curved(self) -> tuple[np.ndarray, NetworkCost | None]:
-        """The flat indices of the entries of the members without ``affine``,
-        and those members as one network (None when every member is affine)."""
-        keep = [i for i, a in enumerate(self.agents) if a.affine is None]
-        sel = np.array([i * self.dim + k for i in keep for k in range(self.dim)], dtype=int)
-        return sel, NetworkCost(tuple(self.agents[i] for i in keep)) if keep else None
-
-    @cached_property
-    def _scalar_gradients(self):
-        """``ys -> [g_0(y_0), ...]`` with one call site per scalar gradient (CPython specialises
-        a site to one function), or None unless d = 1, all exist and some member is curved."""
-        funcs = [a.scalar_gradient for a in self.agents]
-        if self.dim != 1 or self.affine is not None or any(f is None for f in funcs):
+        """The stacked gradient as one affine map (H, c), block-diagonal H (N d, N d) and
+        c (N d,), if every member carries ``affine``, else None."""
+        if any(a.affine is None for a in self.agents):
             return None
-        scope, ns = {f"g{i}": f for i, f in enumerate(funcs)}, range(len(funcs))
-        exec(f"def grads(ys):\n {''.join(f'y{i}, ' for i in ns)}= ys\n"
-             f" return [{', '.join(f'g{i}(y{i})' for i in ns)}]", scope)  # generated names only
-        return scope["grads"]
+        n, d = self.n_agents, self.dim
+        big_h, diag = np.zeros((n, d, n, d)), np.arange(n)
+        big_h[diag, :, diag] = [a.affine[0] for a in self.agents]
+        return big_h.reshape(n * d, n * d), np.concatenate([a.affine[1] for a in self.agents])
 
     def grad_list(self, ys: list) -> list:
-        """Per-agent gradients of the flat, row-major entries ``ys`` (N d
-        floats), flat in the same order: the one caller of the members'
-        gradients.  Overflow maps to inf signed as the agent's first entry.
-        Scalar costs go one float at a time through ``_scalar_gradients``; any
-        other network (an affine one's gradients are never called in a loop),
-        and any overflow, goes agent by agent through ``gradient``."""
-        grads = self._scalar_gradients
-        if grads is not None:
+        """Per-agent gradients of the flat, row-major entries ``ys`` (N d floats), flat in
+        the same order.  For d = 1 with every ``scalar_gradient`` present it is one
+        comprehension over them; any other network, and any overflow, goes agent by agent
+        through ``gradient``, an overflow mapping to inf signed as the agent's first entry."""
+        if self.dim == 1 and all(a.scalar_gradient for a in self.agents):
             try:
-                return grads(ys)
+                return [a.scalar_gradient(y) for a, y in zip(self.agents, ys)]
             except OverflowError:
                 pass
         xs = np.array(ys, dtype=float).reshape(self.n_agents, self.dim)

@@ -10,6 +10,7 @@ sum of the ``v^i`` is a constant of motion, so runs must start from
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING, Callable
@@ -33,14 +34,14 @@ BLOCK_BYTES = 2**19  # cap on FoldedRK's stacked powers and partial sums
 
 @dataclass(frozen=True)
 class AlgorithmParams:
-    """Gradient gain ``alpha`` and coupling gain ``beta`` (both positive)."""
+    """Gradient gain ``alpha`` and coupling gain ``beta`` (both positive and finite)."""
 
     alpha: float
     beta: float
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValidationError(f"alpha and beta must be positive, got {self.alpha}, {self.beta}")
+        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
+            raise ValidationError(f"alpha, beta must be positive and finite: {self.alpha}, {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -195,85 +196,122 @@ RK4_TABLEAU = (((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)), (1 / 6, 1 / 3, 1 / 3, 
 EULER_TABLEAU = (((),), (1.0,))
 
 
-class AffineRK:
-    """Explicit Runge-Kutta step of size ``h`` of z' = A z + b - alpha [grad f(x); 0]
-    on the (2N, d) state z = [x; v], for a Butcher ``tableau``.
+def _lin(terms) -> str:
+    """Source of sum c * name over ``terms``: no c = 0 term, no factor 1, negative c subtracted."""
+    out = ""
+    for c, name in terms:
+        if c:
+            sign, c = ("-", -float(c)) if c < 0 else ("+", float(c))
+            t = name if c == 1 else f"{c!r}*{name}"
+            out = f"{out} {sign} {t}" if out else t if sign == "+" else f"-{t}"
+    return out or "0.0"
 
-    Each member with ``CostModel.affine`` (grad f^i = H x + c) folds in: -alpha H joins
-    A's (i, i) block and -alpha [c; 0] joins b.  Outside the gradients g_j of the other
-    members' entries ``sel`` (``NetworkCost.curved``) the flow is affine, so each stage
-    input x_j[sel] and the increment z(t + h) - z(t) are linear maps of u = [z; 1; g_1;
-    ...; g_s], composed here once: a step is one product per stage around its gradient
-    call, and z plus the last product.  b enters through the column on the 1 entry,
-    re-formed by :meth:`hold`.  :meth:`advance` stacks up to ``block`` steps for
-    ``simulate``.  With no curved member there are no stage maps, and ``AffineRK(...)``
-    builds a :class:`FoldedRK`, which advances in one product."""
+
+class AffineRK:
+    """Explicit Runge-Kutta step of size ``h`` of the flow on the (2N, d) state z = [x; v]
+    over the out-Laplacian ``lap`` (0 under sampled information, whose term b :meth:`hold`
+    sets) for a Butcher ``tableau``: a function on floats, generated per network, graph, h
+    and tableau, that writes out each stage per entry e of agent i from its input (y, u),
+    l_e = beta sum_j L_ij y_j, kx_e = -alpha grad_e f_i(y_i) - l_e - u_e + b_e and
+    kv_e = alpha l_e + b_{N+e}, adding b only where it can be nonzero.  A gradient is
+    H y + c written out (-alpha c joins b), a call of the ``scalar_gradient``, or (d > 1,
+    or none) entries of one ``NetworkCost.grad_list`` call per stage.  With every member
+    affine ``AffineRK(...)`` builds a :class:`FoldedRK`."""
 
     block = 8  # steps per advance; a tail dropped past an event has cost its gradient calls
 
     def __new__(cls, nc: NetworkCost, *args, **kwargs):
         return super().__new__(FoldedRK if nc.affine is not None else cls)
 
-    def __init__(self, nc: NetworkCost, p: AlgorithmParams, a: np.ndarray, h: float, tableau):
-        (rows, weights), n2 = tableau, 2 * nc.n_agents * nc.dim
-        (sel, curved), (big_h, c) = nc.curved, nc.folded  # -alpha H joins A, -alpha [c; 0] joins b
-        a = (np.kron(a, np.eye(nc.dim)) if nc.dim > 1 else a) - np.pad(p.alpha * big_h, (0, len(c)))
-        m, self._offset = len(sel), np.concatenate([-p.alpha * c, np.zeros(len(c))])
-        # stage inputs Z_j and slopes K_j = A Z_j + b - alpha [g_j on sel; 0] as maps of [z; b; g]
-        z0, slopes, maps = np.eye(n2, 2 * n2 + len(weights) * m), [], []
+    def __init__(self, nc: NetworkCost, p: AlgorithmParams, lap: np.ndarray, h: float, tableau):
+        (rows, weights), d, alpha, coupled = tableau, nc.dim, p.alpha, bool(lap.any())
+        es, lap = range(nc.n_agents * d), lap.tolist()  # Python floats overflow with no warning
+        scope, grad, self._offset = {"inf": math.inf, "nan": math.nan}, [], np.zeros(len(es))
+        listed = [e for e in es if nc.agents[e // d].affine is None
+                  and (d > 1 or nc.agents[e // d].scalar_gradient is None)]  # through grad_list
+        scope["grads"] = listed and NetworkCost(tuple(nc.agents[e // d] for e in listed[::d])).grad_list
+        for e in es:  # -alpha grad_e f_i(y_i) as (c, name) terms
+            (i, k), a = divmod(e, d), nc.agents[e // d]
+            scope[f"g{i}"] = a.scalar_gradient
+            if a.affine is None:
+                grad.append([(-alpha, f"q{e}" if e in listed else f"g{i}(y{e})")])
+            else:
+                grad.append([(-alpha * c, f"y{e - k + m}") for m, c in enumerate(a.affine[0][k].tolist())])
+                self._offset[e] = -alpha * float(a.affine[1][k])
+        self._times = times = sorted({h * sum(row) for row in rows})  # of the stages
+        state = ", ".join([f"x{e}" for e in es] + [f"v{e}" for e in es])
+        src = ["def run(z, steps, held, append):", f" {state}, = z", " " + "".join(
+            f"c{t}_{e}, " for t in range(len(times)) for e in es) + "".join(f"w{e}, " for e in es)
+            + "= held", " for _ in range(steps):"]  # c = t b_{N+e} - b_e, w = h sum b_j b_{N+e}
+        if not coupled:  # u_e less b_e is v_e + c_e: without L it depends on the stage time alone
+            src += [f"  u{t}_{e} = v{e} + c{t}_{e}" for t in range(len(times)) for e in es]
         for j, row in enumerate(rows):
-            zj = z0 + h * sum(c * k for c, k in zip(row, slopes))
-            maps.append(zj[sel, :2 * n2 + j * m])
-            k = a @ zj
-            k[:, n2:2 * n2] += np.eye(n2)
-            k[sel, 2 * n2 + j * m + np.arange(m)] -= p.alpha
-            slopes.append(k)
-        maps = (maps[1:] if m else []) + [h * sum(w * k for w, k in zip(weights, slopes))]
-        self._b_blocks = [mp[:, n2:2 * n2] for mp in maps]
-        self._maps = [np.hstack([mp[:, :n2], np.zeros((len(mp), 1)), mp[:, 2 * n2:]])
-                      for mp in maps]
-        self._stages, self._final = self._maps[:-1], self._maps[-1]
-        self._u = np.ones(self._final.shape[1])  # entry 2 N d stays 1
-        self._grad, self._sel, self._m = curved and curved.grad_list, sel, m
-        AffineRK.hold(self, np.zeros(n2))  # FoldedRK.hold needs the stacks it has yet to build
+            inc, t = [(h * c, m) for m, c in enumerate(row) if c], times.index(h * sum(row))
+            u = f"u{j if coupled else t}_"
+            src += [f"  y{e} = " + _lin([(1, f"x{e}")] + [(c, f"kx{m}_{e}") for c, m in inc]) for e in es]
+            src += [f"  u{j}_{e} = " + _lin([(1, f"v{e}"), (float(self._offset[e] != 0), f"c{t}_{e}")]
+                                            + [(alpha * c, f"l{m}_{e}") for c, m in inc])  # kv = alpha l
+                    for e in es if coupled]
+            src += [f"  {', '.join(f'q{e}' for e in listed)}, = "
+                    f"grads([{', '.join(f'y{e}' for e in listed)}])"] * bool(listed)
+            for e in es:
+                lin = [(p.beta * w, f"y{m * d + e % d}") for m, w in enumerate(lap[e // d])]
+                src += [f"  l{j}_{e} = {_lin(lin)}"] * coupled
+                src.append(f"  kx{j}_{e} = " + _lin(grad[e] + [(-1, f"l{j}_{e}")] * coupled
+                                                     + [(-1, f"{u}{e}")]))
+        groups = {h * w: [j for j, wj in enumerate(weights) if wj == w] for w in weights}
+        for s, k, a in (("x", "kx", 1.0), ("v", "l", alpha))[:1 + coupled]:  # one product a group
+            src += [f"  {s}{e} = " + _lin([(1, f"{s}{e}")] + [
+                (a * c, "(" + " + ".join(f"{k}{j}_{e}" for j in js) + ")") for c, js in groups.items()])
+                for e in es]
+        src += [f"  v{e} = v{e} + w{e}" for e in es if not coupled]
+        src.append(f"  append(({state}))")
+        exec("\n".join(src), scope)  # generated names and float literals only
+        self._run, self._span, self._coupled = scope["run"], h * sum(weights), coupled
+        self.hold(np.zeros(2 * len(es)))
 
     def hold(self, b: np.ndarray) -> None:
-        """Hold the (2N, d) term ``b`` of the flow (0 before the first call)."""
-        b = b.ravel() + self._offset
-        for mp, blk in zip(self._maps, self._b_blocks):
-            mp[:, b.size] = blk @ b  # the column on u's 1 entry, at 2 N d
+        """Hold the (2N, d) term ``b`` of the flow (0 before the first call; L = 0 only)."""
+        if self._coupled and b.any():
+            raise ValueError("a kernel over a nonzero L holds no term b")
+        bx, bv = np.split(b.ravel(), 2)
+        self._held = (np.outer(self._times, bv) - (bx + self._offset)).ravel().tolist() \
+            + (self._span * bv).tolist()
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         """The state one step after ``z``."""
         return self.advance(z, 1)[0]
 
     def advance(self, z: np.ndarray, steps: int) -> np.ndarray:
-        """The next ``steps`` (at most ``block``) states after ``z``, stacked (steps, 2N, d)."""
-        u, m, sel, grad, n2 = self._u, self._m, self._sel, self._grad, z.size
-        u[:n2] = z.ravel()  # u carries the state from step to step
-        out = np.empty((steps, n2))
-        for row in out:
-            hi = n2 + 1 + m
-            u[hi - m:hi] = grad(u[sel].tolist())
-            for w in self._stages:
-                u[hi:hi + m] = grad((w @ u[:hi]).tolist())
-                hi += m
-            u[:n2] += self._final @ u
-            row[:] = u[:n2]
-        return out.reshape(steps, *z.shape)
+        """The next ``steps`` (at most ``block``) states after ``z``, stacked (steps, 2N, d);
+        after a gradient overflows, only those up to its step's, which is inf."""
+        rows = []
+        try:
+            self._run(z.ravel().tolist(), steps, self._held, rows.append)
+        except OverflowError:  # as grad_list maps it: that step's state is out of range
+            rows.append([math.inf] * z.size)
+        return np.array(rows).reshape(len(rows), *z.shape)
 
 
 class FoldedRK(AffineRK):
-    """:class:`AffineRK` of an affine network: a step is z plus one product with [z; 1],
-    z -> M z + f.  The powers [M; ...; M^K] and sums [I; I + M; ...] are stacked once
-    (K = ``block``), the offsets [f; (I + M) f; ...] per :meth:`hold`, for :meth:`advance`."""
+    """:class:`AffineRK` of an affine network (H, c): a step of z' = A z + b - alpha [c; 0],
+    A = flow_matrix(L, p) - alpha [H, 0; 0, 0], is z -> M z + f, f = B (b - alpha [c; 0]).
+    The powers [M; ...; M^K] and sums [I; I + M; ...] are stacked once (K = ``block``), the
+    offsets [f; (I + M) f; ...] per :meth:`hold`, for :meth:`advance`."""
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        n2 = len(self._final)
+    def __init__(self, nc: NetworkCost, p: AlgorithmParams, lap: np.ndarray, h: float, tableau):
+        (rows, weights), (big_h, c), n2 = tableau, nc.affine, 2 * nc.n_agents * nc.dim
+        a = np.kron(flow_matrix(lap, p), np.eye(nc.dim)) - np.pad(p.alpha * big_h, (0, len(c)))
+        self._offset = np.concatenate([-p.alpha * c, np.zeros(len(c))])
+        # stage inputs Z_j and slopes K_j = A Z_j + b as maps of [z; b]
+        z0, eb, slopes = np.eye(n2, 2 * n2), np.eye(n2, 2 * n2, n2), []
+        for row in rows:
+            slopes.append(a @ (z0 + h * sum(aij * kj for aij, kj in zip(row, slopes))) + eb)
+        step = h * sum(w * k for w, k in zip(weights, slopes))  # z(t + h) - z(t)
+        self._b_map = step[:, n2:]
         self.block = k = max(1, min(BLOCK_STEPS, BLOCK_BYTES // (16 * n2 * n2)))
         powers, sums = np.empty((k, n2, n2)), np.empty((k, n2, n2))
-        powers[0], sums[0] = np.eye(n2) + self._final[:, :-1], np.eye(n2)
+        powers[0], sums[0] = np.eye(n2) + step[:, :n2], np.eye(n2)
         for j in range(1, k):
             powers[j] = powers[0] @ powers[j - 1]
             sums[j] = sums[j - 1] + powers[j - 1]
@@ -281,8 +319,7 @@ class FoldedRK(AffineRK):
         self.hold(np.zeros(n2))
 
     def hold(self, b: np.ndarray) -> None:
-        super().hold(b)
-        self._offsets = self._sums @ self._final[:, -1]
+        self._offsets = self._sums @ (self._b_map @ (b.ravel() + self._offset))
 
     def advance(self, z: np.ndarray, steps: int) -> np.ndarray:
         """The next ``steps`` (at most ``block``) states after ``z``, stacked (steps, 2N, d)."""
@@ -304,34 +341,24 @@ def equilibrium(nc: NetworkCost, p: AlgorithmParams) -> tuple[np.ndarray, np.nda
     cancels its own scaled local gradient there, so the v block sums to
     zero by optimality.
     """
-    x_star = minimize_global(nc)
-    n = nc.n_agents
-    x_bar = np.tile(x_star, (n, 1))
-    v_bar = -p.alpha * nc.grad_stack(x_bar)
-    return x_bar, v_bar
+    x_bar = np.tile(minimize_global(nc), (nc.n_agents, 1))
+    return x_bar, -p.alpha * nc.grad_stack(x_bar)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a blowup raises NumericalBlowup instead
 def simulate(scenario: "Scenario") -> Trace:
-    """Integrate a scenario with node-aligned communication.
+    """Integrate a scenario with node-aligned communication: fixed-step RK4 of size ``h``,
+    or forward Euler of size ``delta`` for an Euler scheme (broadcasts implicit at every
+    step: no event log, ``x_hat = x``), through one :class:`AffineRK` per graph.
 
-    The step is fixed-step RK4 of size ``h``, or forward Euler of size
-    ``delta`` for an Euler scheme, whose broadcasts are implicit at every
-    step (no event log, ``x_hat = x``), each through an :class:`AffineRK`.
-    A sampled scheme's :func:`schedulers.trigger_law` fires first at a polled
-    node (broadcasts update ``x_hat`` and the event log), so samples reflect
-    post-broadcast state.  The kernel advances a block (of ``block`` steps at
-    most) up to t_final, a topology switch or a periodic node, and the law
-    screens all of it (the centralized law past its dwell, found as an index,
-    with the Pi x_hat it holds).  The run goes on from the first flagged node,
-    polled, else from the block's last node, unpolled; the quiet nodes before
-    are recorded in bulk, the rest dropped.  Past t = 0 the law is polled only
-    at flagged nodes (each periodic node is one) and switches, where the
-    distributed threshold must follow the new graph.
-
-    The scenario was validated when built, so the only error raised here is
-    NumericalBlowup (carrying the partial trace) when the state escapes the
-    finite range.
+    A sampled scheme's :func:`schedulers.trigger_law` fires first at a polled node, so
+    samples reflect post-broadcast state.  The kernel advances a block (``block`` steps at
+    most) up to t_final, a topology switch or a periodic node; the law screens all of it,
+    and the run goes on from the first flagged node, polled, else from the block's last
+    node, unpolled.  The quiet nodes before are recorded in bulk, the rest dropped.  Past
+    t = 0 the law is polled only at flagged nodes and at switches, where the distributed
+    threshold must follow the new graph.  The scenario was validated when built, so the
+    only error raised here is NumericalBlowup (carrying the partial trace).
     """
     nc = scenario.network
     n, d = nc.n_agents, nc.dim
@@ -351,9 +378,7 @@ def simulate(scenario: "Scenario") -> Trace:
         x_star = None
 
     stride = scenario.stride
-    ks = list(range(0, n_steps + 1, stride))
-    if ks[-1] != n_steps:
-        ks.append(n_steps)
+    ks = list(range(0, n_steps, stride)) + [n_steps]
     n_smp = len(ks)
     T = np.array(ks) * h
     X = np.empty((n_smp, n, d))
@@ -364,7 +389,7 @@ def simulate(scenario: "Scenario") -> Trace:
     gi = order[0]
     clocks = [s for s in (spd, getattr(law, "every", 0)) if s]  # switch and periodic cadences
     # one kernel per switching graph; sampled information holds its L x_hat in b
-    kernels = [AffineRK(nc, p, flow_matrix(0 * lap if sampled else lap, p), h,
+    kernels = [AffineRK(nc, p, 0 * lap if sampled else lap, h,
                         EULER_TABLEAU if scheme.kind == "euler" else RK4_TABLEAU) for lap in laps]
     block = kernels[0].block  # steps per advance
 

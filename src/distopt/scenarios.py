@@ -153,21 +153,25 @@ def _required(spec: dict, key: str, where: str):
 
 def _number(value, where: str, cast=float):
     """``cast(value)``, or a ValidationError naming the field ``where``; with
-    ``cast=int`` a fractional value is refused, not rounded."""
+    ``cast=int`` a fractional value is refused, not rounded, and inf and NaN always."""
     try:
         if cast is int and isinstance(value, float) and not value.is_integer():
             raise ValueError(value)
-        return cast(value)
+        if math.isfinite(out := cast(value)):
+            return out
     except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{where} must be a number ({cast.__name__}), got {value!r}") from None
+        pass
+    raise ValidationError(f"{where} must be a finite number ({cast.__name__}), got {value!r}")
 
 
 def _floats(spec, where: str) -> np.ndarray:
-    """``spec`` as a float array, or a ValidationError naming the field ``where``."""
+    """``spec`` as a finite float array, or a ValidationError naming the field ``where``."""
     try:
-        return np.asarray(spec, dtype=float)
+        if np.isfinite(arr := np.asarray(spec, dtype=float)).all():
+            return arr
     except (TypeError, ValueError):
-        raise ValidationError(f"{where} must be a list of numbers, got {spec!r}") from None
+        pass
+    raise ValidationError(f"{where} must be a list of finite numbers, got {spec!r}")
 
 
 def _cost_from_dict(spec: dict, where: str) -> CostModel:
@@ -205,15 +209,11 @@ def _edge(spec, where: str) -> tuple[int, int, float]:
 
 
 def _box(spec, where: str) -> tuple[float, float]:
-    """``(lo, hi)`` with ``lo < hi`` from a two-number list, or a
-    ValidationError naming ``where``."""
-    try:
-        lo, hi = (float(b) for b in spec)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{where} must be a [lo, hi] pair of numbers, got {spec!r}") from None
-    if not -math.inf < lo < hi < math.inf:
-        raise ValidationError(f"{where} {spec!r} is empty or unbounded: need finite lo < hi")
-    return lo, hi
+    """``(lo, hi)`` with ``lo < hi`` from a two-number list, or a ValidationError naming ``where``."""
+    box = _floats(spec, where)
+    if not (box.shape == (2,) and box[0] < box[1]):
+        raise ValidationError(f"{where} {spec!r} is not a [lo, hi] pair with lo < hi")
+    return float(box[0]), float(box[1])
 
 
 def _draw_initial(spec, n: int, d: int, rng: np.random.Generator) -> np.ndarray:

@@ -106,7 +106,7 @@ def scheme_from_dict(d: dict, n_agents: int | None = None) -> CommScheme:
     """Inverse of :func:`scheme_dict`; scalar eps broadcasts to all agents.
 
     Raises ValidationError naming ``scheme.<field>`` when a field is
-    missing or not numeric, and when ``d`` is not a dict.
+    missing, not numeric or not finite, and when ``d`` is not a dict.
     """
     if not isinstance(d, dict):
         raise ValidationError(f"scheme must be an object with a 'kind', got {d!r}")
@@ -125,8 +125,11 @@ def scheme_from_dict(d: dict, n_agents: int | None = None) -> CommScheme:
             value = [value] * n_agents
         try:
             args[f.name] = np.asarray(value, dtype=float) if f.name == "eps" else float(value)
+            if not np.isfinite(args[f.name]).all():
+                raise ValueError(value)
         except (TypeError, ValueError):
-            raise ValidationError(f"scheme.{f.name} must be numeric, got {value!r}") from None
+            raise ValidationError(f"{kind} {f.name} (scheme.{f.name}) must be a finite number, "
+                                  f"got {value!r}") from None
     return cls(**args)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -136,13 +137,6 @@ class TestAffineForms:
         assert network_cost([catalog("f2"), catalog("f3")]).affine is None
 
 
-    def test_curved_members_split_off(self, ten_suite):
-        sel, sub = network_cost(ten_suite).curved
-        assert sel.tolist() == [0, 2, 3, 4, 5, 6, 7, 8]
-        assert sub.agents == tuple(c for c in ten_suite if c.affine is None)
-        sel, sub = network_cost([catalog("f2"), catalog("f10")]).curved
-        assert sel.size == 0 and sub is None
-
 
 class TestNetworkCost:
     def test_aggregates(self, quad_pair):
@@ -189,7 +183,6 @@ class TestNetworkCost:
             got = nc.grad_list(ys)
             assert got == [m.scalar_gradient(y) for m, y in zip(ten_suite, ys)]
             assert all(type(g) is float for g in got)
-        assert nc._scalar_gradients is nc._scalar_gradients  # built once per network
 
     def test_dispatcher_of_one_member(self):
         nc = network_cost([catalog("f3")])
@@ -205,15 +198,16 @@ class TestNetworkCost:
                                               catalog("f5").scalar_gradient(-0.5)]
 
     def test_no_dispatcher_without_scalar_gradients(self):
-        assert network_cost([quadratic_cost([1.0, 2.0])])._scalar_gradients is None
-        # an affine network is folded by the kernel and solved by the oracle: no compile
+        # d = 2, or a member without a scalar gradient: agent by agent through gradient
+        boom = mock.Mock(side_effect=AssertionError("scalar gradient called"))
+        quad = dataclasses.replace(quadratic_cost([1.0, 2.0]), scalar_gradient=boom)
+        assert network_cost([quad]).grad_list([0.5, -0.5]) == [0.5 + 0.5, -0.5 + 1.0]
         affine = network_cost([catalog("f2"), quadratic_cost([3.0])])
-        assert affine._scalar_gradients is None
         assert affine.grad_list([0.5, -0.5]) == [catalog("f2").scalar_gradient(0.5), -0.5 + 1.5]
         plain = dataclasses.replace(catalog("f3"), scalar_gradient=None)
-        nc = network_cost([catalog("f3"), plain])
-        assert nc._scalar_gradients is None
+        nc = network_cost([dataclasses.replace(catalog("f3"), scalar_gradient=boom), plain])
         assert nc.grad_list([0.3, 0.3]) == [catalog("f3").gradient(np.array([0.3]))[0]] * 2
+        boom.assert_not_called()
 
     def test_grad_list_vector_costs_are_row_major(self):
         costs = [quadratic_cost([1.0, -2.0]), quadratic_cost([0.5, 4.0]), quadratic_cost([3.0, 0.0])]

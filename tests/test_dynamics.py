@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from unittest import mock
@@ -27,7 +28,6 @@ from distopt.dynamics import (
     SwitchingSchedule,
     equilibrium,
     flow,
-    flow_matrix,
     held_terms,
     rk4,
     simulate,
@@ -59,7 +59,7 @@ def stack(x, v):
 def sampled_step(nc, p, lap, x_hat, h):
     """The RK4 kernel ``simulate`` steps under sampled information, holding
     ``x_hat``."""
-    kernel = AffineRK(nc, p, flow_matrix(0 * lap, p), h, RK4_TABLEAU)
+    kernel = AffineRK(nc, p, 0 * lap, h, RK4_TABLEAU)
     kernel.hold(held_terms(lap, p, x_hat))
     return kernel
 
@@ -187,9 +187,9 @@ class TestKernelProperty:
         nc, lap, p, h, z, x_hat = case
         field, held = flow(nc, p, lap), held_terms(lap, p, x_hat)
         with np.errstate(invalid="ignore"):  # inf times a zero map entry, see below
-            pairs = [(AffineRK(nc, p, flow_matrix(lap, p), h, RK4_TABLEAU)(z), rk4(field, z, h)),
+            pairs = [(AffineRK(nc, p, lap, h, RK4_TABLEAU)(z), rk4(field, z, h)),
                      (sampled_step(nc, p, lap, x_hat, h)(z), held_rk4_reference(nc, p)(z, held, h)),
-                     (AffineRK(nc, p, flow_matrix(lap, p), h, EULER_TABLEAU)(z), z + h * field(z))]
+                     (AffineRK(nc, p, lap, h, EULER_TABLEAU)(z), z + h * field(z))]
         for got, want in pairs:
             assert got.shape == z.shape and got.dtype == np.float64
             if not dynamics._within_limit(want[None]):
@@ -233,8 +233,8 @@ class TestAffineFold:
         nc, lap, p, h, z, x_hat = case
         held = held_terms(lap, p, x_hat)
         sampled = flow(nc, p, 0 * lap)
-        fields = [(flow_matrix(lap, p), None, flow(nc, p, lap)),
-                  (flow_matrix(0 * lap, p), held, lambda y: sampled(y) + held)]
+        fields = [(lap, None, flow(nc, p, lap)),
+                  (0 * lap, held, lambda y: sampled(y) + held)]
         for a, b, field in fields:
             for tableau, want in ((RK4_TABLEAU, rk4(field, z, h)),
                                   (EULER_TABLEAU, z + h * field(z))):
@@ -286,8 +286,8 @@ def mixed_cases(draw):
 
 
 class TestPartialFold:
-    """A network with affine and curved members folds the affine ones one by
-    one: the kernel's gradient calls get the curved members' entries only,
+    """A network with affine and curved members writes the affine ones' H y + c
+    out and calls the curved ones' gradients only, each at its own entries,
     and its step is still the tableau's step over ``flow``."""
 
     @staticmethod
@@ -307,9 +307,9 @@ class TestPartialFold:
     def test_mixed_step_matches_its_reference(self, case):
         nc, lap, p, h, z, x_hat = case
         field, held = flow(nc, p, lap), held_terms(lap, p, x_hat)
-        pairs = [(AffineRK(nc, p, flow_matrix(lap, p), h, RK4_TABLEAU)(z), rk4(field, z, h)),
+        pairs = [(AffineRK(nc, p, lap, h, RK4_TABLEAU)(z), rk4(field, z, h)),
                  (sampled_step(nc, p, lap, x_hat, h)(z), held_rk4_reference(nc, p)(z, held, h)),
-                 (AffineRK(nc, p, flow_matrix(lap, p), h, EULER_TABLEAU)(z), z + h * field(z))]
+                 (AffineRK(nc, p, lap, h, EULER_TABLEAU)(z), z + h * field(z))]
         for got, want in pairs:
             assert got.shape == z.shape
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
@@ -318,12 +318,11 @@ class TestPartialFold:
         # d = 2: the curved member is agent 1, its entries are 2 and 3 of x
         nc = network_cost([quadratic_cost([1.0, -2.0]), log_cosh_cost([0.5, 1.5]),
                            quadratic_cost([0.3, 0.0])])
-        np.testing.assert_array_equal(nc.curved[0], [2, 3])
         lap, p, h = out_laplacian(WeightedDigraph(3, np.roll(np.eye(3), 1, axis=1))), \
             AlgorithmParams(1.2, 2.0), 0.05
         z = np.random.default_rng(3).uniform(-2.0, 2.0, size=(6, 2))
         seen = self.recorded(monkeypatch)
-        got = AffineRK(nc, p, flow_matrix(lap, p), h, RK4_TABLEAU)(z)
+        got = AffineRK(nc, p, lap, h, RK4_TABLEAU)(z)
         assert len(seen) == 4 and seen[0] == (1, z[1].tolist())
         np.testing.assert_allclose(got, rk4(flow(nc, p, lap), z, h), rtol=1e-13, atol=1e-13)
 
@@ -347,24 +346,82 @@ class TestPartialFold:
 
     @pytest.mark.parametrize("scheme", [Continuous(), Periodic(delta=0.05)])
     def test_grad_list_gets_the_curved_entries(self, monkeypatch, scheme, ten_suite):
-        # f2 and f10 (agents 1 and 9) fold: 8 floats per call, 4 calls per RK4 step
-        sc = make_scenario(ten_suite, graph=preset_graph("cycle10"), scheme=scheme,
+        # f3 and f6 (agents 2 and 5) without a scalar gradient go through one grad_list
+        # call per stage: 2 floats per call, 4 calls per RK4 step; the others never do
+        costs = [dataclasses.replace(c, scalar_gradient=None) if i in (2, 5) else c
+                 for i, c in enumerate(ten_suite)]
+        sc = make_scenario(costs, graph=preset_graph("cycle10"), scheme=scheme,
                            t_final=0.5, h=1e-2, stride=1)
         seen = self.recorded(monkeypatch)
         trace = simulate(sc)
-        steps = [ys for size, ys in seen if size == 8]
-        assert {size for size, _ in seen} == {8, 10}  # 10: the oracle's bisection
-        assert len(steps) == 4 * 50 and all(len(ys) == 8 for ys in steps)
-        curved = [i for i in range(10) if i not in (1, 9)]
-        for k in (0, 1, 49):  # each step's first call gets x[curved] at its node
-            assert steps[4 * k] == trace.x[k, curved, 0].tolist()
+        steps = [ys for size, ys in seen if size == 2]
+        assert {size for size, _ in seen} == {2, 10}  # 10: the oracle's bisection
+        assert len(steps) == 4 * 50 and all(len(ys) == 2 for ys in steps)
+        for k in (0, 1, 49):  # each step's first call gets x[[2, 5]] at its node
+            assert steps[4 * k] == trace.x[k, [2, 5], 0].tolist()
 
-    def test_one_curved_network_per_run(self, ten_suite):
-        nc = network_cost(ten_suite)
-        p, h = AlgorithmParams(1.0, 1.0), 1e-3
-        kernels = [AffineRK(nc, p, flow_matrix(out_laplacian(preset_graph(g)), p), h, RK4_TABLEAU)
-                   for g in ("cycle10", "k10")]
-        assert kernels[0]._grad.__self__ is kernels[1]._grad.__self__ is nc.curved[1]
+
+class TestGeneratedKernel:
+    """The kernel of a network with a curved member is a function generated per
+    network, graph, h and tableau: d > 1 members through grad_list, catalog
+    members under Euler, and coefficients that overflow to inf."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_vector_curved_network_matches_its_reference(self, seed):
+        # every member a d = 2 log-cosh cost: no affine form, no scalar gradient
+        rng = np.random.default_rng(seed)
+        nc = network_cost([log_cosh_cost(rng.uniform(-2.0, 2.0, 2)) for _ in range(4)])
+        lap = out_laplacian(WeightedDigraph(4, np.roll(np.eye(4), 1, axis=1) + np.eye(4)[::-1]))
+        p, h = AlgorithmParams(*rng.uniform(0.5, 2.0, 2)), 0.02
+        z = rng.uniform(-2.0, 2.0, size=(8, 2))
+        x_hat = z[:4] + rng.normal(scale=0.3, size=(4, 2))
+        field, held = flow(nc, p, lap), held_terms(lap, p, x_hat)
+        pairs = [(AffineRK(nc, p, lap, h, RK4_TABLEAU)(z), rk4(field, z, h)),
+                 (sampled_step(nc, p, lap, x_hat, h)(z), held_rk4_reference(nc, p)(z, held, h)),
+                 (AffineRK(nc, p, lap, h, EULER_TABLEAU)(z), z + h * field(z))]
+        for got, want in pairs:
+            assert got.shape == z.shape
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+    def test_catalog_euler_matches_its_reference(self):
+        # fig4b: forward Euler at delta = 0.2 over fig2, two steps through simulate
+        sc = scenario_from_dict(preset_dict("fig4b") | {"t_final": 0.4})
+        nc, p, lap = sc.network, AlgorithmParams(sc.alpha, sc.beta), out_laplacian(preset_graph("fig2"))
+        field, z = flow(nc, p, lap), stack(sc.x0, sc.v0)
+        np.testing.assert_allclose(AffineRK(nc, p, lap, 0.2, EULER_TABLEAU)(z), z + 0.2 * field(z),
+                                   rtol=1e-13, atol=1e-13)
+        for _ in range(2):
+            z = z + 0.2 * field(z)
+        trace = simulate(sc)
+        np.testing.assert_allclose(stack(trace.x[-1], trace.v[-1]), z, rtol=1e-13, atol=1e-13)
+
+    def test_overflowing_coefficient_round_trips(self, ten_suite):
+        # beta L_ii = 2e308 overflows to inf from finite gains: the source writes it as inf
+        nc, lap, h = network_cost(ten_suite), out_laplacian(preset_graph("cycle10")), 1e-3
+        p = AlgorithmParams(1.0, 1e308)
+        z = np.random.default_rng(5).uniform(-1.0, 1.0, size=(20, 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = rk4(flow(nc, p, lap), z, h)
+        assert not dynamics._within_limit(want[None])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not dynamics._within_limit(AffineRK(nc, p, lap, h, RK4_TABLEAU)(z)[None])
+
+    def test_only_the_sampled_kernel_holds_a_term(self, ten_suite):
+        nc, lap = network_cost(ten_suite), out_laplacian(preset_graph("cycle10"))
+        kernel = AffineRK(nc, AlgorithmParams(1.0, 1.0), lap, 1e-3, RK4_TABLEAU)
+        kernel.hold(np.zeros((20, 1)))
+        with pytest.raises(ValueError, match="holds no term"):
+            kernel.hold(np.ones((20, 1)))
+
+
+def counting(model: CostModel, counts: list, j: int) -> CostModel:
+    """``model`` with its scalar gradient counted in ``counts[j]``."""
+    def counted(x, _g=model.scalar_gradient):
+        counts[j] += 1
+        return _g(x)
+
+    return dataclasses.replace(model, scalar_gradient=counted)
 
 
 def ring_quadratics():
@@ -396,12 +453,16 @@ class TestGradientCalls:
 
     @pytest.mark.parametrize("scheme", [Continuous(), Periodic(delta=0.05)])
     def test_catalog_network_calls_four_per_rk4_step(self, calls, scheme, ten_suite):
-        # simulate's oracle bisects x* through grad_list as well: count it apart
-        minimize_global(network_cost(ten_suite))
-        oracle, calls[0] = calls[0], 0
-        simulate(make_scenario(ten_suite, graph=preset_graph("cycle10"), scheme=scheme,
+        # counted f1 and f2: the curved f1 is called once per stage, the affine f2 never;
+        # simulate's oracle bisects x* through them as well: count it apart
+        counts = [0, 0]
+        costs = [counting(c, counts, j) for j, c in enumerate(ten_suite[:2])] + [*ten_suite[2:]]
+        minimize_global(network_cost(costs))
+        oracle, counts[:], calls[0] = list(counts), [0, 0], 0
+        simulate(make_scenario(costs, graph=preset_graph("cycle10"), scheme=scheme,
                                t_final=0.5, h=1e-2))
-        assert calls[0] == oracle + 4 * 50
+        assert counts == [oracle[0] + 4 * 50, oracle[1]]
+        assert calls[0] == oracle[0]  # grad_list: the oracle's calls only, one per member call
 
     def test_folded_path_still_stops_at_blowup(self):
         # L of cycle10 has eigenvalue 4, so h = 1 puts -beta h 4 = -4 outside
@@ -492,21 +553,18 @@ class TestBlockAdvance:
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
 
     def test_curved_blocks_drop_at_most_a_tail_per_flagged_node(self, monkeypatch, ten_suite):
-        grads, polls, grad_list, cascade = [0], [0], NetworkCost.grad_list, schedulers._cascade
-
-        def counted_grad(nc, ys):
-            grads[0] += 1
-            return grad_list(nc, ys)
+        # f1 counted: four calls per RK4 step taken, kept or dropped
+        grads, polls, cascade = [0], [0], schedulers._cascade
 
         def counted_cascade(*args):
             polls[0] += 1
             return cascade(*args)
 
-        monkeypatch.setattr(NetworkCost, "grad_list", counted_grad)
         monkeypatch.setattr(schedulers, "_cascade", counted_cascade)
-        minimize_global(network_cost(ten_suite))  # simulate's oracle, counted apart
+        costs = [counting(ten_suite[0], grads, 0), *ten_suite[1:]]
+        minimize_global(network_cost(costs))  # simulate's oracle, counted apart
         oracle, grads[0] = grads[0], 0
-        sc = make_scenario(ten_suite, graph=preset_graph("cycle10"),
+        sc = make_scenario(costs, graph=preset_graph("cycle10"),
                            scheme=DistributedEvent(eps=np.full(10, 0.05)), t_final=1.0, h=1e-2)
         trace = simulate(sc)
         assert polls[0] > 0 and np.unique(trace.event_times).size == polls[0] + 1
@@ -539,6 +597,49 @@ class TestBlockAdvance:
         broadcasts = np.unique(simulate(sc).event_times).size - 1  # t = 0 is not polled
         # the per-node loop polls all 2,000 nodes; here only the flagged ones, and each fires
         assert polls[0] == broadcasts > 0
+
+    @pytest.mark.parametrize("cls, affine", [(AffineRK, False), (dynamics.FoldedRK, True)])
+    def test_per_node_run_steps_one_node_per_advance(self, monkeypatch, ten_suite, cls, affine):
+        # per_node's patches reach the kernel simulate builds, else it compares blocks to blocks
+        seen, advance = [], cls.advance
+        monkeypatch.setattr(cls, "advance", lambda kernel, z, steps: seen.append(steps)
+                            or advance(kernel, z, steps))
+        sc = make_scenario(ring_quadratics() if affine else ten_suite, graph=preset_graph("cycle10"),
+                           t_final=1.0, h=1e-2)
+        self.per_node(sc)
+        assert set(seen) == {1}
+        seen.clear()
+        simulate(sc)
+        assert max(seen) == (dynamics.BLOCK_STEPS if affine else AffineRK.block)
+
+    @pytest.mark.parametrize("scheme", [Continuous(), Periodic(delta=0.05)])
+    def test_mid_block_overflow_stops_as_the_per_node_run(self, scheme):
+        # a gradient that raises OverflowError past x = 1.5, reached mid-block at
+        # t = 0.236: the same message and partial trace as one step per block, and
+        # no warning from the steps the block would have taken after it
+        def brittle(x):
+            if x > 1.5:
+                raise OverflowError("math range error")
+            return 2.0 * (x - 4.0)
+
+        cost = CostModel(dim=1, value=lambda x: float(x[0] - 4.0) ** 2,
+                         gradient=lambda x: np.array([brittle(float(x[0]))]), scalar_gradient=brittle)
+        sc = make_scenario([cost, cost], graph=preset_graph("k2"), scheme=scheme, t_final=1.0,
+                           h=1e-3, stride=1, x0=np.zeros((2, 1)))
+        outcomes = []
+        for run in (simulate, self.per_node):
+            with warnings.catch_warnings(record=True) as caught, pytest.raises(NumericalBlowup) as exc:
+                warnings.simplefilter("always")
+                run(sc)
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+            outcomes.append((str(exc.value), exc.value.trace))
+        (msg, got), (want_msg, want) = outcomes
+        assert msg == want_msg
+        k = round(float(msg.rsplit("= ", 1)[1]) / 1e-3)
+        assert 200 < k < 300 and 0 < (k - 1) % AffineRK.block < AffineRK.block - 1, "mid-block"
+        assert got.t.size == k
+        for name in ("t", "x", "v", "x_hat", "event_agents", "event_times"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
 
     @pytest.mark.parametrize("scheme", [Continuous(), CentralizedEvent(kappa=0.06, tau=0.5)])
     def test_blowup_at_the_same_node(self, scheme):

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import dump_graph
 from distopt.cli import main
+from distopt.dynamics import AlgorithmParams
 from distopt.errors import ParseError, UnknownPreset, ValidationError
 from distopt.graph import preset_graph
 from distopt.scenarios import (
@@ -133,6 +134,34 @@ class TestParsing:
     def test_bad_field_fails_at_parse_naming_it(self, change, named):
         with pytest.raises(ValidationError, match=re.escape(named)):
             scenario_from_dict(dict(MINIMAL) | change)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("named, change", [
+        ("alpha", lambda b: {"alpha": b}),
+        ("beta", lambda b: {"beta": b}),
+        ("x0", lambda b: {"x0": [b] + [0.0] * 9}),
+        ("x0.box", lambda b: {"x0": {"box": [0.0, b]}}),
+        ("v0", lambda b: {"v0": [0.0] * 9 + [b]}),
+        ("scheme.eps", lambda b: {"scheme": {"kind": "distributed_event", "eps": b}}),
+        ("scheme.eps", lambda b: {"scheme": {"kind": "distributed_event", "eps": [0.1] * 9 + [b]}}),
+        ("scheme.tau", lambda b: {"scheme": {"kind": "centralized_event", "kappa": 0.5, "tau": b}}),
+        ("analysis.eps", lambda b: {"analysis": {"eps": b}}),
+        ("analysis.delta", lambda b: {"analysis": {"delta": b}}),
+        ("analysis.phi", lambda b: {"analysis": {"phi": b}}),
+        ("analysis.box", lambda b: {"analysis": {"box": [-1.0, b]}}),
+        ("analysis.eps_vec", lambda b: {"analysis": {"eps_vec": [0.1] * 9 + [b]}}),
+    ], ids=["alpha", "beta", "x0", "x0.box", "v0", "scheme.eps", "scheme.eps[9]", "scheme.tau",
+            "analysis.eps", "analysis.delta", "analysis.phi", "analysis.box", "analysis.eps_vec"])
+    def test_non_finite_field_fails_at_parse_naming_it(self, tmp_path, change, named, bad):
+        # JSON's Infinity and NaN parse as floats: they must not reach the run
+        path = write_json(tmp_path, dict(MINIMAL) | change(bad))
+        with pytest.raises(ValidationError, match=re.escape(named)):
+            parse_scenario(path)
+
+    @pytest.mark.parametrize("gains", [(math.inf, 1.0), (1.0, math.nan)])
+    def test_gains_must_be_finite(self, gains):
+        with pytest.raises(ValidationError, match="finite"):
+            AlgorithmParams(*gains)
 
     def test_scenario_is_frozen_and_resolves_the_run_once(self):
         sc = scenario_from_dict(dict(MINIMAL) | {"t_final": 2.0})
