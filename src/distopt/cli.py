@@ -52,12 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     scenario = scenarios.parse_scenario(args.scenario, seed=args.seed)
-    try:
-        summary = scenarios.run(scenario, out_dir=args.out, with_certificate=args.certify)
-    except NumericalBlowup as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BLOWUP
-    worst = max(summary["final_errors"]) if summary["final_errors"] else float("nan")
+    summary = scenarios.run(scenario, out_dir=args.out, with_certificate=args.certify)
+    worst = max([e for e in summary["final_errors"] if e is not None], default=float("nan"))
     print(f"{scenario.name}: final max error {worst:.3e}, "
           f"{sum(summary['event_counts'])} events, {summary['wall_time_s']:.2f} s")
     return EXIT_OK
@@ -98,22 +94,13 @@ def _cmd_graph_check(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    commands = {"run": _cmd_run, "certify": _cmd_certify, "preset": _cmd_preset,
+                "graph": _cmd_graph_check}
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "certify":
-            return _cmd_certify(args)
-        if args.command == "preset":
-            return _cmd_preset(args)
-        if args.command == "graph":
-            return _cmd_graph_check(args)
-    except NumericalBlowup as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BLOWUP
+        return commands[args.command](args)
     except DistoptError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    return EXIT_OK
+        return EXIT_BLOWUP if isinstance(exc, NumericalBlowup) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

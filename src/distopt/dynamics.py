@@ -46,7 +46,7 @@ class AlgorithmParams:
 
 @dataclass(frozen=True)
 class SwitchingSchedule:
-    """Piecewise-constant topology: cycle through ``graphs`` every ``dwell``.
+    """Piecewise-constant topology: cycle through ``graphs`` as listed, one per ``dwell``.
 
     Every member must be strongly connected and weight balanced; that is
     checked at construction.
@@ -54,17 +54,12 @@ class SwitchingSchedule:
 
     graphs: tuple[WeightedDigraph, ...]
     dwell: float
-    order: tuple[int, ...] = ()
 
     def __post_init__(self):
         if not self.graphs:
             raise ValidationError("switching schedule needs at least one graph")
         if not self.dwell > 0:
             raise ValidationError("dwell must be positive")
-        order = self.order or tuple(range(len(self.graphs)))
-        if any(not (0 <= i < len(self.graphs)) for i in order):
-            raise ValidationError("switching.order indexes outside the graph list")
-        object.__setattr__(self, "order", order)
         for k, g in enumerate(self.graphs):
             if not is_strongly_connected(g):
                 raise ValidationError(f"switching graph {k} is not strongly connected")
@@ -91,7 +86,6 @@ class Trace:
     event_times: np.ndarray
     scheme: dict
     h: float
-    stride: int
     alpha: float
     beta: float
     x_star: np.ndarray | None = None
@@ -215,13 +209,9 @@ class AffineRK:
     l_e = beta sum_j L_ij y_j, kx_e = -alpha grad_e f_i(y_i) - l_e - u_e + b_e and
     kv_e = alpha l_e + b_{N+e}, adding b only where it can be nonzero.  A gradient is
     H y + c written out (-alpha c joins b), a call of the ``scalar_gradient``, or (d > 1,
-    or none) entries of one ``NetworkCost.grad_list`` call per stage.  With every member
-    affine ``AffineRK(...)`` builds a :class:`FoldedRK`."""
+    or none) entries of one ``NetworkCost.grad_list`` call per stage."""
 
     block = 8  # steps per advance; a tail dropped past an event has cost its gradient calls
-
-    def __new__(cls, nc: NetworkCost, *args, **kwargs):
-        return super().__new__(FoldedRK if nc.affine is not None else cls)
 
     def __init__(self, nc: NetworkCost, p: AlgorithmParams, lap: np.ndarray, h: float, tableau):
         (rows, weights), d, alpha, coupled = tableau, nc.dim, p.alpha, bool(lap.any())
@@ -278,10 +268,6 @@ class AffineRK:
         self._held = (np.outer(self._times, bv) - (bx + self._offset)).ravel().tolist() \
             + (self._span * bv).tolist()
 
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        """The state one step after ``z``."""
-        return self.advance(z, 1)[0]
-
     def advance(self, z: np.ndarray, steps: int) -> np.ndarray:
         """The next ``steps`` (at most ``block``) states after ``z``, stacked (steps, 2N, d);
         after a gradient overflows, only those up to its step's, which is inf."""
@@ -293,11 +279,11 @@ class AffineRK:
         return np.array(rows).reshape(len(rows), *z.shape)
 
 
-class FoldedRK(AffineRK):
-    """:class:`AffineRK` of an affine network (H, c): a step of z' = A z + b - alpha [c; 0],
-    A = flow_matrix(L, p) - alpha [H, 0; 0, 0], is z -> M z + f, f = B (b - alpha [c; 0]).
-    The powers [M; ...; M^K] and sums [I; I + M; ...] are stacked once (K = ``block``), the
-    offsets [f; (I + M) f; ...] per :meth:`hold`, for :meth:`advance`."""
+class FoldedRK:
+    """The kernel of an affine network (H, c), with :class:`AffineRK`'s interface: a step of
+    z' = A z + b - alpha [c; 0], A = flow_matrix(L, p) - alpha [H, 0; 0, 0], is z -> M z + f,
+    f = B (b - alpha [c; 0]).  The powers [M; ...; M^K] and sums [I; I + M; ...] are stacked
+    once (K = ``block``), the offsets [f; (I + M) f; ...] per :meth:`hold`, for :meth:`advance`."""
 
     def __init__(self, nc: NetworkCost, p: AlgorithmParams, lap: np.ndarray, h: float, tableau):
         (rows, weights), (big_h, c), n2 = tableau, nc.affine, 2 * nc.n_agents * nc.dim
@@ -327,6 +313,11 @@ class FoldedRK(AffineRK):
         return (self._powers[:rows] @ z.ravel() + self._offsets[:rows]).reshape(steps, *z.shape)
 
 
+def rk_kernel(nc: NetworkCost, p: AlgorithmParams, lap: np.ndarray, h: float, tableau):
+    """The step kernel of ``nc``: a :class:`FoldedRK` if every member is affine, else an AffineRK."""
+    return (FoldedRK if nc.affine is not None else AffineRK)(nc, p, lap, h, tableau)
+
+
 def _within_limit(zs: np.ndarray) -> int:
     """How many leading states of ``zs`` lie within +-BLOWUP_LIMIT (nan and inf do not)."""
     if -BLOWUP_LIMIT <= zs.min() <= zs.max() <= BLOWUP_LIMIT:
@@ -349,7 +340,8 @@ def equilibrium(nc: NetworkCost, p: AlgorithmParams) -> tuple[np.ndarray, np.nda
 def simulate(scenario: "Scenario") -> Trace:
     """Integrate a scenario with node-aligned communication: fixed-step RK4 of size ``h``,
     or forward Euler of size ``delta`` for an Euler scheme (broadcasts implicit at every
-    step: no event log, ``x_hat = x``), through one :class:`AffineRK` per graph.
+    step: no event log, ``x_hat = x``), through :func:`rk_kernel`: one kernel per graph,
+    or under sampled information one over L = 0 for all, as the held b carries the graph.
 
     A sampled scheme's :func:`schedulers.trigger_law` fires first at a polled node, so
     samples reflect post-broadcast state.  The kernel advances a block (``block`` steps at
@@ -364,8 +356,8 @@ def simulate(scenario: "Scenario") -> Trace:
     n, d = nc.n_agents, nc.dim
     p = AlgorithmParams(scenario.alpha, scenario.beta)
     scheme, h, n_steps = scenario.scheme, scenario.step, scenario.n_steps
-    sched = scenario.schedule
-    order, spd = (sched.order, round(sched.dwell / h)) if sched is not None else ((0,), None)
+    # steps per graph: a fixed graph is a one-graph cycle that the horizon never leaves
+    spd = n_steps if scenario.schedule is None else round(scenario.schedule.dwell / h)
     laps = [out_laplacian(g) for g in scenario.graphs]
     z = np.concatenate([scenario.x0, scenario.v0])
     x = z[:n]
@@ -386,11 +378,11 @@ def simulate(scenario: "Scenario") -> Trace:
     XH = np.empty((n_smp, n, d))
     ERR = np.full((n_smp, n), np.nan)
 
-    gi = order[0]
+    gi = 0
     clocks = [s for s in (spd, getattr(law, "every", 0)) if s]  # switch and periodic cadences
-    # one kernel per switching graph; sampled information holds its L x_hat in b
-    kernels = [AffineRK(nc, p, 0 * lap if sampled else lap, h,
-                        EULER_TABLEAU if scheme.kind == "euler" else RK4_TABLEAU) for lap in laps]
+    tableau = EULER_TABLEAU if scheme.kind == "euler" else RK4_TABLEAU
+    kernels = ([rk_kernel(nc, p, 0 * laps[0], h, tableau)] * len(laps) if sampled
+               else [rk_kernel(nc, p, lap, h, tableau) for lap in laps])
     block = kernels[0].block  # steps per advance
 
     def trace(si: int) -> Trace:
@@ -409,7 +401,6 @@ def simulate(scenario: "Scenario") -> Trace:
             event_times=np.asarray(law.times if sampled else [], dtype=float),
             scheme=schedulers.scheme_dict(scheme),
             h=h,
-            stride=stride,
             alpha=float(scenario.alpha),
             beta=float(scenario.beta),
             x_star=None if x_star is None else np.asarray(x_star, dtype=float),
@@ -418,9 +409,8 @@ def simulate(scenario: "Scenario") -> Trace:
     si = k = 0
     poll = True  # node k needs the exact law: no screen has cleared it
     while True:
-        switched = spd is not None and order[(k // spd) % len(order)] != gi
-        if switched:
-            gi = order[(k // spd) % len(order)]
+        graph = (k // spd) % len(laps)
+        switched, gi = graph != gi, graph
         if sampled and (poll or switched) and (law.fire(k, x, x_hat, gi) or switched):
             kernels[gi].hold(held_terms(laps[gi], p, x_hat))
         if k == ks[si]:

@@ -13,20 +13,14 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import certificates, diagnostics, dynamics, schedulers
 from .costs import CostModel, NetworkCost, catalog, network_cost, quadratic_cost
-from .errors import (
-    DimMismatch,
-    DistoptError,
-    ParseError,
-    UnknownPreset,
-    ValidationError,
-)
+from .errors import DimMismatch, NumericalBlowup, ParseError, UnknownPreset, ValidationError
 from .graph import WeightedDigraph, load_graph, build_digraph, preset_graph
 
 DEFAULT_H = 1e-3
@@ -34,6 +28,8 @@ DEFAULT_STRIDE = 10
 DEFAULT_SEED = 42
 DEFAULT_BOX = (-5.0, 5.0)
 
+FIELDS = ("name", "graph", "switching", "costs", "alpha", "beta", "scheme", "t_final", "h",
+          "stride", "seed", "x0", "v0", "analysis", "out")  # a scenario's top-level fields
 PRESET_NAMES = ("fig1a", "fig1b", "fig1c", "fig3a", "fig3b", "fig4a", "fig4b", "fig5")
 SWITCHING_SET = ("fig2", "fig2r3", "fig2r7")
 
@@ -151,6 +147,21 @@ def _required(spec: dict, key: str, where: str):
     return spec[key]
 
 
+def _known(spec: dict, keys, where: str) -> dict:
+    """``spec``, or a ValidationError naming its first field outside ``keys``, prefixed ``where``."""
+    if unknown := [key for key in spec if key not in keys]:
+        raise ValidationError(f"{where}{unknown[0]} is not a known field; known: {', '.join(keys)}")
+    return spec
+
+
+def _one_of(spec: dict, keys, where: str) -> str | None:
+    """The one of ``keys`` in ``spec`` (None if none), or a ValidationError naming two in it."""
+    given = [key for key in keys if key in spec]
+    if len(given) > 1:
+        raise ValidationError(f"{where}{given[0]} and {where}{given[1]} exclude each other")
+    return given[0] if given else None
+
+
 def _number(value, where: str, cast=float):
     """``cast(value)``, or a ValidationError naming the field ``where``; with
     ``cast=int`` a fractional value is refused, not rounded, and inf and NaN always."""
@@ -177,8 +188,10 @@ def _floats(spec, where: str) -> np.ndarray:
 def _cost_from_dict(spec: dict, where: str) -> CostModel:
     kind = spec.get("kind") if isinstance(spec, dict) else None
     if kind == "catalog":
+        _known(spec, ("kind", "name"), f"{where}.")
         return catalog(_typed(_required(spec, "name", f"{where}.name"), str, f"{where}.name"))
     if kind == "quadratic":
+        _known(spec, ("kind", "a", "b"), f"{where}.")
         a = _floats(_required(spec, "a", f"{where}.a"), f"{where}.a")
         if a.ndim > 1 or not a.size:
             raise ValidationError(f"{where}.a must be a flat, non-empty list, got {spec['a']!r}")
@@ -187,18 +200,20 @@ def _cost_from_dict(spec: dict, where: str) -> CostModel:
 
 
 def _graph_from_dict(spec: dict, where: str) -> WeightedDigraph:
-    if "preset" in _typed(spec, dict, where):
+    source = _one_of(_typed(spec, dict, where), ("preset", "file", "edges"), f"{where}.")
+    if source is None:
+        raise ValidationError(f"graph spec needs 'preset', 'file' or 'edges': {spec}")
+    _known(spec, ("n", "edges") if source == "edges" else (source,), f"{where}.")
+    if source == "preset":
         return preset_graph(_typed(spec["preset"], str, f"{where}.preset"))
-    if "file" in spec:
+    if source == "file":
         return load_graph(_typed(spec["file"], str, f"{where}.file"))
-    if "edges" in spec:
-        n = _number(_required(spec, "n", f"{where}.n"), f"{where}.n", int)
-        edges = _typed(spec["edges"], list, f"{where}.edges")
-        if n > max(1, len(edges)):  # checked before build_digraph allocates n x n weights
-            raise ValidationError(f"{where}.n = {n} needs at least n edges to be strongly "
-                                  f"connected, got {len(edges)}")
-        return build_digraph(n, [_edge(e, f"{where}.edges[{k}]") for k, e in enumerate(edges)])
-    raise ValidationError(f"graph spec needs 'preset', 'file' or 'edges': {spec}")
+    n = _number(_required(spec, "n", f"{where}.n"), f"{where}.n", int)
+    edges = _typed(spec["edges"], list, f"{where}.edges")
+    if n > max(1, len(edges)):  # checked before build_digraph allocates n x n weights
+        raise ValidationError(f"{where}.n = {n} needs at least n edges to be strongly "
+                              f"connected, got {len(edges)}")
+    return build_digraph(n, [_edge(e, f"{where}.edges[{k}]") for k, e in enumerate(edges)])
 
 
 def _edge(spec, where: str) -> tuple[int, int, float]:
@@ -217,8 +232,9 @@ def _box(spec, where: str) -> tuple[float, float]:
 
 
 def _draw_initial(spec, n: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    if spec is None or (isinstance(spec, dict) and "box" in spec):
-        lo, hi = DEFAULT_BOX if spec is None else _box(spec["box"], "x0.box")
+    if spec is None or isinstance(spec, dict):
+        lo, hi = DEFAULT_BOX if spec is None else _box(
+            _required(_known(spec, ("box",), "x0."), "box", "x0.box"), "x0.box")
         return rng.uniform(lo, hi, size=(n, d))
     return _state(spec, n, d, "x0")
 
@@ -235,29 +251,26 @@ def scenario_from_dict(cfg: dict, seed: int | None = None) -> Scenario:
     """Validate and materialize a scenario dict.
 
     ``seed`` overrides the seed in the dict (used by the CLI's --seed).
-    Raises ValidationError naming the offending field.
+    Raises ValidationError naming the offending field, also for a field the schema
+    does not know and for two that exclude each other.
     """
+    _known(cfg, FIELDS, "")
     if not (isinstance(cfg.get("costs"), list) and cfg["costs"]):
         raise ValidationError(f"scenario needs a non-empty 'costs' list, got {cfg.get('costs')!r}")
     costs = tuple(_cost_from_dict(c, f"costs[{i}]") for i, c in enumerate(cfg["costs"]))
     n = len(costs)
     d = costs[0].dim
     graph = schedule = None
-    if "switching" in cfg:
-        sw = _typed(cfg["switching"], dict, "switching")
-        if "presets" in sw:
-            names = enumerate(_typed(sw["presets"], list, "switching.presets"))
-            graphs = tuple(preset_graph(_typed(p, str, f"switching.presets[{i}]"))
-                           for i, p in names)
-        else:
-            specs = enumerate(_typed(_required(sw, "graphs", "switching.graphs"), list,
-                                     "switching.graphs"))
-            graphs = tuple(_graph_from_dict(gd, f"switching.graphs[{i}]") for i, gd in specs)
-        order = enumerate(_typed(sw.get("order", []), list, "switching.order"))
+    if _one_of(cfg, ("graph", "switching"), "") == "switching":
+        sw = _known(_typed(cfg["switching"], dict, "switching"), ("presets", "graphs", "dwell"),
+                    "switching.")
+        key = _one_of(sw, ("presets", "graphs"), "switching.") or "graphs"
+        specs = enumerate(_typed(_required(sw, key, f"switching.{key}"), list, f"switching.{key}"))
+        graphs = tuple(preset_graph(_typed(g, str, f"switching.presets[{i}]")) if key == "presets"
+                       else _graph_from_dict(g, f"switching.graphs[{i}]") for i, g in specs)
         schedule = dynamics.SwitchingSchedule(
             graphs=graphs,
             dwell=_number(_required(sw, "dwell", "switching.dwell"), "switching.dwell"),
-            order=tuple(_number(i, f"switching.order[{k}]", int) for k, i in order),
         )
     elif "graph" in cfg:
         graph = _graph_from_dict(cfg["graph"], "graph")
@@ -271,7 +284,8 @@ def scenario_from_dict(cfg: dict, seed: int | None = None) -> Scenario:
     rng = np.random.default_rng(use_seed)
     x0 = _draw_initial(cfg.get("x0"), n, d, rng)
     v0 = np.zeros((n, d)) if cfg.get("v0") is None else _state(cfg["v0"], n, d, "v0")
-    ana = _typed(cfg.get("analysis", {}), dict, "analysis")
+    ana = _known(_typed(cfg.get("analysis", {}), dict, "analysis"),
+                 [f.name for f in fields(AnalysisOptions)], "analysis.")
     analysis = AnalysisOptions(
         eps=_number(ana.get("eps", 0.5), "analysis.eps"),
         delta=_number(ana.get("delta", 1.0), "analysis.delta"),
@@ -380,10 +394,9 @@ def run(scenario: Scenario, out_dir=None, with_certificate: bool = False) -> dic
     t0 = time.perf_counter()
     try:
         trace = dynamics.simulate(scenario)
-    except DistoptError as exc:
-        partial = getattr(exc, "trace", None)
-        if partial is not None and partial.t.size:
-            _write_outputs(partial, scenario, out, time.perf_counter() - t0,
+    except NumericalBlowup as exc:
+        if exc.trace is not None:
+            _write_outputs(exc.trace, scenario, out, time.perf_counter() - t0,
                            status="blowup", certificate=None)
         raise
     return _write_outputs(trace, scenario, out, time.perf_counter() - t0,
@@ -396,7 +409,6 @@ def _write_outputs(trace, scenario, out: Path, wall: float, status: str,
     trace.to_csv(out / "trace.csv")
     trace.events_to_csv(out / "events.csv")
     stats = schedulers.event_stats(trace)
-    ln_err = np.where(trace.err > 0, np.log(np.maximum(trace.err, 1e-300)), -math.inf)
     summary = {
         "name": scenario.name,
         "status": status,
@@ -411,22 +423,28 @@ def _write_outputs(trace, scenario, out: Path, wall: float, status: str,
         "x_star": None if trace.x_star is None else [float(c) for c in trace.x_star],
         "final_errors": [float(e) for e in trace.err[-1]] if trace.t.size else [],
         "event_counts": [int(c) for c in stats.counts],
-        "min_inter_event": [None if not math.isfinite(gp) else float(gp) for gp in stats.min_gaps],
-        "global_min_gap": None if not math.isfinite(stats.global_min_gap) else stats.global_min_gap,
+        "min_inter_event": [float(gp) for gp in stats.min_gaps],
+        "global_min_gap": stats.global_min_gap,
         "zeno_flag": stats.zeno_flag,
         "conservation_max": diagnostics.conservation_violation(trace) if trace.t.size else None,
         "wall_time_s": wall,
-        "ln_err": {
-            "t": [float(tt) for tt in trace.t],
-            "agents": [[float(v) for v in ln_err[:, i]] for i in range(trace.n_agents)],
-        },
     }
     if certificate is not None:
         summary["certificate"] = certificate
+    summary = _strict(summary)
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
+        json.dump(summary, fh, indent=2, allow_nan=False)
         fh.write("\n")
     return summary
+
+
+def _strict(value):
+    """``value`` with each non-finite float in it, nested in lists and dicts, as None (null)."""
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_strict(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def scheme_feasible(report: certificates.CertificateReport, scheme) -> bool:

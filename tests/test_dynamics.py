@@ -30,6 +30,7 @@ from distopt.dynamics import (
     flow,
     held_terms,
     rk4,
+    rk_kernel,
     simulate,
 )
 from distopt.errors import NumericalBlowup, ValidationError
@@ -56,12 +57,17 @@ def stack(x, v):
     return np.concatenate([np.asarray(x, dtype=float), np.asarray(v, dtype=float)])
 
 
+def kernel_step(nc, p, lap, h, tableau, z):
+    """One step from ``z`` of the kernel ``simulate`` builds for ``nc`` over ``lap``."""
+    return rk_kernel(nc, p, lap, h, tableau).advance(z, 1)[0]
+
+
 def sampled_step(nc, p, lap, x_hat, h):
-    """The RK4 kernel ``simulate`` steps under sampled information, holding
-    ``x_hat``."""
-    kernel = AffineRK(nc, p, 0 * lap, h, RK4_TABLEAU)
+    """One step of the RK4 kernel ``simulate`` steps under sampled information,
+    holding ``x_hat``, as a function of the state."""
+    kernel = rk_kernel(nc, p, 0 * lap, h, RK4_TABLEAU)
     kernel.hold(held_terms(lap, p, x_hat))
-    return kernel
+    return lambda z: kernel.advance(z, 1)[0]
 
 
 def rk4_factor(w):
@@ -175,7 +181,7 @@ def held_cases(draw):
 
 
 class TestKernelProperty:
-    """One AffineRK step of each scheme against the step it must take:
+    """One kernel step of each scheme against the step it must take:
     rk4 over flow (continuous), the written-out sampled RK4 step (x_hat
     held) and z + h flow(z) (Euler).  The kernel's products reorder the
     sums, so agreement is to rounding; a wrong or missing term is off by
@@ -187,9 +193,9 @@ class TestKernelProperty:
         nc, lap, p, h, z, x_hat = case
         field, held = flow(nc, p, lap), held_terms(lap, p, x_hat)
         with np.errstate(invalid="ignore"):  # inf times a zero map entry, see below
-            pairs = [(AffineRK(nc, p, lap, h, RK4_TABLEAU)(z), rk4(field, z, h)),
+            pairs = [(kernel_step(nc, p, lap, h, RK4_TABLEAU, z), rk4(field, z, h)),
                      (sampled_step(nc, p, lap, x_hat, h)(z), held_rk4_reference(nc, p)(z, held, h)),
-                     (AffineRK(nc, p, lap, h, EULER_TABLEAU)(z), z + h * field(z))]
+                     (kernel_step(nc, p, lap, h, EULER_TABLEAU, z), z + h * field(z))]
         for got, want in pairs:
             assert got.shape == z.shape and got.dtype == np.float64
             if not dynamics._within_limit(want[None]):
@@ -222,7 +228,7 @@ def affine_cases(draw):
 
 
 class TestAffineFold:
-    """An affine network's gradients are folded into AffineRK's maps: the
+    """An affine network's gradients are folded into FoldedRK's step map: the
     kernel calls no gradient, and its step is still the tableau's step over
     ``flow`` (RK4 as ``rk4``, Euler as z + h flow(z)), under continuous
     information and with a held b alike."""
@@ -240,10 +246,10 @@ class TestAffineFold:
                                   (EULER_TABLEAU, z + h * field(z))):
                 with mock.patch.object(NetworkCost, "grad_list",
                                        side_effect=AssertionError("gradient called")):
-                    kernel = AffineRK(nc, p, a, h, tableau)
+                    kernel = rk_kernel(nc, p, a, h, tableau)
                     if b is not None:
                         kernel.hold(b)
-                    got = kernel(z)
+                    got = kernel.advance(z, 1)[0]
                 assert got.shape == z.shape
                 np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
@@ -307,9 +313,9 @@ class TestPartialFold:
     def test_mixed_step_matches_its_reference(self, case):
         nc, lap, p, h, z, x_hat = case
         field, held = flow(nc, p, lap), held_terms(lap, p, x_hat)
-        pairs = [(AffineRK(nc, p, lap, h, RK4_TABLEAU)(z), rk4(field, z, h)),
+        pairs = [(kernel_step(nc, p, lap, h, RK4_TABLEAU, z), rk4(field, z, h)),
                  (sampled_step(nc, p, lap, x_hat, h)(z), held_rk4_reference(nc, p)(z, held, h)),
-                 (AffineRK(nc, p, lap, h, EULER_TABLEAU)(z), z + h * field(z))]
+                 (kernel_step(nc, p, lap, h, EULER_TABLEAU, z), z + h * field(z))]
         for got, want in pairs:
             assert got.shape == z.shape
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
@@ -322,7 +328,7 @@ class TestPartialFold:
             AlgorithmParams(1.2, 2.0), 0.05
         z = np.random.default_rng(3).uniform(-2.0, 2.0, size=(6, 2))
         seen = self.recorded(monkeypatch)
-        got = AffineRK(nc, p, lap, h, RK4_TABLEAU)(z)
+        got = kernel_step(nc, p, lap, h, RK4_TABLEAU, z)
         assert len(seen) == 4 and seen[0] == (1, z[1].tolist())
         np.testing.assert_allclose(got, rk4(flow(nc, p, lap), z, h), rtol=1e-13, atol=1e-13)
 
@@ -376,9 +382,9 @@ class TestGeneratedKernel:
         z = rng.uniform(-2.0, 2.0, size=(8, 2))
         x_hat = z[:4] + rng.normal(scale=0.3, size=(4, 2))
         field, held = flow(nc, p, lap), held_terms(lap, p, x_hat)
-        pairs = [(AffineRK(nc, p, lap, h, RK4_TABLEAU)(z), rk4(field, z, h)),
+        pairs = [(kernel_step(nc, p, lap, h, RK4_TABLEAU, z), rk4(field, z, h)),
                  (sampled_step(nc, p, lap, x_hat, h)(z), held_rk4_reference(nc, p)(z, held, h)),
-                 (AffineRK(nc, p, lap, h, EULER_TABLEAU)(z), z + h * field(z))]
+                 (kernel_step(nc, p, lap, h, EULER_TABLEAU, z), z + h * field(z))]
         for got, want in pairs:
             assert got.shape == z.shape
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
@@ -388,8 +394,8 @@ class TestGeneratedKernel:
         sc = scenario_from_dict(preset_dict("fig4b") | {"t_final": 0.4})
         nc, p, lap = sc.network, AlgorithmParams(sc.alpha, sc.beta), out_laplacian(preset_graph("fig2"))
         field, z = flow(nc, p, lap), stack(sc.x0, sc.v0)
-        np.testing.assert_allclose(AffineRK(nc, p, lap, 0.2, EULER_TABLEAU)(z), z + 0.2 * field(z),
-                                   rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(kernel_step(nc, p, lap, 0.2, EULER_TABLEAU, z),
+                                   z + 0.2 * field(z), rtol=1e-13, atol=1e-13)
         for _ in range(2):
             z = z + 0.2 * field(z)
         trace = simulate(sc)
@@ -405,7 +411,7 @@ class TestGeneratedKernel:
         assert not dynamics._within_limit(want[None])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert not dynamics._within_limit(AffineRK(nc, p, lap, h, RK4_TABLEAU)(z)[None])
+            assert not dynamics._within_limit(kernel_step(nc, p, lap, h, RK4_TABLEAU, z)[None])
 
     def test_only_the_sampled_kernel_holds_a_term(self, ten_suite):
         nc, lap = network_cost(ten_suite), out_laplacian(preset_graph("cycle10"))
@@ -816,6 +822,44 @@ class TestSimulate:
         assert trace.t[-1] == pytest.approx(0.025, abs=1e-12)
 
 
+class TestKernelPerCoupling:
+    """``simulate`` builds one kernel per coupling: under sampled information one over
+    L = 0 serves every graph, since the held b carries the graph, while continuous
+    information builds one per graph.  The schedule is its graph list, cycled in order:
+    a graph listed three times runs as that graph held fixed."""
+
+    @pytest.mark.parametrize("affine", [False, True], ids=["catalog", "quadratic"])
+    @pytest.mark.parametrize("scheme, built", [
+        (Continuous(), 3), (Periodic(delta=0.05), 1), (DistributedEvent(eps=np.full(10, 0.05)), 1),
+        (CentralizedEvent(kappa=0.06, tau=0.02), 1)])
+    def test_three_graph_set_builds_a_kernel_per_coupling(self, monkeypatch, ten_suite, affine,
+                                                          scheme, built):
+        laps = []
+        monkeypatch.setattr(dynamics, "rk_kernel",
+                            lambda nc, p, lap, *args: laps.append(lap) or rk_kernel(nc, p, lap, *args))
+        sched = SwitchingSchedule(tuple(preset_graph(g) for g in ("fig2", "fig2r3", "fig2r7")),
+                                  dwell=0.02)
+        simulate(make_scenario(ring_quadratics() if affine else ten_suite, schedule=sched,
+                               scheme=scheme, t_final=0.1))
+        assert len(laps) == built
+        want = [out_laplacian(g) for g in sched.graphs] if built > 1 else [np.zeros((10, 10))]
+        for got, lap in zip(laps, want):
+            np.testing.assert_array_equal(got, lap)
+
+    @pytest.mark.parametrize("scheme", [Continuous(), Periodic(delta=0.05),
+                                        DistributedEvent(eps=np.full(10, 0.05))])
+    def test_graph_listed_thrice_runs_as_the_fixed_graph(self, ten_suite, scheme):
+        # the dwell, 30 steps, cuts blocks and polls the law where the fixed run does not
+        g = preset_graph("fig2")
+        runs = [simulate(make_scenario(ten_suite, scheme=scheme, t_final=0.5, **topology))
+                for topology in ({"graph": g},
+                                 {"schedule": SwitchingSchedule((g, g, g), dwell=0.03)})]
+        assert runs[0].event_times.size > 10 or isinstance(scheme, Continuous)
+        for name in ("t", "x", "v", "x_hat", "err", "event_agents", "event_times"):
+            np.testing.assert_array_equal(getattr(runs[1], name), getattr(runs[0], name),
+                                          err_msg=name)
+
+
 class TestEuler:
     def test_fixed_point_preserved(self, k2, quad_pair, quad_pair_nc):
         x_bar, v_bar = equilibrium(quad_pair_nc, AlgorithmParams(1.0, 1.0))
@@ -935,6 +979,6 @@ class TestTraceCsv:
         trace = dynamics.Trace(t=0.01 * np.arange(s), x=x, v=-x, x_hat=x, err=err,
                                event_agents=rng.integers(0, n, times.size),
                                event_times=np.sort(times), scheme={"kind": "periodic"},
-                               h=0.01, stride=1, alpha=1.0, beta=1.0)
+                               h=0.01, alpha=1.0, beta=1.0)
         trace.to_csv(tmp_path / "trace.csv")
         assert (tmp_path / "trace.csv").read_text() == reference_csv(trace)

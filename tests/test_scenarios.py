@@ -6,8 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from conftest import dump_graph
+from conftest import dump_graph, make_scenario
 from distopt.cli import main
+from distopt.costs import CostModel
 from distopt.dynamics import AlgorithmParams
 from distopt.errors import ParseError, UnknownPreset, ValidationError
 from distopt.graph import preset_graph
@@ -63,6 +64,15 @@ MALFORMED = [
     ({"graph": {"n": 1e308, "edges": [[1, 2, 1.0], [2, 1, 1.0]]}}, "graph.n"),
     ({"graph": {"n": 10**9, "edges": [[1, 2, 1.0], [2, 1, 1.0]]}}, "graph.n"),
 ]
+
+
+def merged(base: dict, change: dict) -> dict:
+    """``base`` with ``change`` applied; a switching set in ``change`` replaces the base's
+    fixed graph, since a scenario sets one of the two."""
+    cfg = dict(base) | change
+    if "switching" in change:
+        cfg.pop("graph", None)
+    return cfg
 
 
 def write_json(tmp_path, cfg, name="scenario.json"):
@@ -133,7 +143,7 @@ class TestParsing:
     ] + MALFORMED)
     def test_bad_field_fails_at_parse_naming_it(self, change, named):
         with pytest.raises(ValidationError, match=re.escape(named)):
-            scenario_from_dict(dict(MINIMAL) | change)
+            scenario_from_dict(merged(MINIMAL, change))
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
     @pytest.mark.parametrize("named, change", [
@@ -237,6 +247,48 @@ class TestParsing:
         b = scenario_from_dict(dict(MINIMAL), seed=7)
         assert not np.allclose(a.x0, b.x0)
 
+    @pytest.mark.parametrize("change, named", [
+        ({"aplha": 5}, "aplha"),
+        ({"graph": {"preset": "fig2", "n": 10}}, "graph.n"),
+        ({"graph": {"n": 2, "edges": [[1, 2, 1.0], [2, 1, 1.0]], "weights": [1.0]}},
+         "graph.weights"),
+        ({"switching": {"presets": ["fig2"], "dwell": 1.0, "ordr": [0]}}, "switching.ordr"),
+        ({"switching": {"presets": ["fig2", "fig2r3"], "dwell": 1.0, "order": [1, 0]}},
+         "switching.order"),
+        ({"switching": {"graphs": [{"preset": "fig2", "nmae": "x"}], "dwell": 1.0}},
+         "switching.graphs[0].nmae"),
+        ({"scheme": {"kind": "centralized_event", "kappa": 0.06, "tau": 0.01, "kapa": 0.5}},
+         "scheme.kapa"),
+        ({"scheme": {"kind": "continuous", "delta": 0.5}}, "scheme.delta"),
+        ({"analysis": {"detla": 2.0}}, "analysis.detla"),
+        ({"costs": [{"kind": "catalog", "name": "f1", "a": [1.0]}] + MINIMAL["costs"][1:]},
+         "costs[0].a"),
+        ({"costs": MINIMAL["costs"][:9] + [{"kind": "quadratic", "a": [1.0], "c": 2.0}]},
+         "costs[9].c"),
+        ({"x0": {"box": [-1.0, 1.0], "bx": [0.0, 1.0]}}, "x0.bx"),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_unknown_field_fails_at_parse_naming_it(self, change, named):
+        # each object the scenario holds: top level, graph, switching, scheme, analysis,
+        # costs[i] and x0
+        with pytest.raises(ValidationError, match=re.escape(named) + " is not a known field"):
+            scenario_from_dict(merged(MINIMAL, change))
+
+    @pytest.mark.parametrize("change, named", [
+        ({"graph": {"preset": "fig2"}, "switching": {"presets": ["fig2"], "dwell": 1.0}},
+         "graph and switching"),
+        ({"graph": {"preset": "fig2", "n": 2, "edges": [[1, 2, 1.0], [2, 1, 1.0]]}},
+         "graph.preset and graph.edges"),
+        ({"graph": {"preset": "fig2", "file": "fig2.txt"}}, "graph.preset and graph.file"),
+        ({"switching": {"presets": ["fig2"], "graphs": [{"preset": "fig2"}], "dwell": 1.0}},
+         "switching.presets and switching.graphs"),
+        ({"switching": {"graphs": [{"file": "a.txt", "edges": []}], "dwell": 1.0}},
+         "switching.graphs[0].file and switching.graphs[0].edges"),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_conflicting_fields_fail_at_parse_naming_both(self, change, named):
+        cfg = {k: v for k, v in MINIMAL.items() if k != "graph"} | change
+        with pytest.raises(ValidationError, match=re.escape(named) + " exclude each other"):
+            scenario_from_dict(cfg)
+
 
 class TestPresets:
     @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -308,7 +360,6 @@ class TestRunOutputs:
         assert summary["x_star"][0] == pytest.approx(1.0, abs=1e-10)
         assert summary["event_counts"] == [11, 11]
         assert summary["conservation_max"] <= 1e-9
-        assert len(summary["ln_err"]["t"]) == len(summary["ln_err"]["agents"][0])
         header = (tmp_path / "out" / "trace.csv").read_text().splitlines()[0]
         assert header == "t,agent,x,v,err,event"
         first_events = (tmp_path / "out" / "events.csv").read_text().splitlines()[:3]
@@ -341,6 +392,31 @@ class TestRunOutputs:
         cfg = self.quick_cfg() | {"beta": 6.0, "analysis": {"phi": 9.0}}
         summary = run(scenario_from_dict(cfg), out_dir=tmp_path / "c", with_certificate=True)
         assert summary["certificate"]["gamma"] == pytest.approx(576.0, abs=1e-9)
+
+    @staticmethod
+    def strict_summary(out) -> dict:
+        """``summary.json`` read as strict JSON, which has no NaN or Infinity."""
+        def refuse(constant):
+            raise AssertionError(f"summary.json holds {constant}")
+
+        return json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+
+    def test_agents_starting_at_the_optimum_write_strict_json(self, tmp_path):
+        # err is 0 at t = 0: the log-error series this summary no longer carries read -inf
+        cfg = {"graph": {"preset": "k2"}, "x0": [0.0, 0.0], "t_final": 1.0,
+               "costs": [{"kind": "quadratic", "a": [2.0]}, {"kind": "quadratic", "a": [-2.0]}]}
+        summary = run(scenario_from_dict(cfg), out_dir=tmp_path / "out")
+        assert self.strict_summary(tmp_path / "out") == summary
+        assert "ln_err" not in summary
+
+    def test_network_without_oracle_writes_null_errors(self, tmp_path):
+        # a non-affine d = 2 network has no oracle: x* is None and every err NaN
+        kinked = CostModel(dim=2, value=lambda x: float(x @ x),
+                           gradient=lambda x: 2 * x + 1e-3 * np.where(x >= 0, 1.0, -1.0))
+        sc = make_scenario([kinked, kinked], graph=preset_graph("k2"), t_final=0.1)
+        summary = run(sc, out_dir=tmp_path / "out")
+        assert self.strict_summary(tmp_path / "out") == summary
+        assert summary["x_star"] is None and summary["final_errors"] == [None, None]
 
 
 class TestCli:
@@ -381,7 +457,7 @@ class TestCli:
         ({"costs": 5}, "costs"),
     ] + MALFORMED)
     def test_run_bad_field_exits_2_naming_it(self, tmp_path, capsys, change, named):
-        path = write_json(tmp_path, self.quick_cfg() | change)
+        path = write_json(tmp_path, merged(self.quick_cfg(), change))
         out = tmp_path / "out"
         assert main(["run", path, "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
