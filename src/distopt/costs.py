@@ -3,7 +3,9 @@
 The scalar catalog ``f1`` .. ``f10`` contains the ten strongly convex costs
 used throughout the bundled experiments; ``quadratic_cost`` builds members
 of the family f(x) = (x'x + x'a + b)/2 whose gradient Lipschitz and strong
-convexity constants are both exactly 1.
+convexity constants are both exactly 1.  Each curved catalog gradient is one
+expression in ``x``, compiled into its ``scalar_gradient`` and written inline by
+the RK kernel, so both evaluate the same operations in the same order.
 """
 
 from __future__ import annotations
@@ -121,64 +123,52 @@ def _entry(name, value, grad, m=None, M=None, affine=None):
     )
 
 
+_EXPRESSIONS: dict[int, str] = {}  # id of a curved catalog gradient -> its expression in x
+
+
+def _expression(text: str) -> Callable[[float], float]:
+    """x -> ``text`` compiled once, the text recorded under its id for the RK kernel to inline."""
+    grad = eval(f"lambda x: {text}", {"exp": math.exp, "log": math.log})
+    _EXPRESSIONS[id(grad)] = text
+    return grad
+
+
 def _f1(x):
     return 0.5 * math.exp(-0.5 * x) + 0.4 * math.exp(0.3 * x)
-
-
-def _g1(x):
-    return -0.25 * math.exp(-0.5 * x) + 0.12 * math.exp(0.3 * x)
 
 
 def _f3(x):
     return 0.5 * x * x * math.log(1 + x * x) + x * x
 
 
-def _g3(x):
-    return x * math.log(1 + x * x) + x**3 / (1 + x * x) + 2 * x
-
-
 def _f5(x):
     return math.log(math.exp(-0.1 * x) + math.exp(0.3 * x)) + 0.1 * x * x
-
-
-def _g5(x):
-    ea, eb = math.exp(-0.1 * x), math.exp(0.3 * x)
-    return (-0.1 * ea + 0.3 * eb) / (ea + eb) + 0.2 * x
 
 
 def _f6(x):
     return x * x / math.log(2 + x * x)
 
 
-def _g6(x):
-    lg = math.log(2 + x * x)
-    return 2 * x / lg - 2 * x**3 / ((2 + x * x) * lg * lg)
-
-
 def _f9(x):
     return x * x / math.sqrt(x * x + 1) + 0.1 * x * x
 
 
-def _g9(x):
-    return (x**3 + 2 * x) / (x * x + 1) ** 1.5 + 0.2 * x
-
-
 _CATALOG: dict[str, CostModel] = {
-    "f1": _entry("f1", _f1, _g1),
+    "f1": _entry("f1", _f1, _expression("-0.25 * exp(-0.5 * x) + 0.12 * exp(0.3 * x)")),
     "f2": _entry("f2", lambda x: (x - 4) ** 2, lambda x: 2 * (x - 4), m=2.0, M=2.0,
                  affine=(2.0, -8.0)),
-    "f3": _entry("f3", _f3, _g3),
-    "f4": _entry("f4", lambda x: x * x + math.exp(0.1 * x),
-                 lambda x: 2 * x + 0.1 * math.exp(0.1 * x)),
-    "f5": _entry("f5", _f5, _g5),
-    "f6": _entry("f6", _f6, _g6),
+    "f3": _entry("f3", _f3, _expression("x * log(1 + x * x) + x**3 / (1 + x * x) + 2 * x")),
+    "f4": _entry("f4", lambda x: x * x + math.exp(0.1 * x), _expression("2 * x + 0.1 * exp(0.1 * x)")),
+    "f5": _entry("f5", _f5, _expression(
+        "(-0.1 * (ea := exp(-0.1 * x)) + 0.3 * (eb := exp(0.3 * x))) / (ea + eb) + 0.2 * x")),
+    "f6": _entry("f6", _f6, _expression(
+        "2 * x / (lg := log(2 + x * x)) - 2 * x**3 / ((2 + x * x) * lg * lg)")),
     "f7": _entry("f7", lambda x: 0.2 * math.exp(-0.2 * x) + 0.4 * math.exp(0.4 * x),
-                 lambda x: -0.04 * math.exp(-0.2 * x) + 0.16 * math.exp(0.4 * x)),
-    "f8": _entry("f8", lambda x: x**4 + 2 * x * x + 2,
-                 lambda x: 4 * x**3 + 4 * x),
-    "f9": _entry("f9", _f9, _g9),
+                 _expression("-0.04 * exp(-0.2 * x) + 0.16 * exp(0.4 * x)")),
+    "f8": _entry("f8", lambda x: x**4 + 2 * x * x + 2, _expression("4 * x**3 + 4 * x")),
+    "f9": _entry("f9", _f9, _expression("(x**3 + 2 * x) / (x * x + 1) ** 1.5 + 0.2 * x")),
     "f10": _entry("f10", lambda x: (x + 2) ** 2, lambda x: 2 * (x + 2), m=2.0, M=2.0,
-                 affine=(2.0, 4.0)),
+                  affine=(2.0, 4.0)),
 }
 
 CATALOG_NAMES = tuple(sorted(_CATALOG, key=lambda s: int(s[1:])))

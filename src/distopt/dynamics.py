@@ -11,6 +11,7 @@ sum of the ``v^i`` is a constant of motion, so runs must start from
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING, Callable
@@ -18,7 +19,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from . import schedulers
-from .costs import NetworkCost, minimize_global
+from .costs import _EXPRESSIONS, NetworkCost, minimize_global
 from .errors import NumericalBlowup, OracleFailure, Unbounded, ValidationError
 from .graph import WeightedDigraph, is_strongly_connected, is_weight_balanced, out_laplacian
 
@@ -28,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover
 BLOWUP_LIMIT = 1e12
 CSV_CHUNK = 25  # samples formatted per write in Trace.to_csv
 ERR_CHUNK = 256  # samples per block of the trace's err column; larger blocks raise peak RSS
-BLOCK_STEPS = 64  # FoldedRK's block: steps per product, cheap to drop past an event
+BLOCK_STEPS = 64  # steps per advance of FoldedRK and of a coupled AffineRK, which no law screens
 BLOCK_BYTES = 2**19  # cap on FoldedRK's stacked powers and partial sums
 
 
@@ -107,7 +108,7 @@ class Trace:
         # flat (sample, agent) indices of the rows whose event flag is set
         hits = np.sort(np.searchsorted(self.t, self.event_times - 1e-12) * n + self.event_agents)
         coords = ";".join(["%.17g"] * d)
-        row = f"%.17g,%d,{coords},{coords},%.17g,%d\n"
+        row = f"%s,%d,{coords},{coords},%.17g,%d\n"  # t formatted once per sample
         agents = list(range(1, n + 1))
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("t,agent,x,v,err,event\n")
@@ -117,7 +118,7 @@ class Trace:
                 flags = np.zeros(rows, dtype=int)
                 lo, hi = np.searchsorted(hits, (s * n, e * n))
                 flags[hits[lo:hi] - s * n] = 1
-                cols = [np.repeat(self.t[s:e], n).tolist(), agents * (e - s)]
+                cols = [[f for t in self.t[s:e].tolist() for f in ["%.17g" % t] * n], agents * (e - s)]
                 cols += self.x[s:e].reshape(rows, d).T.tolist()
                 cols += self.v[s:e].reshape(rows, d).T.tolist()
                 cols += [self.err[s:e].ravel().tolist(), flags.tolist()]
@@ -208,23 +209,28 @@ class AffineRK:
     and tableau, that writes out each stage per entry e of agent i from its input (y, u),
     l_e = beta sum_j L_ij y_j, kx_e = -alpha grad_e f_i(y_i) - l_e - u_e + b_e and
     kv_e = alpha l_e + b_{N+e}, adding b only where it can be nonzero.  A gradient is
-    H y + c written out (-alpha c joins b), a call of the ``scalar_gradient``, or (d > 1,
-    or none) entries of one ``NetworkCost.grad_list`` call per stage."""
+    H y + c written out (-alpha c joins b), a catalog gradient's own expression written
+    inline (found by the function's identity, never from input), a call of any other
+    ``scalar_gradient``, or (d > 1, or none) entries of one ``grad_list`` call per stage.
+    The source holds generated names, float literals and that catalog text only.  A kernel
+    over a nonzero L, which no law screens, advances up to BLOCK_STEPS steps."""
 
-    block = 8  # steps per advance; a tail dropped past an event has cost its gradient calls
+    block = 8  # steps per sampled advance; a tail dropped past an event has cost its gradients
 
     def __init__(self, nc: NetworkCost, p: AlgorithmParams, lap: np.ndarray, h: float, tableau):
         (rows, weights), d, alpha, coupled = tableau, nc.dim, p.alpha, bool(lap.any())
         es, lap = range(nc.n_agents * d), lap.tolist()  # Python floats overflow with no warning
-        scope, grad, self._offset = {"inf": math.inf, "nan": math.nan}, [], np.zeros(len(es))
+        scope = {"inf": math.inf, "nan": math.nan, "exp": math.exp, "log": math.log}
+        grad, self._offset = [], np.zeros(len(es))
         listed = [e for e in es if nc.agents[e // d].affine is None
                   and (d > 1 or nc.agents[e // d].scalar_gradient is None)]  # through grad_list
         scope["grads"] = listed and NetworkCost(tuple(nc.agents[e // d] for e in listed[::d])).grad_list
         for e in es:  # -alpha grad_e f_i(y_i) as (c, name) terms
             (i, k), a = divmod(e, d), nc.agents[e // d]
-            scope[f"g{i}"] = a.scalar_gradient
+            scope[f"g{i}"], text = a.scalar_gradient, _EXPRESSIONS.get(id(a.scalar_gradient))
+            call = f"g{i}(y{e})" if text is None else "(" + re.sub(r"\bx\b", f"y{e}", text) + ")"
             if a.affine is None:
-                grad.append([(-alpha, f"q{e}" if e in listed else f"g{i}(y{e})")])
+                grad.append([(-alpha, f"q{e}" if e in listed else call)])
             else:
                 grad.append([(-alpha * c, f"y{e - k + m}") for m, c in enumerate(a.affine[0][k].tolist())])
                 self._offset[e] = -alpha * float(a.affine[1][k])
@@ -256,8 +262,9 @@ class AffineRK:
                 for e in es]
         src += [f"  v{e} = v{e} + w{e}" for e in es if not coupled]
         src.append(f"  append(({state}))")
-        exec("\n".join(src), scope)  # generated names and float literals only
+        exec("\n".join(src), scope)  # generated names, float literals and catalog expressions
         self._run, self._span, self._coupled = scope["run"], h * sum(weights), coupled
+        self.block = BLOCK_STEPS if coupled else self.block
         self.hold(np.zeros(2 * len(es)))
 
     def hold(self, b: np.ndarray) -> None:
@@ -340,16 +347,16 @@ def equilibrium(nc: NetworkCost, p: AlgorithmParams) -> tuple[np.ndarray, np.nda
 def simulate(scenario: "Scenario") -> Trace:
     """Integrate a scenario with node-aligned communication: fixed-step RK4 of size ``h``,
     or forward Euler of size ``delta`` for an Euler scheme (broadcasts implicit at every
-    step: no event log, ``x_hat = x``), through :func:`rk_kernel`: one kernel per graph,
-    or under sampled information one over L = 0 for all, as the held b carries the graph.
+    step: no event log, ``x_hat = x``), through :func:`rk_kernel`: one kernel per distinct
+    graph, or under sampled information one over L = 0 for all, as the held b carries it.
 
     A sampled scheme's :func:`schedulers.trigger_law` fires first at a polled node, so
     samples reflect post-broadcast state.  The kernel advances a block (``block`` steps at
     most) up to t_final, a topology switch or a periodic node; the law screens all of it,
     and the run goes on from the first flagged node, polled, else from the block's last
     node, unpolled.  The quiet nodes before are recorded in bulk, the rest dropped.  Past
-    t = 0 the law is polled only at flagged nodes and at switches, where the distributed
-    threshold must follow the new graph.  The scenario was validated when built, so the
+    t = 0 the law is polled only at flagged nodes and at switches to an unequal graph, where
+    the distributed threshold must follow it.  The scenario was validated when built, so the
     only error raised here is NumericalBlowup (carrying the partial trace).
     """
     nc = scenario.network
@@ -359,6 +366,8 @@ def simulate(scenario: "Scenario") -> Trace:
     # steps per graph: a fixed graph is a one-graph cycle that the horizon never leaves
     spd = n_steps if scenario.schedule is None else round(scenario.schedule.dwell / h)
     laps = [out_laplacian(g) for g in scenario.graphs]
+    # each listed graph as the first equal one: a boundary between equal graphs is no switch
+    ids = [next(j for j, b in enumerate(laps) if np.array_equal(a, b)) for a in laps]
     z = np.concatenate([scenario.x0, scenario.v0])
     x = z[:n]
     x_hat = x.copy()
@@ -381,8 +390,8 @@ def simulate(scenario: "Scenario") -> Trace:
     gi = 0
     clocks = [s for s in (spd, getattr(law, "every", 0)) if s]  # switch and periodic cadences
     tableau = EULER_TABLEAU if scheme.kind == "euler" else RK4_TABLEAU
-    kernels = ([rk_kernel(nc, p, 0 * laps[0], h, tableau)] * len(laps) if sampled
-               else [rk_kernel(nc, p, lap, h, tableau) for lap in laps])
+    kernels = (dict.fromkeys(ids, rk_kernel(nc, p, 0 * laps[0], h, tableau)) if sampled
+               else {j: rk_kernel(nc, p, laps[j], h, tableau) for j in dict.fromkeys(ids)})
     block = kernels[0].block  # steps per advance
 
     def trace(si: int) -> Trace:
@@ -409,7 +418,7 @@ def simulate(scenario: "Scenario") -> Trace:
     si = k = 0
     poll = True  # node k needs the exact law: no screen has cleared it
     while True:
-        graph = (k // spd) % len(laps)
+        graph = ids[(k // spd) % len(laps)]
         switched, gi = graph != gi, graph
         if sampled and (poll or switched) and (law.fire(k, x, x_hat, gi) or switched):
             kernels[gi].hold(held_terms(laps[gi], p, x_hat))

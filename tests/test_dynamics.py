@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -12,6 +14,7 @@ from scipy.linalg import expm
 from conftest import balanced_weights, col, linear_system_matrix, make_scenario
 from distopt import dynamics, schedulers
 from distopt.costs import (
+    _EXPRESSIONS,
     CATALOG_NAMES,
     CostModel,
     NetworkCost,
@@ -486,18 +489,21 @@ class TestGradientCalls:
 
 
 @st.composite
-def block_cases(draw, curved=False):
-    """An affine network (as :func:`affine_cases`), or with ``curved`` one of
-    non-affine catalog costs, over one to three random balanced digraphs,
+def block_cases(draw, curved=False, mixed=False):
+    """An affine network (as :func:`affine_cases`), with ``curved`` one of
+    non-affine catalog costs, or with ``mixed`` one of catalog costs and
+    quadratics (d = 1), over one to three random balanced digraphs,
     switched when more than one, under a random scheme: continuous, periodic
     (on or off the step grid), centralized events, distributed events or Euler."""
     n = draw(st.integers(2, 6))
-    d = 1 if curved else draw(st.integers(1, 2))
+    d = 1 if curved or mixed else draw(st.integers(1, 2))
     graphs = [WeightedDigraph(n, draw(balanced_weights(n))) for _ in range(draw(st.integers(1, 3)))]
     a = draw(st.lists(st.floats(-5.0, 5.0), min_size=n * d, max_size=n * d))
     costs = [quadratic_cost(a[i * d:(i + 1) * d]) for i in range(n)]
     if curved:
         costs = [catalog(draw(st.sampled_from(CURVED))) for _ in costs]
+    elif mixed:
+        costs = [draw(st.sampled_from([c, *map(catalog, CATALOG_NAMES)])) for c in costs]
     elif d == 1:
         costs = [draw(st.sampled_from([c, catalog("f2"), catalog("f10")])) for c in costs]
     h = draw(st.sampled_from([1e-3, 4e-3]))
@@ -604,19 +610,24 @@ class TestBlockAdvance:
         # the per-node loop polls all 2,000 nodes; here only the flagged ones, and each fires
         assert polls[0] == broadcasts > 0
 
-    @pytest.mark.parametrize("cls, affine", [(AffineRK, False), (dynamics.FoldedRK, True)])
-    def test_per_node_run_steps_one_node_per_advance(self, monkeypatch, ten_suite, cls, affine):
-        # per_node's patches reach the kernel simulate builds, else it compares blocks to blocks
+    @pytest.mark.parametrize("cls, affine, scheme, block", [
+        pytest.param(AffineRK, False, Continuous(), dynamics.BLOCK_STEPS, id="AffineRK-False"),
+        pytest.param(AffineRK, False, Periodic(delta=0.5), AffineRK.block, id="AffineRK-sampled"),
+        pytest.param(dynamics.FoldedRK, True, Continuous(), dynamics.BLOCK_STEPS, id="FoldedRK-True")])
+    def test_per_node_run_steps_one_node_per_advance(self, monkeypatch, ten_suite, cls, affine,
+                                                     scheme, block):
+        # per_node's patches reach the kernel simulate builds, else it compares blocks to blocks;
+        # a coupled kernel, which no law screens, takes BLOCK_STEPS, a sampled AffineRK its block
         seen, advance = [], cls.advance
         monkeypatch.setattr(cls, "advance", lambda kernel, z, steps: seen.append(steps)
                             or advance(kernel, z, steps))
         sc = make_scenario(ring_quadratics() if affine else ten_suite, graph=preset_graph("cycle10"),
-                           t_final=1.0, h=1e-2)
+                           scheme=scheme, t_final=1.0, h=1e-2)
         self.per_node(sc)
         assert set(seen) == {1}
         seen.clear()
         simulate(sc)
-        assert max(seen) == (dynamics.BLOCK_STEPS if affine else AffineRK.block)
+        assert max(seen) == block > 1
 
     @pytest.mark.parametrize("scheme", [Continuous(), Periodic(delta=0.05)])
     def test_mid_block_overflow_stops_as_the_per_node_run(self, scheme):
@@ -642,7 +653,8 @@ class TestBlockAdvance:
         (msg, got), (want_msg, want) = outcomes
         assert msg == want_msg
         k = round(float(msg.rsplit("= ", 1)[1]) / 1e-3)
-        assert 200 < k < 300 and 0 < (k - 1) % AffineRK.block < AffineRK.block - 1, "mid-block"
+        block = dynamics.BLOCK_STEPS if isinstance(scheme, Continuous) else AffineRK.block
+        assert 200 < k < 300 and 0 < (k - 1) % block < block - 1, "mid-block"
         assert got.t.size == k
         for name in ("t", "x", "v", "x_hat", "event_agents", "event_times"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
@@ -659,6 +671,83 @@ class TestBlockAdvance:
             partial.append((str(excinfo.value), excinfo.value.trace.t.size))
         assert partial[0] == partial[1]
         assert 2 <= partial[0][1] < dynamics.BLOCK_STEPS
+
+
+def called(model: CostModel) -> CostModel:
+    """``model`` with its scalar gradient wrapped: same values, but not a catalog function,
+    so the kernel calls it rather than writing it inline."""
+    return dataclasses.replace(model, scalar_gradient=lambda x, _g=model.scalar_gradient: _g(x))
+
+
+class TestInlineGradients:
+    """The kernel writes a catalog member's gradient inline from the catalog's own
+    expression text, found by the function's identity; it calls any other callable."""
+
+    TEMPORARIES = {node.target.id for text in _EXPRESSIONS.values()
+                   for node in ast.walk(ast.parse(text)) if isinstance(node, ast.NamedExpr)}
+    GENERATED = re.compile(r"(x|v|y|w|q|c\d+_|u\d+_|kx\d+_|l\d+_)\d+|run|z|steps|held|append|_|range")
+    SCOPE = re.compile(r"exp|log|inf|nan|grads|g\d+")
+
+    @staticmethod
+    def source(monkeypatch, costs, lap) -> str:
+        """The source AffineRK generates for ``costs`` over ``lap`` under RK4."""
+        seen = []
+        monkeypatch.setattr(dynamics, "exec", lambda src, scope: seen.append(src) or exec(src, scope),
+                            raising=False)
+        AffineRK(network_cost(costs), AlgorithmParams(1.5, 2.0), lap, 1e-3, RK4_TABLEAU)
+        return seen[0]
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(block_cases(mixed=True))
+    def test_inlined_run_equals_the_called_run(self, sc):
+        wrapped = dataclasses.replace(sc, costs=tuple(map(called, sc.costs)))
+        runs = [TestBlockAdvance.outcome(simulate, s) for s in (sc, wrapped)]
+        (got, err), (want, want_err) = runs
+        assert err == want_err
+        for name in ("t", "x", "v", "x_hat", "err", "event_agents", "event_times"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+
+    @pytest.mark.parametrize("network", ["ten", "mixed"])
+    def test_source_holds_generated_names_and_catalog_text(self, monkeypatch, ten_suite, network):
+        # mixed: a quadratic, a called gradient (agent 3) and one through grads (agent 4)
+        costs = list(ten_suite) if network == "ten" else [
+            catalog("f5"), quadratic_cost([1.0]), catalog("f6"), called(catalog("f1")),
+            dataclasses.replace(catalog("f9"), scalar_gradient=None), catalog("f5")]
+        n = len(costs)
+        tree = ast.parse(self.source(monkeypatch, costs, out_laplacian(
+            WeightedDigraph(n, np.roll(np.eye(n), 1, axis=1)))))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert all(self.GENERATED.fullmatch(nm) or self.SCOPE.fullmatch(nm) for nm in
+                   names - self.TEMPORARIES), names
+        assert self.TEMPORARIES <= names and {"exp", "log"} <= names
+        assert all(type(node.value) in (int, float) for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant))
+        assert not [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+        calls = {node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        inlined = {f"g{i}" for i, c in enumerate(costs) if id(c.scalar_gradient) in _EXPRESSIONS}
+        assert not calls & inlined
+        assert calls - {"exp", "log", "range", "append"} == (set() if network == "ten"
+                                                              else {"g3", "grads"})
+
+    def test_only_catalog_functions_are_inlined(self, monkeypatch):
+        # neither a src attribute nor a member's name is read: a function named f1 that
+        # carries src is called, a catalog function under an odd name is written inline
+        def doubled(x):
+            counts[0] += 1
+            return 2.0 * x
+
+        counts, src = [0], "__import__('os').getcwd()"
+        doubled.src = src
+        costs = [CostModel(dim=1, value=lambda x: float(x[0] ** 2), gradient=lambda x: 2.0 * x,
+                           name="f1", scalar_gradient=doubled),
+                 dataclasses.replace(catalog("f7"), name="x) + (1")]
+        lap = out_laplacian(preset_graph("k2"))
+        text = self.source(monkeypatch, costs, lap)
+        assert "g0(y0)" in text and "g1(" not in text and "exp(-0.2 * y1)" in text
+        assert src not in text and "x) + (1" not in text
+        kernel = AffineRK(network_cost(costs), AlgorithmParams(1.0, 1.0), lap, 1e-2, RK4_TABLEAU)
+        kernel.advance(np.ones((4, 1)), 3)
+        assert counts[0] == 4 * 3
 
 
 class TestBlowupCheck:
@@ -858,6 +947,33 @@ class TestKernelPerCoupling:
         for name in ("t", "x", "v", "x_hat", "err", "event_agents", "event_times"):
             np.testing.assert_array_equal(getattr(runs[1], name), getattr(runs[0], name),
                                           err_msg=name)
+
+    @pytest.mark.parametrize("scheme", [Continuous(), Periodic(delta=0.05),
+                                        DistributedEvent(eps=np.full(10, 0.05)),
+                                        CentralizedEvent(kappa=0.06, tau=0.02)])
+    def test_equal_graphs_poll_and_build_as_one_graph(self, monkeypatch, ten_suite, scheme):
+        # fig2 and an equal copy, listed three times: a boundary between equal graphs is no
+        # switch, so the law is polled and kernels are built as for fig2 held fixed
+        counts, trigger_law = [], schedulers.trigger_law
+
+        def counted_law(*args):
+            law = trigger_law(*args)
+            if law is not None:
+                law.fire = lambda *a, _fire=law.fire: counts.append("fire") or _fire(*a)
+            return law
+
+        monkeypatch.setattr(schedulers, "trigger_law", counted_law)
+        monkeypatch.setattr(dynamics, "rk_kernel",
+                            lambda *args: counts.append("kernel") or rk_kernel(*args))
+        g = preset_graph("fig2")
+        copy = WeightedDigraph(g.n, g.weights.copy())
+        runs = []
+        for topology in ({"graph": g}, {"schedule": SwitchingSchedule((g, copy, g), dwell=0.03)}):
+            counts.clear()
+            simulate(make_scenario(ten_suite, scheme=scheme, t_final=0.5, **topology))
+            runs.append((counts.count("fire"), counts.count("kernel")))
+        assert runs[1] == runs[0] and runs[0][1] == 1
+        assert runs[0][0] > 1 or isinstance(scheme, Continuous)
 
 
 class TestEuler:
