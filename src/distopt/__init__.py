@@ -46,57 +46,3 @@ from .schedulers import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlgorithmParams",
-    "AnalysisCoordinates",
-    "CentralizedEvent",
-    "CertificateReport",
-    "Continuous",
-    "ConvexityBounds",
-    "CostModel",
-    "DisagreementBasis",
-    "DistributedEvent",
-    "EulerScheme",
-    "EventStats",
-    "GraphSpectrum",
-    "NetworkCost",
-    "Periodic",
-    "Scenario",
-    "SwitchingSchedule",
-    "Trace",
-    "WeightedDigraph",
-    "build_digraph",
-    "catalog",
-    "certificates",
-    "certify",
-    "complement_basis",
-    "costs",
-    "decay_check",
-    "diagnostics",
-    "dynamics",
-    "equilibrium",
-    "errors",
-    "event_stats",
-    "graph",
-    "is_strongly_connected",
-    "is_weight_balanced",
-    "lasalle_function",
-    "lyapunov_digraph",
-    "lyapunov_undirected",
-    "minimize_global",
-    "network_cost",
-    "out_laplacian",
-    "parse_scenario",
-    "periodic_due",
-    "preset_graph",
-    "presets",
-    "quadratic_cost",
-    "reconstruct_gradient",
-    "scenario_from_dict",
-    "scenarios",
-    "schedulers",
-    "simulate",
-    "spectral_summary",
-    "to_analysis_coords",
-]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .costs import NetworkCost, with_estimated_constants
 from .dynamics import AlgorithmParams, equilibrium
-from .errors import Infeasible, MissingLipschitz, ValidationError
+from .errors import Infeasible, ValidationError
 from .graph import WeightedDigraph, reduced_laplacian, spectral_summary
 
 
@@ -146,7 +146,7 @@ def matrix_E(alpha: float, beta: float, phi: float, g: WeightedDigraph,
     """Energy-coefficient matrix for connected undirected topologies.
 
     The lower-right block carries the inverse reduced Laplacian, so this
-    raises NotConnected for disconnected graphs.
+    raises ValidationError for disconnected graphs.
     """
     if not (alpha > 0 and beta > 0 and phi > 0):
         raise ValidationError("alpha, beta and phi must be positive")
@@ -218,7 +218,7 @@ def _tau_i_and_theta(alpha, beta, eps, costs, dout, x0, v0, phi, gamma_prime_val
     deviation and the eps-neighborhood radius, and eta = min(7/16,
     gamma'/9).
 
-    Raises Infeasible when gamma' <= 0 and MissingLipschitz when some
+    Raises Infeasible when gamma' <= 0 and ValidationError when some
     agent lacks a global gradient Lipschitz constant.
     """
     if gamma_prime_value <= 0:
@@ -228,7 +228,7 @@ def _tau_i_and_theta(alpha, beta, eps, costs, dout, x0, v0, phi, gamma_prime_val
     Ms = [a.M for a in costs.agents]
     if any(M is None for M in Ms):
         missing = [a.name or str(i) for i, a in enumerate(costs.agents) if a.M is None]
-        raise MissingLipschitz(f"no global gradient Lipschitz constant for: {', '.join(missing)}")
+        raise ValidationError(f"no global gradient Lipschitz constant for: {', '.join(missing)}")
     eta = min(7.0 / 16.0, gamma_prime_value / 9.0)
     x_bar, v_bar = equilibrium(costs, AlgorithmParams(alpha, beta))
     p0 = math.sqrt(float(np.sum((x0 - x_bar) ** 2)) + float(np.sum((v0 - v_bar) ** 2)))
@@ -332,7 +332,7 @@ def _resolve_bounds(costs: NetworkCost, box) -> tuple[ConvexityBounds, NetworkCo
     if box is None:
         missing = [a.name or str(i) for i, a in enumerate(costs.agents)
                    if a.m is None or a.M is None]
-        raise MissingLipschitz(
+        raise ValidationError(
             "convexity constants unavailable for: " + ", ".join(missing)
             + "; provide an estimation box in the analysis options")
     est = NetworkCost(tuple(with_estimated_constants(a, box) for a in costs.agents))

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimMismatch, OracleFailure, Unbounded, UnknownCost
+from .errors import OracleFailure, ValidationError
 
 BRACKET_LIMIT = 1e6
 
@@ -179,7 +179,7 @@ def catalog(name: str) -> CostModel:
     try:
         return _CATALOG[name]
     except KeyError:
-        raise UnknownCost(f"unknown cost {name!r}; known: {', '.join(CATALOG_NAMES)}") from None
+        raise ValidationError(f"unknown cost {name!r}; known: {', '.join(CATALOG_NAMES)}") from None
 
 
 def quadratic_cost(a, b: float = 0.0) -> CostModel:
@@ -208,10 +208,10 @@ def network_cost(models) -> NetworkCost:
     """Bundle per-agent costs, checking for a common dimension."""
     models = tuple(models)
     if not models:
-        raise DimMismatch("need at least one cost model")
+        raise ValidationError("need at least one cost model")
     dims = {m.dim for m in models}
     if len(dims) != 1:
-        raise DimMismatch(f"cost dimensions differ: {sorted(dims)}")
+        raise ValidationError(f"cost dimensions differ: {sorted(dims)}")
     return NetworkCost(agents=models)
 
 
@@ -219,13 +219,13 @@ def minimize_global(nc: NetworkCost, tol: float = 1e-12) -> np.ndarray:
     """Solve sum_i grad f^i(x) = 0 for a strictly convex aggregate.
 
     An affine network (every member carries ``affine``) is solved exactly:
-    x = -(sum_i H^i)^{-1} sum_i c^i, and a singular sum raises Unbounded.
+    x = -(sum_i H^i)^{-1} sum_i c^i, and a singular sum raises OracleFailure.
     Any other network with d = 1 has a strictly increasing aggregate
     gradient, so the solver expands a bracket outward from [-1, 1] (capped
-    at +/- 1e6) and bisects; the result satisfies |sum grad| <= tol, and
-    Unbounded is raised when no sign change exists inside the cap.
-    OracleFailure is raised when the bisection cannot meet the tolerance,
-    and for non-affine networks with d > 1, which have no oracle.
+    at +/- 1e6) and bisects; the result satisfies |sum grad| <= tol.
+    OracleFailure is raised when no sign change exists inside the cap, when
+    the bisection cannot meet the tolerance, and for non-affine networks
+    with d > 1, which have no oracle.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -236,7 +236,7 @@ def minimize_global(nc: NetworkCost, tol: float = 1e-12) -> np.ndarray:
             return np.linalg.solve(big_h.reshape(n, d, n, d).sum(axis=(0, 2)),
                                    -c.reshape(n, d).sum(axis=0))
         except np.linalg.LinAlgError:
-            raise Unbounded("sum of the members' H is singular: no unique stationary point") from None
+            raise OracleFailure("sum of the members' H is singular: no unique stationary point") from None
     if nc.dim == 1:
         return _bisect_1d(nc, tol)
     raise OracleFailure(f"no oracle for a non-affine network with d = {nc.dim}")
@@ -248,11 +248,11 @@ def _bisect_1d(nc: NetworkCost, tol: float) -> np.ndarray:
     while g(lo) > 0:
         lo *= 2.0
         if lo < -BRACKET_LIMIT:
-            raise Unbounded("no stationary point in [-1e6, 1e6] (left)")
+            raise OracleFailure("no stationary point in [-1e6, 1e6] (left)")
     while g(hi) < 0:
         hi *= 2.0
         if hi > BRACKET_LIMIT:
-            raise Unbounded("no stationary point in [-1e6, 1e6] (right)")
+            raise OracleFailure("no stationary point in [-1e6, 1e6] (right)")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:

@@ -15,12 +15,7 @@ import numpy as np
 
 from .costs import NetworkCost
 from .dynamics import AlgorithmParams, Trace, equilibrium
-from .errors import (
-    DimMismatch,
-    InsufficientSampling,
-    InsufficientVisibility,
-    ValidationError,
-)
+from .errors import InsufficientVisibility, ValidationError
 from .graph import DisagreementBasis, WeightedDigraph, complement_basis, reduced_laplacian
 
 
@@ -66,10 +61,10 @@ def to_analysis_coords(x: np.ndarray, v: np.ndarray, equilibrium_point,
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     if x.ndim not in (2, 3) or x.shape[-2:] != x_bar.shape or v.shape != x.shape:
-        raise DimMismatch(f"state shape {x.shape}/{v.shape} != equilibrium "
-                          f"{x_bar.shape}/{v_bar.shape}")
+        raise ValidationError(f"state shape {x.shape}/{v.shape} != equilibrium "
+                              f"{x_bar.shape}/{v_bar.shape}")
     if basis.r.shape[0] != x.shape[-2]:
-        raise DimMismatch(f"basis size {basis.r.shape[0]} != agent count {x.shape[-2]}")
+        raise ValidationError(f"basis size {basis.r.shape[0]} != agent count {x.shape[-2]}")
     y = x - x_bar
     u = v - v_bar
     return AnalysisCoordinates(
@@ -194,14 +189,14 @@ def decay_check(trace: Trace, which: str, bound: float, *, g: WeightedDigraph,
     above the floor, divided by two so it compares against state-decay
     rate bounds.
 
-    Raises InsufficientSampling when the trace stride exceeds ten
+    Raises ValidationError when the trace stride exceeds ten
     integration steps.
     """
     if trace.t.size < 3:
-        raise InsufficientSampling("need at least 3 samples for central differences")
+        raise ValidationError("need at least 3 samples for central differences")
     dt = float(trace.t[1] - trace.t[0])
     if dt > 10.0 * trace.h + 1e-12:
-        raise InsufficientSampling(f"trace stride {dt:.4g} exceeds 10 h = {10 * trace.h:.4g}")
+        raise ValidationError(f"trace stride {dt:.4g} exceeds 10 h = {10 * trace.h:.4g}")
     V, p_sq = lyapunov_series(trace, which, g=g, nc=nc, alpha=alpha, phi=phi, beta=beta)
     dV = (V[2:] - V[:-2]) / (2.0 * dt)
     mid = p_sq[1:-1]
@@ -261,7 +256,7 @@ def reconstruct_gradient(observer: int, target: int, trace: Trace, g: WeightedDi
             raise InsufficientVisibility(
                 f"agent {observer} does not receive from {k}, a source of {target}")
     if trace.t.size < 3:
-        raise InsufficientSampling("need at least 3 samples")
+        raise ValidationError("need at least 3 samples")
     alpha, beta = trace.alpha, trace.beta
     t = trace.t
     xj = trace.x[:, target, :]

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import schedulers
 from .costs import _EXPRESSIONS, NetworkCost, minimize_global
-from .errors import NumericalBlowup, OracleFailure, Unbounded, ValidationError
+from .errors import NumericalBlowup, OracleFailure, ValidationError
 from .graph import WeightedDigraph, is_strongly_connected, is_weight_balanced, out_laplacian
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -368,6 +368,10 @@ def simulate(scenario: "Scenario") -> Trace:
     laps = [out_laplacian(g) for g in scenario.graphs]
     # each listed graph as the first equal one: a boundary between equal graphs is no switch
     ids = [next(j for j, b in enumerate(laps) if np.array_equal(a, b)) for a in laps]
+    m = len(ids)
+    # dwells from listed graph j to the next unequal one (n_steps, past t_final, if none)
+    runs = [next((r for r in range(1, m) if ids[(j + r) % m] != ids[j]), n_steps)
+            for j in range(m)]
     z = np.concatenate([scenario.x0, scenario.v0])
     x = z[:n]
     x_hat = x.copy()
@@ -375,7 +379,7 @@ def simulate(scenario: "Scenario") -> Trace:
     sampled = law is not None  # continuous information and Euler have no broadcasts
     try:
         x_star = minimize_global(nc)
-    except (Unbounded, OracleFailure):
+    except OracleFailure:
         x_star = None
 
     stride = scenario.stride
@@ -388,7 +392,7 @@ def simulate(scenario: "Scenario") -> Trace:
     ERR = np.full((n_smp, n), np.nan)
 
     gi = 0
-    clocks = [s for s in (spd, getattr(law, "every", 0)) if s]  # switch and periodic cadences
+    every = getattr(law, "every", n_steps)  # the periodic cadence (the horizon if none)
     tableau = EULER_TABLEAU if scheme.kind == "euler" else RK4_TABLEAU
     kernels = (dict.fromkeys(ids, rk_kernel(nc, p, 0 * laps[0], h, tableau)) if sampled
                else {j: rk_kernel(nc, p, laps[j], h, tableau) for j in dict.fromkeys(ids)})
@@ -418,7 +422,8 @@ def simulate(scenario: "Scenario") -> Trace:
     si = k = 0
     poll = True  # node k needs the exact law: no screen has cleared it
     while True:
-        graph = ids[(k // spd) % len(laps)]
+        c = k // spd  # the dwell node k lies in
+        graph = ids[c % m]
         switched, gi = graph != gi, graph
         if sampled and (poll or switched) and (law.fire(k, x, x_hat, gi) or switched):
             kernels[gi].hold(held_terms(laps[gi], p, x_hat))
@@ -428,7 +433,8 @@ def simulate(scenario: "Scenario") -> Trace:
         if k == n_steps:
             break
         # advance to t_final, a switch or a periodic node, then screen the block
-        zs = kernels[gi].advance(z, min([block, n_steps - k] + [s - k % s for s in clocks]))
+        zs = kernels[gi].advance(z, min(block, n_steps - k, (c + runs[c % m]) * spd - k,
+                                        every - k % every))
         ok = _within_limit(zs)
         q = law.screen(zs[:ok, :n], k, x_hat) if sampled else ok  # the first flagged node
         poll, nxt = q < len(zs), min(q, len(zs) - 1)  # a cleared block goes on from its end

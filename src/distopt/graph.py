@@ -13,15 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DuplicateEdge,
-    InvalidEdge,
-    InvalidWeight,
-    NotConnected,
-    ParseError,
-    TooSmall,
-    UnknownPreset,
-)
+from .errors import ValidationError
 
 BALANCE_TOL = 1e-9
 
@@ -49,11 +41,11 @@ class WeightedDigraph:
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (self.n, self.n):
-            raise InvalidEdge(f"weight matrix shape {w.shape} != ({self.n}, {self.n})")
+            raise ValidationError(f"weight matrix shape {w.shape} != ({self.n}, {self.n})")
         if not np.isfinite(w).all() or (w < 0).any():
-            raise InvalidWeight("weights must be nonnegative and finite")
+            raise ValidationError("weights must be nonnegative and finite")
         if np.diagonal(w).any():
-            raise InvalidEdge("self-loops are not allowed (nonzero diagonal)")
+            raise ValidationError("self-loops are not allowed (nonzero diagonal)")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -112,22 +104,22 @@ class DisagreementBasis:
 def build_digraph(n: int, edges) -> WeightedDigraph:
     """Assemble a digraph from 1-based (receiver, sender, weight) triples.
 
-    Raises InvalidEdge for self-loops or out-of-range nodes, InvalidWeight
-    for nonpositive weights, and DuplicateEdge for repeated pairs.
+    Raises ValidationError for self-loops, out-of-range nodes, nonpositive
+    weights and repeated pairs.
     """
     if n < 1:
-        raise TooSmall(f"need at least one node, got n={n}")
+        raise ValidationError(f"need at least one node, got n={n}")
     w = np.zeros((n, n))
     for edge in edges:
         i, j, weight = edge
         if not (1 <= i <= n and 1 <= j <= n):
-            raise InvalidEdge(f"edge ({i}, {j}) out of range for n={n}")
+            raise ValidationError(f"edge ({i}, {j}) out of range for n={n}")
         if i == j:
-            raise InvalidEdge(f"self-loop at node {i}")
+            raise ValidationError(f"self-loop at node {i}")
         if not (weight > 0 and math.isfinite(weight)):
-            raise InvalidWeight(f"edge ({i}, {j}) has weight {weight}")
+            raise ValidationError(f"edge ({i}, {j}) has weight {weight}")
         if w[i - 1, j - 1] != 0.0:
-            raise DuplicateEdge(f"edge ({i}, {j}) given twice")
+            raise ValidationError(f"edge ({i}, {j}) given twice")
         w[i - 1, j - 1] = weight
     return WeightedDigraph(n, w)
 
@@ -194,7 +186,7 @@ def complement_basis(n: int) -> DisagreementBasis:
     construction.
     """
     if n < 2:
-        raise TooSmall(f"need n >= 2, got {n}")
+        raise ValidationError(f"need n >= 2, got {n}")
     r = np.full(n, 1.0 / math.sqrt(n))
     R = np.zeros((n, n - 1))
     for k in range(2, n + 1):
@@ -208,14 +200,14 @@ def complement_basis(n: int) -> DisagreementBasis:
 def reduced_laplacian(g: WeightedDigraph) -> np.ndarray:
     """Compress the Laplacian onto the disagreement subspace (R^T L R).
 
-    Raises NotConnected when the smallest eigenvalue of the compressed
+    Raises ValidationError when the smallest eigenvalue of the compressed
     matrix's symmetric part is at most 1e-10, which for undirected graphs
     happens exactly when the graph is disconnected.
     """
     r = complement_basis(g.n).R
     m = r.T @ out_laplacian(g) @ r
     if np.linalg.eigvalsh(0.5 * (m + m.T))[0] <= 1e-10:
-        raise NotConnected("reduced Laplacian is singular; graph is not connected")
+        raise ValidationError("reduced Laplacian is singular; graph is not connected")
     return m
 
 
@@ -230,7 +222,7 @@ def load_graph(path) -> WeightedDigraph:
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
     with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -239,20 +231,20 @@ def load_graph(path) -> WeightedDigraph:
             parts = line.split()
             if n is None:
                 if parts[0] != "n" or len(parts) != 2:
-                    raise ParseError(f"{path}:{lineno}: expected header 'n <count>'")
+                    raise ValidationError(f"{path}:{lineno}: expected header 'n <count>'")
                 try:
                     n = int(parts[1])
                 except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: bad node count {parts[1]!r}") from exc
+                    raise ValidationError(f"{path}:{lineno}: bad node count {parts[1]!r}") from exc
                 continue
             if len(parts) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 'i j w'")
+                raise ValidationError(f"{path}:{lineno}: expected 'i j w'")
             try:
                 edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
             except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad edge {line!r}") from exc
+                raise ValidationError(f"{path}:{lineno}: bad edge {line!r}") from exc
     if n is None:
-        raise ParseError(f"{path}: missing 'n <count>' header")
+        raise ValidationError(f"{path}: missing 'n <count>' header")
     return build_digraph(n, edges)
 
 
@@ -283,10 +275,10 @@ def preset_graph(name: str) -> WeightedDigraph:
         return relabel(preset_graph("fig2"), int(m.group(1)))
     m = re.fullmatch(r"(k|path|cycle|dicycle)(\d+)", name)
     if not m:
-        raise UnknownPreset(f"unknown graph preset {name!r}")
+        raise ValidationError(f"unknown graph preset {name!r}")
     kind, n = m.group(1), int(m.group(2))
     if n < 2:
-        raise TooSmall(f"preset {name!r} needs at least 2 nodes")
+        raise ValidationError(f"preset {name!r} needs at least 2 nodes")
     edges = []
     if kind == "k":
         edges = [(i, j, 1.0) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]

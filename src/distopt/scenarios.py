@@ -20,7 +20,7 @@ import numpy as np
 
 from . import certificates, diagnostics, dynamics, schedulers
 from .costs import CostModel, NetworkCost, catalog, network_cost, quadratic_cost
-from .errors import DimMismatch, NumericalBlowup, ParseError, UnknownPreset, ValidationError
+from .errors import NumericalBlowup, ValidationError
 from .graph import WeightedDigraph, load_graph, build_digraph, preset_graph
 
 DEFAULT_H = 1e-3
@@ -103,7 +103,7 @@ class Scenario:
             raise ValidationError(f"stride must be at least 1, got {self.stride}")
         try:
             object.__setattr__(self, "network", network_cost(self.costs))
-        except DimMismatch as exc:
+        except ValidationError as exc:
             raise ValidationError(f"costs: {exc}") from None
         n, d = self.network.n_agents, self.network.dim
         for g in self.graphs:
@@ -247,6 +247,27 @@ def _state(spec, n: int, d: int, where: str) -> np.ndarray:
     return arr.reshape(n, d)
 
 
+def _scheme_from_dict(spec, n: int) -> schedulers.CommScheme:
+    """The scheme of a ``schedulers.scheme_dict``-style spec, or a ValidationError naming
+    ``scheme.<field>``; a scalar eps broadcasts to all ``n`` agents."""
+    kind = _required(_typed(spec, dict, "scheme"), "kind", "scheme.kind")
+    if not (isinstance(kind, str) and kind in schedulers.SCHEMES):
+        raise ValidationError(f"scheme.kind {kind!r} is unknown; known: "
+                              f"{', '.join(schedulers.SCHEMES)}")
+    cls = schedulers.SCHEMES[kind]
+    names = [f.name for f in fields(cls)]
+    _known(spec, ("kind", *names), "scheme.")
+    args = {}
+    for name in names:
+        value, where = _required(spec, name, f"scheme.{name}"), f"{kind} {name} (scheme.{name})"
+        if name == "eps":
+            eps = _floats(value, where)
+            args[name] = np.full(n, eps) if eps.ndim == 0 else eps
+        else:
+            args[name] = _number(value, where)
+    return cls(**args)
+
+
 def scenario_from_dict(cfg: dict, seed: int | None = None) -> Scenario:
     """Validate and materialize a scenario dict.
 
@@ -277,7 +298,7 @@ def scenario_from_dict(cfg: dict, seed: int | None = None) -> Scenario:
     else:
         raise ValidationError("scenario needs 'graph' or 'switching'")
 
-    scheme = schedulers.scheme_from_dict(cfg.get("scheme", {"kind": "continuous"}), n)
+    scheme = _scheme_from_dict(cfg.get("scheme", {"kind": "continuous"}), n)
     use_seed = _number(cfg.get("seed", DEFAULT_SEED), "seed", int) if seed is None else int(seed)
     if use_seed < 0:
         raise ValidationError(f"seed must be non-negative, got {use_seed}")
@@ -314,16 +335,16 @@ def scenario_from_dict(cfg: dict, seed: int | None = None) -> Scenario:
 
 
 def parse_scenario(path, seed: int | None = None) -> Scenario:
-    """Load a scenario JSON file; malformed files raise ParseError."""
+    """Load a scenario JSON file; malformed files raise ValidationError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        raise ValidationError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     if not isinstance(cfg, dict):
-        raise ParseError(f"{path}: top level must be an object")
+        raise ValidationError(f"{path}: top level must be an object")
     return scenario_from_dict(cfg, seed=seed)
 
 
@@ -335,43 +356,36 @@ def preset_dict(name: str) -> dict:
     comparison pair starts inside [-0.5, 0.5] where the explicit update is
     stable for the quartic cost.
     """
-    ten = [{"kind": "catalog", "name": f"f{i}"} for i in range(1, 11)]
     base = {
-        "costs": ten,
+        "name": name,
+        "costs": [{"kind": "catalog", "name": f"f{i}"} for i in range(1, 11)],
         "alpha": 1.0,
         "h": DEFAULT_H,
         "stride": DEFAULT_STRIDE,
         "seed": DEFAULT_SEED,
         "x0": {"box": list(DEFAULT_BOX)},
+        "t_final": 60.0,
     }
     if name in ("fig1a", "fig1b", "fig1c"):
-        beta = {"fig1a": 0.5, "fig1b": 1.0, "fig1c": 5.0}[name]
         return base | {
-            "name": name,
             "switching": {"presets": list(SWITCHING_SET), "dwell": 2.0},
-            "beta": beta,
+            "beta": {"fig1a": 0.5, "fig1b": 1.0, "fig1c": 5.0}[name],
             "scheme": {"kind": "continuous"},
-            "t_final": 60.0,
         }
+    fixed = base | {"graph": {"preset": "fig2"}, "beta": 1.0}
+    euler_box = {"x0": {"box": [-0.5, 0.5]}}
     if name == "fig3a":
-        return base | {"name": name, "graph": {"preset": "fig2"}, "beta": 1.0,
-                       "scheme": {"kind": "periodic", "delta": 0.5}, "t_final": 60.0}
+        return fixed | {"scheme": {"kind": "periodic", "delta": 0.5}}
     if name == "fig3b":
-        return base | {"name": name, "graph": {"preset": "fig2"}, "beta": 0.5,
-                       "scheme": {"kind": "periodic", "delta": 1.0}, "t_final": 60.0}
+        return fixed | {"beta": 0.5, "scheme": {"kind": "periodic", "delta": 1.0}}
     if name == "fig4a":
-        return base | {"name": name, "graph": {"preset": "fig2"}, "beta": 2.0,
-                       "scheme": {"kind": "periodic", "delta": 0.2}, "t_final": 60.0,
-                       "x0": {"box": [-0.5, 0.5]}}
+        return fixed | euler_box | {"beta": 2.0, "scheme": {"kind": "periodic", "delta": 0.2}}
     if name == "fig4b":
-        return base | {"name": name, "graph": {"preset": "fig2"}, "beta": 1.0,
-                       "scheme": {"kind": "euler", "delta": 0.2}, "t_final": 60.0,
-                       "stride": 1, "x0": {"box": [-0.5, 0.5]}}
+        return fixed | euler_box | {"scheme": {"kind": "euler", "delta": 0.2}, "stride": 1}
     if name == "fig5":
-        return base | {"name": name, "graph": {"preset": "fig2"}, "beta": 1.0,
-                       "scheme": {"kind": "distributed_event", "eps": 0.002},
-                       "t_final": 40.0, "h": 2e-4, "stride": 50}
-    raise UnknownPreset(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
+        return fixed | {"scheme": {"kind": "distributed_event", "eps": 0.002},
+                        "t_final": 40.0, "h": 2e-4, "stride": 50}
+    raise ValidationError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
 
 
 def presets(name: str) -> Scenario:

@@ -102,40 +102,6 @@ def scheme_dict(scheme: CommScheme) -> dict:
     return out
 
 
-def scheme_from_dict(d: dict, n_agents: int) -> CommScheme:
-    """Inverse of :func:`scheme_dict`; scalar eps broadcasts to all agents.
-
-    Raises ValidationError naming ``scheme.<field>`` when a field is
-    missing, not numeric, not finite or not a field of the kind, and when
-    ``d`` is not a dict.
-    """
-    if not isinstance(d, dict):
-        raise ValidationError(f"scheme must be an object with a 'kind', got {d!r}")
-    kind = d.get("kind")
-    if not (isinstance(kind, str) and kind in SCHEMES):
-        raise ValidationError(f"scheme.kind {kind!r} is unknown; known: {', '.join(SCHEMES)}")
-    cls = SCHEMES[kind]
-    known = ("kind", *(f.name for f in fields(cls)))
-    if unknown := [key for key in d if key not in known]:
-        raise ValidationError(f"scheme.{unknown[0]} is not a known field of kind {kind!r}; "
-                              f"known: {', '.join(known)}")
-    args = {}
-    for f in fields(cls):
-        if f.name not in d:
-            raise ValidationError(f"scheme.{f.name} is missing for kind {kind!r}")
-        value = d[f.name]
-        if f.name == "eps" and np.isscalar(value):
-            value = [value] * n_agents
-        try:
-            args[f.name] = np.asarray(value, dtype=float) if f.name == "eps" else float(value)
-            if not np.isfinite(args[f.name]).all():
-                raise ValueError(value)
-        except (TypeError, ValueError):
-            raise ValidationError(f"{kind} {f.name} (scheme.{f.name}) must be a finite number, "
-                                  f"got {value!r}") from None
-    return cls(**args)
-
-
 def period_steps(delta: float, h: float) -> int:
     """Steps of size ``h`` between periodic broadcasts: the most that fit
     in ``delta``, so the realized period never exceeds ``delta``.  Raises

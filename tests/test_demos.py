@@ -1,6 +1,6 @@
-"""Import hygiene of the demos and the package namespace, checked without
+"""Import hygiene of the demos and the exception hierarchy, checked without
 running any demo: every name a demo imports from ``distopt`` resolves, and
-every name in ``distopt.__all__`` exists."""
+every exception class past the two general ones is one some caller catches."""
 
 import ast
 import importlib
@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-import distopt
+from distopt import errors
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def distopt_imports(path: Path) -> list[tuple[str, str | None]]:
@@ -41,7 +42,21 @@ def test_demo_imports_resolve(path):
             assert hasattr(mod, name), f"{path.name}: from {module} import {name} does not resolve"
 
 
-def test_all_names_exist():
-    missing = [name for name in distopt.__all__ if not hasattr(distopt, name)]
-    assert not missing
-    assert len(set(distopt.__all__)) == len(distopt.__all__)
+def caught_names(path: Path) -> set[str]:
+    """The names in the ``except`` clauses of a file, bare or as ``module.Name``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            for t in node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]:
+                names.add(t.id if isinstance(t, ast.Name) else getattr(t, "attr", None))
+    return names
+
+
+def test_every_specific_error_is_caught_by_name():
+    # a class no caller tells apart from ValidationError is one the hierarchy need not have
+    classes = [name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, errors.DistoptError)]
+    caught = set().union(*(caught_names(path) for path in
+                           [*(ROOT / "src" / "distopt").glob("*.py"), *DEMOS]))
+    uncaught = [name for name in classes if name not in caught | {"DistoptError", "ValidationError"}]
+    assert len(classes) > 2 and not uncaught, f"no src/ or demos/ except clause names {uncaught}"

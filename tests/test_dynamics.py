@@ -938,7 +938,7 @@ class TestKernelPerCoupling:
     @pytest.mark.parametrize("scheme", [Continuous(), Periodic(delta=0.05),
                                         DistributedEvent(eps=np.full(10, 0.05))])
     def test_graph_listed_thrice_runs_as_the_fixed_graph(self, ten_suite, scheme):
-        # the dwell, 30 steps, cuts blocks and polls the law where the fixed run does not
+        # the dwell is 30 steps, but no boundary between equal graphs is a switch
         g = preset_graph("fig2")
         runs = [simulate(make_scenario(ten_suite, scheme=scheme, t_final=0.5, **topology))
                 for topology in ({"graph": g},
@@ -953,7 +953,7 @@ class TestKernelPerCoupling:
                                         CentralizedEvent(kappa=0.06, tau=0.02)])
     def test_equal_graphs_poll_and_build_as_one_graph(self, monkeypatch, ten_suite, scheme):
         # fig2 and an equal copy, listed three times: a boundary between equal graphs is no
-        # switch, so the law is polled and kernels are built as for fig2 held fixed
+        # switch, so the law is polled, kernels are built and blocks end as for fig2 held fixed
         counts, trigger_law = [], schedulers.trigger_law
 
         def counted_law(*args):
@@ -963,17 +963,23 @@ class TestKernelPerCoupling:
             return law
 
         monkeypatch.setattr(schedulers, "trigger_law", counted_law)
-        monkeypatch.setattr(dynamics, "rk_kernel",
-                            lambda *args: counts.append("kernel") or rk_kernel(*args))
+        def counted_kernel(*args):
+            kernel = rk_kernel(*args)
+            kernel.advance = lambda *a, _advance=kernel.advance: (counts.append("advance")
+                                                                 or _advance(*a))
+            return counts.append("kernel") or kernel
+
+        monkeypatch.setattr(dynamics, "rk_kernel", counted_kernel)
         g = preset_graph("fig2")
         copy = WeightedDigraph(g.n, g.weights.copy())
         runs = []
         for topology in ({"graph": g}, {"schedule": SwitchingSchedule((g, copy, g), dwell=0.03)}):
             counts.clear()
             simulate(make_scenario(ten_suite, scheme=scheme, t_final=0.5, **topology))
-            runs.append((counts.count("fire"), counts.count("kernel")))
+            runs.append((counts.count("fire"), counts.count("kernel"), counts.count("advance")))
         assert runs[1] == runs[0] and runs[0][1] == 1
         assert runs[0][0] > 1 or isinstance(scheme, Continuous)
+        assert runs[0][2] > 1
 
 
 class TestEuler:

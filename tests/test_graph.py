@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import dump_graph, edge_list
-from distopt.errors import (
-    DuplicateEdge,
-    InvalidEdge,
-    InvalidWeight,
-    NotConnected,
-    ParseError,
-    TooSmall,
-    UnknownPreset,
-)
+from distopt.errors import ValidationError
 from distopt.graph import (
     build_digraph,
     complement_basis,
@@ -57,21 +49,21 @@ class TestBuild:
         assert g.is_undirected
 
     def test_self_loop_rejected(self):
-        with pytest.raises(InvalidEdge):
+        with pytest.raises(ValidationError, match="self-loop at node 2"):
             build_digraph(3, [(1, 2, 1.0), (2, 2, 1.0)])
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(InvalidEdge):
+        with pytest.raises(ValidationError, match="out of range"):
             build_digraph(2, [(1, 3, 1.0)])
 
     def test_nonpositive_weight_rejected(self):
-        with pytest.raises(InvalidWeight):
+        with pytest.raises(ValidationError, match="has weight 0.0"):
             build_digraph(2, [(1, 2, 0.0)])
-        with pytest.raises(InvalidWeight):
+        with pytest.raises(ValidationError, match="has weight -0.5"):
             build_digraph(2, [(1, 2, -0.5)])
 
     def test_duplicate_rejected(self):
-        with pytest.raises(DuplicateEdge):
+        with pytest.raises(ValidationError, match="given twice"):
             build_digraph(2, [(1, 2, 1.0), (1, 2, 2.0)])
 
     def test_fig2_is_valid_balanced_strongly_connected(self):
@@ -183,7 +175,7 @@ class TestBasis:
             assert np.abs(b.R @ b.R.T - projector).max() <= 1e-12
 
     def test_too_small(self):
-        with pytest.raises(TooSmall):
+        with pytest.raises(ValidationError, match="need n >= 2"):
             complement_basis(1)
 
     def test_basis_invariance_of_disagreement_norm(self):
@@ -214,13 +206,13 @@ class TestFileFormatAndPresets:
     def test_parse_errors(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("2 1 1.0\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ValidationError, match="bad.txt:1: expected header 'n <count>'"):
             load_graph(bad)
         bad.write_text("n 2\n1 2\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ValidationError, match="bad.txt:2: expected 'i j w'"):
             load_graph(bad)
         bad.write_text("# only a comment\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ValidationError, match="bad.txt: missing 'n <count>' header"):
             load_graph(bad)
 
     def test_parametric_presets(self):
@@ -229,7 +221,7 @@ class TestFileFormatAndPresets:
         assert preset_graph("cycle6").n_edges == 12
         assert preset_graph("dicycle6").n_edges == 6
         assert preset_graph("cycle2").n_edges == 2
-        with pytest.raises(UnknownPreset):
+        with pytest.raises(ValidationError, match="unknown graph preset 'torus3'"):
             preset_graph("torus3")
 
     def test_fig2_variants(self):
@@ -250,7 +242,7 @@ class TestFileFormatAndPresets:
 class TestReducedLaplacian:
     def test_disconnected_raises(self):
         g = build_digraph(4, [(1, 2, 1.0), (2, 1, 1.0), (3, 4, 1.0), (4, 3, 1.0)])
-        with pytest.raises(NotConnected):
+        with pytest.raises(ValidationError, match="not connected"):
             reduced_laplacian(g)
 
     def test_k2_value(self, k2):

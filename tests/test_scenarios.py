@@ -10,7 +10,7 @@ from conftest import dump_graph, make_scenario
 from distopt.cli import main
 from distopt.costs import CostModel
 from distopt.dynamics import AlgorithmParams
-from distopt.errors import ParseError, UnknownPreset, ValidationError
+from distopt.errors import ValidationError
 from distopt.graph import preset_graph
 from distopt.scenarios import (
     PRESET_NAMES,
@@ -225,10 +225,10 @@ class TestParsing:
     def test_malformed_json_is_parse_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        with pytest.raises(ParseError):
+        with pytest.raises(ValidationError, match="bad.json:1:2: "):
             parse_scenario(path)
         path.write_text("[1, 2]")
-        with pytest.raises(ParseError):
+        with pytest.raises(ValidationError, match="bad.json: top level must be an object"):
             parse_scenario(path)
 
     def test_inline_graph_and_quadratic_costs(self):
@@ -329,7 +329,7 @@ class TestPresets:
         assert sc.h == pytest.approx(2e-4)
 
     def test_unknown_preset(self):
-        with pytest.raises(UnknownPreset):
+        with pytest.raises(ValidationError, match="unknown preset 'fig9'"):
             presets("fig9")
 
     def test_preset_dict_round_trips_through_json(self):
