@@ -14,7 +14,7 @@ import numpy as np
 
 from distopt import catalog, preset_graph
 from distopt.certificates import certify, maximize_tau, suggest_beta, ConvexityBounds
-from distopt.scenarios import AnalysisOptions, Scenario
+from distopt.scenarios import AnalysisOptions, Scenario, jsonable
 from distopt.schedulers import DistributedEvent
 
 costs = (catalog("f2"), catalog("f10"))  # (x-4)^2 and (x+2)^2
@@ -28,7 +28,7 @@ scenario = Scenario(
 )
 
 report = certify(scenario)
-print(json.dumps(report.to_dict(), indent=2))
+print(json.dumps(jsonable(vars(report)), indent=2, allow_nan=False))
 print()
 print(f"coupling threshold for a positive margin: beta > "
       f"{suggest_beta(1.0, 9.0, report.lambda_hat_2):.4f} (we run beta = 6)")

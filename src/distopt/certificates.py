@@ -21,6 +21,33 @@ from .graph import WeightedDigraph, reduced_laplacian, spectral_summary
 
 
 @dataclass(frozen=True)
+class AnalysisOptions:
+    """Analysis scalars for the certificate engine, range-checked when built.
+
+    ``eps`` in (0, 1) and ``delta`` > 0 drive the periodic/centralized
+    constants; ``phi`` > 0 overrides the automatically chosen weight for the
+    digraph and distributed certificates; ``box`` is the interval used to
+    estimate missing convexity constants; ``eps_vec`` (all positive) supplies
+    trigger thresholds when the scenario scheme is not distributed.
+    """
+
+    eps: float = 0.5
+    delta: float = 1.0
+    phi: float | None = None
+    box: tuple[float, float] | None = None
+    eps_vec: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        for name, ok, want in (("eps", 0 < self.eps < 1, "lie in (0, 1)"),
+                               ("delta", self.delta > 0, "be positive"),
+                               ("phi", self.phi is None or self.phi > 0, "be positive"),
+                               ("eps_vec", all(e > 0 for e in self.eps_vec or ()),
+                                "have positive entries")):
+            if not ok:
+                raise ValidationError(f"analysis.{name} must {want}, got {getattr(self, name)!r}")
+
+
+@dataclass(frozen=True)
 class ConvexityBounds:
     """Aggregate constants: m_lower = min_i m^i, M_upper = max_i M^i."""
 
@@ -313,17 +340,6 @@ class CertificateReport:
     suggested_delta_comm: float | None
     topology_certified: bool
     feasible: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        out = {}
-        for key, val in self.__dict__.items():
-            if isinstance(val, np.ndarray):
-                out[key] = [float(x) for x in val]
-            elif isinstance(val, (np.floating, np.integer)):
-                out[key] = float(val)
-            else:
-                out[key] = val
-        return out
 
 
 def _resolve_bounds(costs: NetworkCost, box) -> tuple[ConvexityBounds, NetworkCost]:

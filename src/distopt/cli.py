@@ -62,8 +62,9 @@ def _cmd_run(args) -> int:
 def _cmd_certify(args) -> int:
     scenario = scenarios.parse_scenario(args.scenario)
     report = certificates.certify(scenario)
-    print(json.dumps(report.to_dict(), indent=2))
-    return EXIT_OK if scenarios.scheme_feasible(report, scenario.scheme) else EXIT_INFEASIBLE
+    print(json.dumps(scenarios.jsonable(vars(report)), indent=2, allow_nan=False))
+    feasible = report.feasible.get(scenario.scheme.kind, report.feasible["digraph_rate"])
+    return EXIT_OK if feasible else EXIT_INFEASIBLE
 
 
 def _cmd_preset(args) -> int:

@@ -85,7 +85,6 @@ class Trace:
     err: np.ndarray
     event_agents: np.ndarray
     event_times: np.ndarray
-    scheme: dict
     h: float
     alpha: float
     beta: float
@@ -412,7 +411,6 @@ def simulate(scenario: "Scenario") -> Trace:
             err=ERR[:si],
             event_agents=np.asarray(law.agents if sampled else [], dtype=int),
             event_times=np.asarray(law.times if sampled else [], dtype=float),
-            scheme=schedulers.scheme_dict(scheme),
             h=h,
             alpha=float(scenario.alpha),
             beta=float(scenario.beta),

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import certificates, diagnostics, dynamics, schedulers
+from .certificates import AnalysisOptions
 from .costs import CostModel, NetworkCost, catalog, network_cost, quadratic_cost
 from .errors import NumericalBlowup, ValidationError
 from .graph import WeightedDigraph, load_graph, build_digraph, preset_graph
@@ -32,24 +33,6 @@ FIELDS = ("name", "graph", "switching", "costs", "alpha", "beta", "scheme", "t_f
           "stride", "seed", "x0", "v0", "analysis", "out")  # a scenario's top-level fields
 PRESET_NAMES = ("fig1a", "fig1b", "fig1c", "fig3a", "fig3b", "fig4a", "fig4b", "fig5")
 SWITCHING_SET = ("fig2", "fig2r3", "fig2r7")
-
-
-@dataclass(frozen=True)
-class AnalysisOptions:
-    """Analysis scalars for the certificate engine.
-
-    ``eps`` and ``delta`` drive the periodic/centralized constants;
-    ``phi`` overrides the automatically chosen weight for the digraph and
-    distributed certificates; ``box`` is the interval used to estimate
-    missing convexity constants; ``eps_vec`` supplies trigger thresholds
-    when the scenario scheme is not distributed.
-    """
-
-    eps: float = 0.5
-    delta: float = 1.0
-    phi: float | None = None
-    box: tuple[float, float] | None = None
-    eps_vec: tuple[float, ...] | None = None
 
 
 def grid_steps(span: float, h: float, name: str) -> int:
@@ -248,7 +231,7 @@ def _state(spec, n: int, d: int, where: str) -> np.ndarray:
 
 
 def _scheme_from_dict(spec, n: int) -> schedulers.CommScheme:
-    """The scheme of a ``schedulers.scheme_dict``-style spec, or a ValidationError naming
+    """The scheme of a ``{"kind": ..., <fields>}`` spec, or a ValidationError naming
     ``scheme.<field>``; a scalar eps broadcasts to all ``n`` agents."""
     kind = _required(_typed(spec, dict, "scheme"), "kind", "scheme.kind")
     if not (isinstance(kind, str) and kind in schedulers.SCHEMES):
@@ -399,22 +382,21 @@ def run(scenario: Scenario, out_dir=None, with_certificate: bool = False) -> dic
     Returns the summary dict.  With ``with_certificate`` the certificate is
     evaluated first, and the output directory is created only once there
     is a trace to write, so a certificate or validation error leaves no
-    output directory behind.  On numerical blowup the partial outputs are
-    still written and the exception re-raised for the caller to map to an
-    exit status.
+    output directory behind.  On numerical blowup the partial outputs, with
+    the certificate, are still written and the exception re-raised for the
+    caller to map to an exit status.
     """
-    certificate = certificates.certify(scenario).to_dict() if with_certificate else None
+    certificate = vars(certificates.certify(scenario)) if with_certificate else None
     out = Path(out_dir if out_dir is not None else (scenario.out_dir or "out"))
     t0 = time.perf_counter()
     try:
         trace = dynamics.simulate(scenario)
     except NumericalBlowup as exc:
         if exc.trace is not None:
-            _write_outputs(exc.trace, scenario, out, time.perf_counter() - t0,
-                           status="blowup", certificate=None)
+            _write_outputs(exc.trace, scenario, out, time.perf_counter() - t0, "blowup",
+                           certificate)
         raise
-    return _write_outputs(trace, scenario, out, time.perf_counter() - t0,
-                          status="ok", certificate=certificate)
+    return _write_outputs(trace, scenario, out, time.perf_counter() - t0, "ok", certificate)
 
 
 def _write_outputs(trace, scenario, out: Path, wall: float, status: str,
@@ -426,7 +408,7 @@ def _write_outputs(trace, scenario, out: Path, wall: float, status: str,
     summary = {
         "name": scenario.name,
         "status": status,
-        "scheme": trace.scheme,
+        "scheme": {"kind": scenario.scheme.kind} | vars(scenario.scheme),
         "alpha": scenario.alpha,
         "beta": scenario.beta,
         "h": trace.h,
@@ -434,10 +416,10 @@ def _write_outputs(trace, scenario, out: Path, wall: float, status: str,
                             if scenario.scheme.kind == "periodic" else None),
         "t_final": scenario.t_final,
         "seed": scenario.seed,
-        "x_star": None if trace.x_star is None else [float(c) for c in trace.x_star],
-        "final_errors": [float(e) for e in trace.err[-1]] if trace.t.size else [],
-        "event_counts": [int(c) for c in stats.counts],
-        "min_inter_event": [float(gp) for gp in stats.min_gaps],
+        "x_star": trace.x_star,
+        "final_errors": trace.err[-1] if trace.t.size else [],
+        "event_counts": stats.counts,
+        "min_inter_event": stats.min_gaps,
         "global_min_gap": stats.global_min_gap,
         "zeno_flag": stats.zeno_flag,
         "conservation_max": diagnostics.conservation_violation(trace) if trace.t.size else None,
@@ -445,22 +427,21 @@ def _write_outputs(trace, scenario, out: Path, wall: float, status: str,
     }
     if certificate is not None:
         summary["certificate"] = certificate
-    summary = _strict(summary)
+    summary = jsonable(summary)
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, allow_nan=False)
         fh.write("\n")
     return summary
 
 
-def _strict(value):
-    """``value`` with each non-finite float in it, nested in lists and dicts, as None (null)."""
+def jsonable(value):
+    """``value`` as JSON data for ``summary.json`` and ``sim certify``: dicts, lists,
+    tuples and arrays recursed into, a numpy scalar as the Python number (``.item()``)
+    and each non-finite float as None (null), so the JSON is strict."""
     if isinstance(value, dict):
-        return {k: _strict(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_strict(v) for v in value]
+        return {k: jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, np.generic):
+        value = value.item()
     return None if isinstance(value, float) and not math.isfinite(value) else value
-
-
-def scheme_feasible(report: certificates.CertificateReport, scheme) -> bool:
-    """Verdict relevant to the scenario's own communication scheme."""
-    return report.feasible.get(scheme.kind, report.feasible["digraph_rate"])

@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import ClassVar, get_args
 
 import numpy as np
@@ -89,17 +89,6 @@ class EulerScheme:
 CommScheme = Continuous | Periodic | CentralizedEvent | DistributedEvent | EulerScheme
 
 SCHEMES = {cls.kind: cls for cls in get_args(CommScheme)}
-
-
-def scheme_dict(scheme: CommScheme) -> dict:
-    """JSON-friendly description of a scheme."""
-    if type(scheme) not in SCHEMES.values():
-        raise ValidationError(f"unknown scheme {scheme!r}")
-    out = {"kind": scheme.kind}
-    for f in fields(scheme):
-        value = getattr(scheme, f.name)
-        out[f.name] = [float(e) for e in value] if isinstance(value, np.ndarray) else value
-    return out
 
 
 def period_steps(delta: float, h: float) -> int:

@@ -26,7 +26,7 @@ from distopt.costs import catalog, network_cost, quadratic_cost
 from distopt.dynamics import SwitchingSchedule
 from distopt.errors import Infeasible, ValidationError
 from distopt.graph import build_digraph, complement_basis, preset_graph
-from distopt.scenarios import AnalysisOptions
+from distopt.scenarios import AnalysisOptions, jsonable
 from distopt.schedulers import DistributedEvent
 
 B22 = ConvexityBounds(2.0, 2.0)
@@ -314,10 +314,11 @@ class TestCertify:
         assert rep.steady_state_bound == pytest.approx(0.0028034, rel=1e-4)
         assert (np.asarray(rep.tau_i) > 0).all()
         assert rep.topology_certified
-        d = rep.to_dict()
+        d = jsonable(vars(rep))
         for key in ("gamma", "gamma_prime", "phi", "zeta", "kappa", "tau", "tau_i",
                     "eta", "theta", "lamF_min", "lamF_max", "lamE_max"):
             assert key in d
+        assert d["tau_i"] == [float(t) for t in rep.tau_i]
 
     def test_distributed_verdict_at_gamma_prime_maximizer(self, k2, quad_pair):
         # without analysis.phi the distributed verdict takes the maximizer of
@@ -384,7 +385,7 @@ class TestCertify:
                                          analysis=AnalysisOptions(delta=4.0)))
 
         rep = report(["cycle10", "k10"])
-        assert rep.to_dict() == report(["k10", "cycle10"]).to_dict()
+        assert jsonable(vars(rep)) == jsonable(vars(report(["k10", "cycle10"])))
         singles = [report([name], switching=False) for name in graphs]
         assert rep.lambda_hat_2 == min(r.lambda_hat_2 for r in singles)
         assert rep.lambda_N == max(r.lambda_N for r in singles)

@@ -1,9 +1,12 @@
-"""Import hygiene of the demos and the exception hierarchy, checked without
-running any demo: every name a demo imports from ``distopt`` resolves, and
-every exception class past the two general ones is one some caller catches."""
+"""The demos and the exception hierarchy: every demo runs to exit 0, every
+name a demo imports from ``distopt`` resolves, and every exception class past
+the two general ones is one some caller catches."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,6 +43,16 @@ def test_demo_imports_resolve(path):
         mod = importlib.import_module(module)
         if name is not None:
             assert hasattr(mod, name), f"{path.name}: from {module} import {name} does not resolve"
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(path, tmp_path):
+    # run from an empty directory with this checkout's src/ first on the path
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run([sys.executable, str(path)], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, f"{path.name} exited {done.returncode}:\n{done.stderr[-2000:]}"
 
 
 def caught_names(path: Path) -> set[str]:

@@ -1100,7 +1100,6 @@ class TestTraceCsv:
         times = np.concatenate([[0.0, 0.0, 0.03, 0.03], rng.uniform(0.0, 0.12, 20)])
         trace = dynamics.Trace(t=0.01 * np.arange(s), x=x, v=-x, x_hat=x, err=err,
                                event_agents=rng.integers(0, n, times.size),
-                               event_times=np.sort(times), scheme={"kind": "periodic"},
-                               h=0.01, alpha=1.0, beta=1.0)
+                               event_times=np.sort(times), h=0.01, alpha=1.0, beta=1.0)
         trace.to_csv(tmp_path / "trace.csv")
         assert (tmp_path / "trace.csv").read_text() == reference_csv(trace)

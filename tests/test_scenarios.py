@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import dump_graph, make_scenario
+from distopt.certificates import certify
 from distopt.cli import main
 from distopt.costs import CostModel
 from distopt.dynamics import AlgorithmParams
@@ -14,6 +15,7 @@ from distopt.errors import ValidationError
 from distopt.graph import preset_graph
 from distopt.scenarios import (
     PRESET_NAMES,
+    jsonable,
     parse_scenario,
     preset_dict,
     presets,
@@ -63,6 +65,15 @@ MALFORMED = [
     ({"scheme": {"kind": "periodic", "delta": math.inf}}, "periodic delta"),
     ({"graph": {"n": 1e308, "edges": [[1, 2, 1.0], [2, 1, 1.0]]}}, "graph.n"),
     ({"graph": {"n": 10**9, "edges": [[1, 2, 1.0], [2, 1, 1.0]]}}, "graph.n"),
+    ({"analysis": {"eps": 1.5}}, "analysis.eps"),
+    ({"analysis": {"eps": 1.0}}, "analysis.eps"),
+    ({"analysis": {"eps": 0.0}}, "analysis.eps"),
+    ({"analysis": {"delta": -2.0}}, "analysis.delta"),
+    ({"analysis": {"delta": 0.0}}, "analysis.delta"),
+    ({"analysis": {"phi": 0.0}}, "analysis.phi"),
+    ({"analysis": {"phi": -9.0}}, "analysis.phi"),
+    ({"analysis": {"eps_vec": [0.1, 0.0]}}, "analysis.eps_vec"),
+    ({"analysis": {"eps_vec": [-0.1, 0.1]}}, "analysis.eps_vec"),
 ]
 
 
@@ -73,6 +84,14 @@ def merged(base: dict, change: dict) -> dict:
     if "switching" in change:
         cfg.pop("graph", None)
     return cfg
+
+
+def strict_json(text: str):
+    """``text`` read as strict JSON, which has no NaN or Infinity."""
+    def refuse(constant):
+        raise AssertionError(f"output holds {constant}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def write_json(tmp_path, cfg, name="scenario.json"):
@@ -395,11 +414,8 @@ class TestRunOutputs:
 
     @staticmethod
     def strict_summary(out) -> dict:
-        """``summary.json`` read as strict JSON, which has no NaN or Infinity."""
-        def refuse(constant):
-            raise AssertionError(f"summary.json holds {constant}")
-
-        return json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+        """``summary.json`` read as strict JSON."""
+        return strict_json((out / "summary.json").read_text())
 
     def test_agents_starting_at_the_optimum_write_strict_json(self, tmp_path):
         # err is 0 at t = 0: the log-error series this summary no longer carries read -inf
@@ -494,6 +510,17 @@ class TestCli:
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
         assert (tmp_path / "out" / "summary.json").exists()  # partial outputs
 
+    def test_run_blowup_keeps_the_certificate(self, tmp_path):
+        # the verdict computed before the run stays beside the failure it explains
+        cfg = self.quick_cfg() | {"scheme": {"kind": "euler", "delta": 2.5}, "t_final": 400.0,
+                                  "x0": [5.0, -5.0], "stride": 1, "analysis": {"phi": 9.0}}
+        path = write_json(tmp_path, cfg)
+        assert main(["run", path, "--out", str(tmp_path / "out"), "--certify"]) == 3
+        summary = TestRunOutputs.strict_summary(tmp_path / "out")
+        assert summary["status"] == "blowup"
+        sc = scenario_from_dict(cfg)
+        assert summary["certificate"] == jsonable(vars(certify(sc)))
+
     def test_run_seed_flag(self, tmp_path):
         path = write_json(tmp_path, self.quick_cfg())
         assert main(["run", path, "--out", str(tmp_path / "o1"), "--seed", "5"]) == 0
@@ -515,7 +542,7 @@ class TestCli:
         }
         path = write_json(tmp_path, cfg)
         assert main(["certify", path]) == 0
-        report = json.loads(capsys.readouterr().out)
+        report = strict_json(capsys.readouterr().out)
         assert report["gamma_prime"] == pytest.approx(90.0, abs=1e-9)
         assert report["suggested_delta_comm"] == pytest.approx(0.9 * report["tau"])
         # adopting the suggested coupling makes the digraph margin positive
@@ -537,6 +564,18 @@ class TestCli:
         }
         path = write_json(tmp_path, cfg)
         assert main(["certify", path]) == 4
+
+    def test_certify_prints_strict_json(self, tmp_path, capsys):
+        # two disconnected pairs: lambda_hat_2 = 0, so no coupling makes the margin
+        # positive and the suggested beta is infinite, printed as null
+        cfg = {"graph": {"n": 4, "edges": [[1, 2, 1.0], [2, 1, 1.0], [3, 4, 1.0], [4, 3, 1.0]]},
+               "costs": [{"kind": "quadratic", "a": [float(a)]} for a in (1, 2, 3, 4)]}
+        path = write_json(tmp_path, cfg)
+        assert main(["certify", path]) == 4
+        report = strict_json(capsys.readouterr().out)
+        assert report["lambda_hat_2"] == 0.0
+        assert report["suggested_beta"] is None
+        assert report["feasible"]["digraph_rate"] is False
 
     def test_certify_missing_lipschitz(self, tmp_path):
         cfg = dict(MINIMAL) | {"scheme": {"kind": "periodic", "delta": 0.5}}
