@@ -211,10 +211,12 @@ class AffineRK:
     H y + c written out (-alpha c joins b), a catalog gradient's own expression written
     inline (found by the function's identity, never from input), a call of any other
     ``scalar_gradient``, or (d > 1, or none) entries of one ``grad_list`` call per stage.
-    The source holds generated names, float literals and that catalog text only.  A kernel
-    over a nonzero L, which no law screens, advances up to BLOCK_STEPS steps."""
+    The source holds generated names, float literals and that catalog text only.  Each step
+    ends the block once the held stop test holds for the new state (see :meth:`hold`).  A kernel
+    advances up to BLOCK_STEPS steps, but ``simulate`` gives a sampled one ``block`` steps
+    under a law it cannot stop at (the centralized law), as a dropped tail costs gradients."""
 
-    block = 8  # steps per sampled advance; a tail dropped past an event has cost its gradients
+    block = 8  # steps per sampled advance under a law that may flag a node the kernel passes
 
     def __init__(self, nc: NetworkCost, p: AlgorithmParams, lap: np.ndarray, h: float, tableau):
         (rows, weights), d, alpha, coupled = tableau, nc.dim, p.alpha, bool(lap.any())
@@ -260,29 +262,37 @@ class AffineRK:
                 (a * c, "(" + " + ".join(f"{k}{j}_{e}" for j in js) + ")") for c, js in groups.items()])
                 for e in es]
         src += [f"  v{e} = v{e} + w{e}" for e in es if not coupled]
-        src.append(f"  append(({state}))")
+        # a list, not a tuple: CPython 3.11 frees a 20-tuple to a free list that never hands
+        # it out again, so a run with 2N d = 20 would keep 2,000 dead rows (368 KB)
+        src.append(f"  if append([{state}]): return")
         exec("\n".join(src), scope)  # generated names, float literals and catalog expressions
         self._run, self._span, self._coupled = scope["run"], h * sum(weights), coupled
-        self.block = BLOCK_STEPS if coupled else self.block
+        self.block = BLOCK_STEPS
         self.hold(np.zeros(2 * len(es)))
 
-    def hold(self, b: np.ndarray) -> None:
-        """Hold the (2N, d) term ``b`` of the flow (0 before the first call; L = 0 only)."""
+    def hold(self, b: np.ndarray, stop: Callable[..., bool] | None = None) -> None:
+        """Hold the (2N, d) term ``b`` of the flow (0 before the first call; L = 0 only) and
+        a test ``stop`` of a state's flat entries, or None: a block then ends with the first
+        state where it holds, e.g. :func:`schedulers.distributed_stop`."""
         if self._coupled and b.any():
             raise ValueError("a kernel over a nonzero L holds no term b")
         bx, bv = np.split(b.ravel(), 2)
         self._held = (np.outer(self._times, bv) - (bx + self._offset)).ravel().tolist() \
             + (self._span * bv).tolist()
+        self._stop = stop
 
     def advance(self, z: np.ndarray, steps: int) -> np.ndarray:
-        """The next ``steps`` (at most ``block``) states after ``z``, stacked (steps, 2N, d);
-        after a gradient overflows, only those up to its step's, which is inf."""
-        rows = []
-        try:
-            self._run(z.ravel().tolist(), steps, self._held, rows.append)
+        """The next ``steps`` (at most ``block``) states after ``z``, stacked (steps, 2N, d),
+        up to the first where the held stop test holds; after a gradient overflows, only
+        those up to its step's, which is inf."""
+        rows, stop = [], self._stop
+        try:  # the kernel returns once append does: rows.append never, the test when it holds
+            self._run(z.ravel().tolist(), steps, self._held, rows.append if stop is None
+                      else lambda row: rows.append(row) or stop(row))
         except OverflowError:  # as grad_list maps it: that step's state is out of range
             rows.append([math.inf] * z.size)
-        return np.array(rows).reshape(len(rows), *z.shape)
+        return np.fromiter(chain.from_iterable(rows), float, len(rows) * z.size).reshape(
+            len(rows), *z.shape)
 
 
 class FoldedRK:
@@ -310,7 +320,9 @@ class FoldedRK:
         self._powers, self._sums = powers.reshape(k * n2, n2), sums.reshape(k * n2, n2)
         self.hold(np.zeros(n2))
 
-    def hold(self, b: np.ndarray) -> None:
+    def hold(self, b: np.ndarray, stop=None) -> None:
+        """As :meth:`AffineRK.hold`, but a block is one product, whose tail costs little
+        past a flagged node: ``stop`` is not tested."""
         self._offsets = self._sums @ (self._b_map @ (b.ravel() + self._offset))
 
     def advance(self, z: np.ndarray, steps: int) -> np.ndarray:
@@ -351,13 +363,17 @@ def simulate(scenario: "Scenario") -> Trace:
 
     A sampled scheme's :func:`schedulers.trigger_law` fires first at a polled node, so
     samples reflect post-broadcast state.  The kernel advances a block (``block`` steps at
-    most) up to t_final, a topology switch or a periodic node; the law screens all of it,
-    and the run goes on from the first flagged node, polled, else from the block's last
-    node, unpolled.  The quiet nodes before are recorded in bulk, the rest dropped.  Past
-    t = 0 the law is polled only at flagged nodes and at switches to an unequal graph, where
-    the distributed threshold must follow it.  The scenario was validated when built, so the
-    only error raised here is NumericalBlowup (carrying the partial trace).
+    most) up to t_final, a topology switch, a periodic node or the first node the law's stop
+    test flags; the law screens all of it, and the run goes on from the first flagged node,
+    polled, else from the block's last node, unpolled.  The quiet nodes before are recorded
+    in bulk, the rest dropped.  Past t = 0 the law is polled only at flagged nodes and at
+    switches to an unequal graph, where the distributed threshold must follow it.  The
+    scenario was validated when built, apart from the strong connectivity of a fixed graph,
+    without which no run reaches the optimum: ValidationError, before any step.  Past that
+    the only error raised here is NumericalBlowup (carrying the partial trace).
     """
+    if scenario.schedule is None and not is_strongly_connected(scenario.graph):
+        raise ValidationError("graph is not strongly connected")
     nc = scenario.network
     n, d = nc.n_agents, nc.dim
     p = AlgorithmParams(scenario.alpha, scenario.beta)
@@ -396,6 +412,8 @@ def simulate(scenario: "Scenario") -> Trace:
     kernels = (dict.fromkeys(ids, rk_kernel(nc, p, 0 * laps[0], h, tableau)) if sampled
                else {j: rk_kernel(nc, p, laps[j], h, tableau) for j in dict.fromkeys(ids)})
     block = kernels[0].block  # steps per advance
+    if sampled and not law.stops and isinstance(kernels[0], AffineRK):
+        block = AffineRK.block
 
     def trace(si: int) -> Trace:
         """The first ``si`` samples and the event log so far."""
@@ -424,7 +442,7 @@ def simulate(scenario: "Scenario") -> Trace:
         graph = ids[c % m]
         switched, gi = graph != gi, graph
         if sampled and (poll or switched) and (law.fire(k, x, x_hat, gi) or switched):
-            kernels[gi].hold(held_terms(laps[gi], p, x_hat))
+            kernels[gi].hold(held_terms(laps[gi], p, x_hat), law.watch(x_hat))
         if k == ks[si]:
             X[si], V[si], XH[si] = x, z[n:], x_hat if sampled else x
             si += 1

@@ -151,6 +151,30 @@ def distributed_g(x, x_hat, thr, dout):
     return 4.0 * dout * np.add.reduce(drift * drift, axis=-1) - thr  # .sum without its wrapper
 
 
+@functools.cache
+def _stop_maker(n: int, d: int):
+    """The compiled maker of :func:`distributed_stop`'s test for N = ``n`` agents in R^``d``."""
+    es, ns = range(n * d), range(n)
+    args = [f"h{e}" for e in es] + [f"f{i}" for i in ns] + [f"t{i}" for i in ns]
+    src = [f"def watch({', '.join(args)}):", " def stop(z):",
+           "  return " + " or ".join("f%d * (%s) > t%d" % (i, " + ".join(
+               f"(r := h{e} - z[{e}]) * r" for e in range(i * d, i * d + d)), i) for i in ns),
+           " return stop"]
+    scope = {}
+    exec("\n".join(src), scope)  # generated names only
+    return scope["watch"]
+
+
+def distributed_stop(x_hat, thr, dout):
+    """``stop(z)``: whether some :func:`distributed_g` g_i > 0 at the state x whose entries
+    lead the sequence ``z`` row-major, written out on floats for the RK kernel to test.
+    It sums each ||x_hat^i - x^i||^2 left to right, as numpy reduces fewer than 8 entries,
+    so for d < 8 it agrees with distributed_g bit for bit; and 4 d_out^i s_i > thr_i holds
+    exactly when their difference is > 0."""
+    return _stop_maker(*x_hat.shape)(*x_hat.ravel().tolist(), *(4.0 * dout).tolist(),
+                                      *thr.tolist())
+
+
 def _cascade(x: np.ndarray, x_hat: np.ndarray, thr: np.ndarray, weights: np.ndarray,
              eps2: np.ndarray, dout: np.ndarray) -> list[int]:
     """Resolve simultaneous triggers at one node; mutates ``x_hat`` and ``thr``.
@@ -188,7 +212,12 @@ class _Law:
     k = 0, later those the law finds due, whose ``x_hat`` it refreshes and logs.
     ``screen(xs, k, x_hat)`` returns the index of the first state of the (kb, N, d) stack
     of nodes k + 1 .. k + kb where the poll may fire (kb if none): the next periodic
-    node, or the first with g > 0, which rounds as at a node."""
+    node, or the first with g > 0, which rounds as at a node.  ``watch(x_hat)`` is the RK
+    kernel's stop test at the held ``x_hat`` (None but for the distributed law).  ``stops``
+    says whether a block can end at every node the screen may flag: a periodic one by the
+    block's length, a distributed one by that test."""
+
+    stops = True
 
     def __init__(self, scheme, h: float, graphs):
         self.scheme, self.h, self.graphs, self.gi, self.last = scheme, h, graphs, None, -math.inf
@@ -201,6 +230,9 @@ class _Law:
             self.agents += fired
             self.times += [self.last] * len(fired)
         return fired
+
+    def watch(self, x_hat):
+        return None
 
 
 class _PeriodicLaw(_Law):
@@ -217,6 +249,8 @@ class _PeriodicLaw(_Law):
 
 
 class _CentralizedLaw(_Law):
+    stops = False  # Pi couples the agents: g has no per-agent form that rounds as the screen
+
     def fire(self, k, x, x_hat, gi):  # x_hat holds every agent's state at the last broadcast
         kappa, tau = self.scheme.kappa, self.scheme.tau
         due = k == 0 or _centralized_due(x, x_hat, kappa, self.last, tau, k * self.h)
@@ -240,6 +274,9 @@ class _DistributedLaw(_Law):
         fired = (list(range(len(x))) if k == 0 else
                  _cascade(x, x_hat, self.thr, self.weights, self.eps2, self.dout))
         return self._broadcast(k, x, x_hat, fired) if fired else fired
+
+    def watch(self, x_hat):
+        return distributed_stop(x_hat, self.thr, self.dout)
 
     def screen(self, xs, k, x_hat) -> int:
         g = distributed_g(xs, x_hat, self.thr, self.dout)

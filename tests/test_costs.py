@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import math
 from unittest import mock
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from distopt.costs import (
+    _EXPRESSIONS,
     CATALOG_NAMES,
     CostModel,
     catalog,
@@ -89,6 +91,13 @@ class TestCatalog:
         assert catalog("f2").m == catalog("f2").M == 2.0
         assert catalog("f10").m == catalog("f10").M == 2.0
         assert catalog("f3").m is None
+
+    @pytest.mark.parametrize("text", sorted(_EXPRESSIONS.values()))
+    def test_expression_constants_are_floats(self, text):
+        # the kernel writes these inline, and CPython specializes only float-float operations;
+        # an int converts to the same double, so the values do not change
+        consts = [node.value for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Constant)]
+        assert consts and all(type(c) is float for c in consts), consts
 
     def test_scalar_fast_path_agrees(self):
         for name in CATALOG_NAMES:

@@ -565,7 +565,8 @@ class TestBlockAdvance:
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
 
     def test_curved_blocks_drop_at_most_a_tail_per_flagged_node(self, monkeypatch, ten_suite):
-        # f1 counted: four calls per RK4 step taken, kept or dropped
+        # f1 counted: four calls per RK4 step taken, kept or dropped; the kernel's stop test
+        # ends each block at the node the distributed screen flags (d = 1), so none is dropped
         grads, polls, cascade = [0], [0], schedulers._cascade
 
         def counted_cascade(*args):
@@ -580,7 +581,20 @@ class TestBlockAdvance:
                            scheme=DistributedEvent(eps=np.full(10, 0.05)), t_final=1.0, h=1e-2)
         trace = simulate(sc)
         assert polls[0] > 0 and np.unique(trace.event_times).size == polls[0] + 1
-        assert oracle + 4 * 100 <= grads[0] <= oracle + 4 * (100 + (AffineRK.block - 1) * polls[0])
+        assert grads[0] == oracle + 4 * 100
+
+    def test_wide_state_block_run_equals_per_node_run(self):
+        # d = 8: numpy sums ||x_hat^i - x^i||^2 pairwise there, the kernel's stop test left
+        # to right, so the two may round apart; the screen still judges every state
+        rng = np.random.default_rng(3)
+        sc = make_scenario([log_cosh_cost(rng.uniform(-1.0, 1.0, 8)) for _ in range(4)],
+                           graph=WeightedDigraph(4, np.roll(np.eye(4), 1, axis=1)),
+                           scheme=DistributedEvent(eps=np.full(4, 0.01)), t_final=0.5, stride=1,
+                           x0=np.full((4, 8), 0.5))  # at consensus: the threshold starts at eps^2
+        got, want = simulate(sc), self.per_node(sc)
+        assert np.unique(want.event_times).size > 50
+        for name in ("t", "x", "v", "x_hat", "event_agents", "event_times"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
 
     @pytest.mark.parametrize("name", ["fig1a", "fig5", "fig3a"])
     def test_curved_blowup_stops_the_run_quietly(self, name):
@@ -612,12 +626,17 @@ class TestBlockAdvance:
 
     @pytest.mark.parametrize("cls, affine, scheme, block", [
         pytest.param(AffineRK, False, Continuous(), dynamics.BLOCK_STEPS, id="AffineRK-False"),
-        pytest.param(AffineRK, False, Periodic(delta=0.5), AffineRK.block, id="AffineRK-sampled"),
+        pytest.param(AffineRK, False, Periodic(delta=0.9), dynamics.BLOCK_STEPS, id="AffineRK-sampled"),
+        pytest.param(AffineRK, False, DistributedEvent(eps=np.full(10, 0.05)), dynamics.BLOCK_STEPS,
+                     id="AffineRK-distributed"),
+        pytest.param(AffineRK, False, CentralizedEvent(kappa=0.06, tau=0.02), AffineRK.block,
+                     id="AffineRK-centralized"),
         pytest.param(dynamics.FoldedRK, True, Continuous(), dynamics.BLOCK_STEPS, id="FoldedRK-True")])
     def test_per_node_run_steps_one_node_per_advance(self, monkeypatch, ten_suite, cls, affine,
                                                      scheme, block):
         # per_node's patches reach the kernel simulate builds, else it compares blocks to blocks;
-        # a coupled kernel, which no law screens, takes BLOCK_STEPS, a sampled AffineRK its block
+        # a kernel takes BLOCK_STEPS (periodic: 90 steps apart), a sampled AffineRK under the
+        # centralized law, whose flagged nodes it cannot stop at, its block
         seen, advance = [], cls.advance
         monkeypatch.setattr(cls, "advance", lambda kernel, z, steps: seen.append(steps)
                             or advance(kernel, z, steps))
@@ -653,7 +672,7 @@ class TestBlockAdvance:
         (msg, got), (want_msg, want) = outcomes
         assert msg == want_msg
         k = round(float(msg.rsplit("= ", 1)[1]) / 1e-3)
-        block = dynamics.BLOCK_STEPS if isinstance(scheme, Continuous) else AffineRK.block
+        block = dynamics.BLOCK_STEPS if isinstance(scheme, Continuous) else 50  # periodic nodes
         assert 200 < k < 300 and 0 < (k - 1) % block < block - 1, "mid-block"
         assert got.t.size == k
         for name in ("t", "x", "v", "x_hat", "event_agents", "event_times"):
@@ -875,6 +894,11 @@ class TestSimulate:
         disconnected = build_digraph(3, [(1, 2, 1.0), (2, 1, 1.0)])
         with pytest.raises(ValidationError):
             SwitchingSchedule(graphs=(disconnected,), dwell=1.0)
+
+    def test_disconnected_fixed_graph_rejected(self, quad_pair):
+        two = build_digraph(4, [(1, 2, 1.0), (2, 1, 1.0), (3, 4, 1.0), (4, 3, 1.0)])
+        with pytest.raises(ValidationError, match="graph is not strongly connected"):
+            simulate(make_scenario(quad_pair * 2, graph=two, t_final=0.1))
 
     def test_switching_dwell_must_align_with_step(self, quad_pair):
         sched = SwitchingSchedule(graphs=(preset_graph("k2"), preset_graph("cycle2")), dwell=0.0105)

@@ -486,6 +486,19 @@ class TestCli:
         assert "t_final" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_disconnected_graph_run_exits_2_certify_exits_4(self, tmp_path, capsys):
+        # two disconnected pairs cannot reach the optimum: run refuses before writing
+        # anything, and certify still prints its infeasible report
+        cfg = {"graph": {"n": 4, "edges": [[1, 2, 1.0], [2, 1, 1.0], [3, 4, 1.0], [4, 3, 1.0]]},
+               "costs": [{"kind": "quadratic", "a": [float(a)]} for a in (1, 2, 3, 4)]}
+        path, out = write_json(tmp_path, cfg), tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 2
+        assert "graph is not strongly connected" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["run", path, "--out", str(out), "--certify"]) == 2
+        assert not out.exists()
+        assert main(["certify", path]) == 4
+
     def test_run_certify_error_writes_nothing(self, tmp_path):
         # catalog costs without analysis.box: certify fails before anything runs
         cfg = preset_dict("fig3a") | {"t_final": 0.2}

@@ -24,6 +24,7 @@ from distopt.schedulers import (
     _threshold,
     centralized_g,
     distributed_g,
+    distributed_stop,
     event_stats,
     periodic_due,
     trigger_law,
@@ -336,6 +337,43 @@ class TestScreens:
         xs = np.stack([x_hat + 1e-3 * k for k in range(1, 6)])  # a common drift only
         assert centralized_law(0.1, 0.0, x_hat).screen(xs, 0, x_hat) == 5
         assert distributed_screen_law(np.ones(3), np.ones(3)).screen(xs, 0, x_hat) == 5
+
+
+class TestStopTest:
+    """The RK kernel's stop test, :func:`distributed_stop`, is the distributed screen's
+    g > 0 on Python floats: bit for bit for d < 8, where numpy sums left to right."""
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_stop_equals_the_sign_of_g(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(200):
+            n = int(rng.integers(2, 8))
+            x_hat = rng.uniform(-3.0, 3.0, size=(n, d)) * 10.0 ** rng.integers(-3, 4)
+            xs = x_hat + rng.normal(size=(6, n, d)) * 10.0 ** rng.integers(-4, 2, size=(6, n, 1))
+            dout = rng.uniform(0.5, 3.0, size=n)
+            drift = x_hat - xs[0]
+            g0 = 4.0 * dout * np.add.reduce(drift * drift, axis=-1)
+            # thresholds at, just above and just below state 0's own 4 d_out ||drift||^2
+            for thr in (g0, np.nextafter(g0, np.inf), np.nextafter(g0, -np.inf),
+                        rng.uniform(0.0, 2.0, size=n) * g0.max()):
+                stop = distributed_stop(x_hat, thr, dout)
+                for x in xs:
+                    z = x.ravel().tolist() + [math.nan] * x.size  # v entries follow, unread
+                    assert stop(z) == bool((distributed_g(x, x_hat, thr, dout) > 0).any())
+            assert not distributed_stop(x_hat, g0, dout)(xs[0].ravel().tolist())
+
+    def test_law_watches_its_held_threshold(self):
+        weights = preset_graph("fig2").weights
+        law = trigger_law(DistributedEvent(eps=np.full(10, 0.1)), 1e-3,
+                          (WeightedDigraph(10, weights),))
+        x_hat = np.zeros((10, 1))  # consensus: thr = eps^2, so g_3 > 0 iff |x_3| > eps / 2 / d_out^0.5
+        law.fire(0, x_hat, x_hat.copy(), 0)
+        stop, x, edge = law.watch(x_hat), x_hat.copy(), 0.1 / 2 / math.sqrt(weights[3].sum())
+        x[3] = 0.999 * edge
+        assert not stop(x.ravel().tolist())
+        x[3] = 1.001 * edge
+        assert stop(x.ravel().tolist())
+        assert trigger_law(Periodic(delta=0.1), 1e-3, ()).watch(x_hat) is None
 
 
 class TestPollIsSignOfG:
