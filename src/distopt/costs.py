@@ -157,12 +157,12 @@ _CATALOG: dict[str, CostModel] = {
     "f1": _entry("f1", _f1, _expression("-0.25 * exp(-0.5 * x) + 0.12 * exp(0.3 * x)")),
     "f2": _entry("f2", lambda x: (x - 4) ** 2, lambda x: 2 * (x - 4), m=2.0, M=2.0,
                  affine=(2.0, -8.0)),
-    "f3": _entry("f3", _f3, _expression("x * log(1.0 + x * x) + x**3.0 / (1.0 + x * x) + 2.0 * x")),
+    "f3": _entry("f3", _f3, _expression("x * log(sq := 1.0 + x * x) + x**3.0 / sq + 2.0 * x")),
     "f4": _entry("f4", lambda x: x * x + math.exp(0.1 * x), _expression("2.0 * x + 0.1 * exp(0.1 * x)")),
     "f5": _entry("f5", _f5, _expression(
         "(-0.1 * (ea := exp(-0.1 * x)) + 0.3 * (eb := exp(0.3 * x))) / (ea + eb) + 0.2 * x")),
     "f6": _entry("f6", _f6, _expression(
-        "2.0 * x / (lg := log(2.0 + x * x)) - 2.0 * x**3.0 / ((2.0 + x * x) * lg * lg)")),
+        "2.0 * x / (lg := log(sq := 2.0 + x * x)) - 2.0 * x**3.0 / (sq * lg * lg)")),
     "f7": _entry("f7", lambda x: 0.2 * math.exp(-0.2 * x) + 0.4 * math.exp(0.4 * x),
                  _expression("-0.04 * exp(-0.2 * x) + 0.16 * exp(0.4 * x)")),
     "f8": _entry("f8", lambda x: x**4 + 2 * x * x + 2, _expression("4.0 * x**3.0 + 4.0 * x")),

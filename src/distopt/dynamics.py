@@ -45,6 +45,15 @@ class AlgorithmParams:
             raise ValidationError(f"alpha, beta must be positive and finite: {self.alpha}, {self.beta}")
 
 
+def _require_coupling(g: WeightedDigraph, name: str) -> None:
+    """ValidationError unless ``g`` is strongly connected and weight balanced: else no run
+    reaches the optimum or conserves sum v."""
+    if not is_strongly_connected(g):
+        raise ValidationError(f"{name} is not strongly connected")
+    if not is_weight_balanced(g):
+        raise ValidationError(f"{name} is not weight balanced")
+
+
 @dataclass(frozen=True)
 class SwitchingSchedule:
     """Piecewise-constant topology: cycle through ``graphs`` as listed, one per ``dwell``.
@@ -62,10 +71,7 @@ class SwitchingSchedule:
         if not self.dwell > 0:
             raise ValidationError("dwell must be positive")
         for k, g in enumerate(self.graphs):
-            if not is_strongly_connected(g):
-                raise ValidationError(f"switching graph {k} is not strongly connected")
-            if not is_weight_balanced(g):
-                raise ValidationError(f"switching graph {k} is not weight balanced")
+            _require_coupling(g, f"switching graph {k}")
 
 
 @dataclass
@@ -191,13 +197,15 @@ EULER_TABLEAU = (((),), (1.0,))
 
 
 def _lin(terms) -> str:
-    """Source of sum c * name over ``terms``: no c = 0 term, no factor 1, negative c subtracted."""
-    out = ""
+    """Source of sum c * name over ``terms``: no c = 0 term, no factor 1, negative c subtracted,
+    a negative first term after a positive second (a + b = b + a: no later rounding moves)."""
+    terms, out = [(float(c), name) for c, name in terms if c], ""
+    if len(terms) > 1 and terms[0][0] < 0 < terms[1][0]:
+        terms[:2] = terms[1::-1]
     for c, name in terms:
-        if c:
-            sign, c = ("-", -float(c)) if c < 0 else ("+", float(c))
-            t = name if c == 1 else f"{c!r}*{name}"
-            out = f"{out} {sign} {t}" if out else t if sign == "+" else f"-{t}"
+        sign, c = ("-", -c) if c < 0 else ("+", c)
+        t = name if c == 1 else f"{c!r}*{name}"
+        out = f"{out} {sign} {t}" if out else t if sign == "+" else f"-{t}"
     return out or "0.0"
 
 
@@ -206,8 +214,11 @@ class AffineRK:
     over the out-Laplacian ``lap`` (0 under sampled information, whose term b :meth:`hold`
     sets) for a Butcher ``tableau``: a function on floats, generated per network, graph, h
     and tableau, that writes out each stage per entry e of agent i from its input (y, u),
-    l_e = beta sum_j L_ij y_j, kx_e = -alpha grad_e f_i(y_i) - l_e - u_e + b_e and
-    kv_e = alpha l_e + b_{N+e}, adding b only where it can be nonzero.  A gradient is
+    m_e = -beta sum_j L_ij y_j, kx_e = m_e - alpha grad_e f_i(y_i) - u_e + b_e and
+    kv_e = b_{N+e} - alpha m_e, adding b only where it can be nonzero; a sampled kernel
+    carries b_e - u_e.  So a kernel of scalar costs negates nothing at run time (m's diagonal
+    is its only negative weight, and :func:`_lin` puts it second), and every value is the
+    textbook order's but for the sign of an exact zero.  A gradient is
     H y + c written out (-alpha c joins b), a catalog gradient's own expression written
     inline (found by the function's identity, never from input), a call of any other
     ``scalar_gradient``, or (d > 1, or none) entries of one ``grad_list`` call per stage.
@@ -239,25 +250,25 @@ class AffineRK:
         state = ", ".join([f"x{e}" for e in es] + [f"v{e}" for e in es])
         src = ["def run(z, steps, held, append):", f" {state}, = z", " " + "".join(
             f"c{t}_{e}, " for t in range(len(times)) for e in es) + "".join(f"w{e}, " for e in es)
-            + "= held", " for _ in range(steps):"]  # c = t b_{N+e} - b_e, w = h sum b_j b_{N+e}
-        if not coupled:  # u_e less b_e is v_e + c_e: without L it depends on the stage time alone
-            src += [f"  u{t}_{e} = v{e} + c{t}_{e}" for t in range(len(times)) for e in es]
+            + "= held", " for _ in range(steps):"]  # c = b_e - t b_{N+e}, w = h sum b_j b_{N+e}
+        if not coupled:  # b_e less u_e is c_e - v_e: without L it depends on the stage time alone
+            src += [f"  u{t}_{e} = c{t}_{e} - v{e}" for t in range(len(times)) for e in es]
         for j, row in enumerate(rows):
             inc, t = [(h * c, m) for m, c in enumerate(row) if c], times.index(h * sum(row))
             u = f"u{j if coupled else t}_"
             src += [f"  y{e} = " + _lin([(1, f"x{e}")] + [(c, f"kx{m}_{e}") for c, m in inc]) for e in es]
-            src += [f"  u{j}_{e} = " + _lin([(1, f"v{e}"), (float(self._offset[e] != 0), f"c{t}_{e}")]
-                                            + [(alpha * c, f"l{m}_{e}") for c, m in inc])  # kv = alpha l
+            src += [f"  u{j}_{e} = " + _lin([(1, f"v{e}"), (-float(self._offset[e] != 0), f"c{t}_{e}")]
+                                            + [(-alpha * c, f"m{m}_{e}") for c, m in inc])  # kv = -alpha m
                     for e in es if coupled]
             src += [f"  {', '.join(f'q{e}' for e in listed)}, = "
                     f"grads([{', '.join(f'y{e}' for e in listed)}])"] * bool(listed)
             for e in es:
-                lin = [(p.beta * w, f"y{m * d + e % d}") for m, w in enumerate(lap[e // d])]
-                src += [f"  l{j}_{e} = {_lin(lin)}"] * coupled
-                src.append(f"  kx{j}_{e} = " + _lin(grad[e] + [(-1, f"l{j}_{e}")] * coupled
-                                                     + [(-1, f"{u}{e}")]))
+                lin = [(-p.beta * w, f"y{m * d + e % d}") for m, w in enumerate(lap[e // d])]
+                src += [f"  m{j}_{e} = {_lin(lin)}"] * coupled
+                src.append(f"  kx{j}_{e} = " + _lin(grad[e] + [(1, f"m{j}_{e}")] * coupled
+                                                     + [(-1 if coupled else 1, f"{u}{e}")]))
         groups = {h * w: [j for j, wj in enumerate(weights) if wj == w] for w in weights}
-        for s, k, a in (("x", "kx", 1.0), ("v", "l", alpha))[:1 + coupled]:  # one product a group
+        for s, k, a in (("x", "kx", 1.0), ("v", "m", -alpha))[:1 + coupled]:  # one product a group
             src += [f"  {s}{e} = " + _lin([(1, f"{s}{e}")] + [
                 (a * c, "(" + " + ".join(f"{k}{j}_{e}" for j in js) + ")") for c, js in groups.items()])
                 for e in es]
@@ -277,7 +288,7 @@ class AffineRK:
         if self._coupled and b.any():
             raise ValueError("a kernel over a nonzero L holds no term b")
         bx, bv = np.split(b.ravel(), 2)
-        self._held = (np.outer(self._times, bv) - (bx + self._offset)).ravel().tolist() \
+        self._held = ((bx + self._offset) - np.outer(self._times, bv)).ravel().tolist() \
             + (self._span * bv).tolist()
         self._stop = stop
 
@@ -368,12 +379,13 @@ def simulate(scenario: "Scenario") -> Trace:
     polled, else from the block's last node, unpolled.  The quiet nodes before are recorded
     in bulk, the rest dropped.  Past t = 0 the law is polled only at flagged nodes and at
     switches to an unequal graph, where the distributed threshold must follow it.  The
-    scenario was validated when built, apart from the strong connectivity of a fixed graph,
-    without which no run reaches the optimum: ValidationError, before any step.  Past that
-    the only error raised here is NumericalBlowup (carrying the partial trace).
+    scenario was validated when built, apart from a fixed graph's strong connectivity and
+    weight balance, which a switching schedule checks in its members: ValidationError,
+    before any step.  Past that the only error raised here is NumericalBlowup (carrying the
+    partial trace).
     """
-    if scenario.schedule is None and not is_strongly_connected(scenario.graph):
-        raise ValidationError("graph is not strongly connected")
+    if scenario.schedule is None:
+        _require_coupling(scenario.graph, "graph")
     nc = scenario.network
     n, d = nc.n_agents, nc.dim
     p = AlgorithmParams(scenario.alpha, scenario.beta)

@@ -99,6 +99,24 @@ class TestCatalog:
         consts = [node.value for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Constant)]
         assert consts and all(type(c) is float for c in consts), consts
 
+    # the texts before the sum 1.0 + x * x (f3) and 2.0 + x * x (f6) was named and reused
+    PRIOR_TEXTS = {"f3": "x * log(1.0 + x * x) + x**3.0 / (1.0 + x * x) + 2.0 * x",
+                   "f6": "2.0 * x / (lg := log(2.0 + x * x)) - 2.0 * x**3.0 / ((2.0 + x * x) * lg * lg)"}
+
+    @pytest.mark.parametrize("name", sorted(PRIOR_TEXTS))
+    def test_named_subexpression_keeps_every_bit(self, name):
+        # same operations on the same operands: the values agree bit for bit on a dense grid
+        # over [-10, 10] and on draws over 400 decades of magnitude
+        prior = eval(f"lambda x: {self.PRIOR_TEXTS[name]}", {"exp": math.exp, "log": math.log})
+        rng = np.random.default_rng(24)
+        draws = rng.choice([-1.0, 1.0], 20_000) * 10.0 ** rng.uniform(-300.0, 100.0, 20_000)
+        xs = np.concatenate([np.linspace(-10.0, 10.0, 200_001), rng.uniform(-10.0, 10.0, 20_000),
+                             draws, [0.0, -0.0]]).tolist()
+        grad = catalog(name).scalar_gradient
+        assert self.PRIOR_TEXTS[name] != _EXPRESSIONS[id(grad)]
+        got, want = np.array([grad(x) for x in xs]), np.array([prior(x) for x in xs])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_scalar_fast_path_agrees(self):
         for name in CATALOG_NAMES:
             model = catalog(name)

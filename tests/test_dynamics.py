@@ -1,7 +1,11 @@
 import ast
 import dataclasses
+import dis
+import functools
 import math
+import operator
 import re
+import struct
 import warnings
 from unittest import mock
 
@@ -704,7 +708,7 @@ class TestInlineGradients:
 
     TEMPORARIES = {node.target.id for text in _EXPRESSIONS.values()
                    for node in ast.walk(ast.parse(text)) if isinstance(node, ast.NamedExpr)}
-    GENERATED = re.compile(r"(x|v|y|w|q|c\d+_|u\d+_|kx\d+_|l\d+_)\d+|run|z|steps|held|append|_|range")
+    GENERATED = re.compile(r"(x|v|y|w|q|c\d+_|u\d+_|kx\d+_|m\d+_)\d+|run|z|steps|held|append|_|range")
     SCOPE = re.compile(r"exp|log|inf|nan|grads|g\d+")
 
     @staticmethod
@@ -767,6 +771,54 @@ class TestInlineGradients:
         kernel = AffineRK(network_cost(costs), AlgorithmParams(1.0, 1.0), lap, 1e-2, RK4_TABLEAU)
         kernel.advance(np.ones((4, 1)), 3)
         assert counts[0] == 4 * 3
+
+
+class TestNegationFree:
+    """The kernel negates nothing at run time: it carries m = -beta L y, a sampled one
+    b - u, and :func:`dynamics._lin` writes a negative first term after a positive second,
+    which leaves every sum the float its terms give from left to right."""
+
+    @pytest.mark.parametrize("tableau", [RK4_TABLEAU, EULER_TABLEAU], ids=["rk4", "euler"])
+    @pytest.mark.parametrize("coupled", [True, False], ids=["coupled", "sampled"])
+    @pytest.mark.parametrize("network", ["ten", "mixed"])
+    @pytest.mark.parametrize("gains", [(1.0, 1.0), (1.5, 2.0)], ids=["unit", "gains"])
+    def test_kernel_has_no_unary_negative(self, ten_suite, tableau, coupled, network, gains):
+        # mixed: a quadratic, a called gradient (agent 3) and one through grads (agent 4)
+        costs = list(ten_suite) if network == "ten" else [
+            catalog("f5"), quadratic_cost([1.0]), catalog("f6"), called(catalog("f1")),
+            dataclasses.replace(catalog("f9"), scalar_gradient=None), catalog("f2")]
+        n = len(costs)
+        graph = (preset_graph("fig2") if network == "ten"
+                 else WeightedDigraph(n, np.roll(np.eye(n), 1, axis=1) + 2.0 * np.eye(n)[::-1]))
+        lap = out_laplacian(graph) * coupled
+        kernel = AffineRK(network_cost(costs), AlgorithmParams(*gains), lap, 1e-3, tableau)
+        ops = [ins.opname for ins in dis.get_instructions(kernel._run)]
+        assert "BINARY_OP" in ops and "UNARY_NEGATIVE" not in ops
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e3, 1e3)),
+                              st.floats(-1e100, 1e100)), max_size=6))
+    def test_lin_source_sums_its_terms_left_to_right(self, pairs):
+        text = dynamics._lin([(c, f"y{k}") for k, (c, _) in enumerate(pairs)])
+        got = eval(text, {f"y{k}": v for k, (_, v) in enumerate(pairs)})
+        # the c != 0 products added left to right (not by sum, which compensates from Python 3.12)
+        products = [c * v for c, v in pairs if c]
+        want = functools.reduce(operator.add, products) if products else 0.0
+        assert struct.pack("<d", got) == struct.pack("<d", want), text
+
+    @pytest.mark.parametrize("scheme", [Continuous(), Periodic(delta=0.05),
+                                        CentralizedEvent(kappa=0.5, tau=0.01),
+                                        DistributedEvent(eps=np.full(4, 0.05))], ids=lambda s: s.kind)
+    def test_zero_start_writes_no_negative_zero(self, tmp_path, scheme):
+        # every gradient is 0 at x = 0, so the run rests there and writes +0 throughout (a
+        # start at -0.0 is where the kernel's order decides the sign a zero is written with)
+        costs = [catalog(nm) for nm in ("f3", "f6", "f8", "f9")]
+        sc = make_scenario(costs, graph=preset_graph("cycle4"), scheme=scheme, t_final=0.5,
+                           h=1e-2, stride=1, x0=np.zeros((4, 1)), v0=np.zeros((4, 1)))
+        simulate(sc).to_csv(tmp_path / "trace.csv")
+        rows = (tmp_path / "trace.csv").read_text().splitlines()[1:]
+        assert len(rows) == 51 * 4
+        assert not [row for row in rows if "-0" in row.split(",")[2:4]]
 
 
 class TestBlowupCheck:
@@ -899,6 +951,13 @@ class TestSimulate:
         two = build_digraph(4, [(1, 2, 1.0), (2, 1, 1.0), (3, 4, 1.0), (4, 3, 1.0)])
         with pytest.raises(ValidationError, match="graph is not strongly connected"):
             simulate(make_scenario(quad_pair * 2, graph=two, t_final=0.1))
+
+    def test_unbalanced_fixed_graph_rejected(self):
+        # strongly connected, but 1^T L != 0: sum v would drift (by 0.6 to t = 30)
+        skewed = build_digraph(3, [(1, 2, 1.0), (2, 3, 1.0), (3, 1, 1.0), (1, 3, 2.0)])
+        costs = [quadratic_cost([float(a)]) for a in (1, 2, 3)]
+        with pytest.raises(ValidationError, match="graph is not weight balanced"):
+            simulate(make_scenario(costs, graph=skewed, t_final=0.1))
 
     def test_switching_dwell_must_align_with_step(self, quad_pair):
         sched = SwitchingSchedule(graphs=(preset_graph("k2"), preset_graph("cycle2")), dwell=0.0105)

@@ -499,6 +499,18 @@ class TestCli:
         assert not out.exists()
         assert main(["certify", path]) == 4
 
+    def test_unbalanced_graph_run_exits_2_certify_exits_4(self, tmp_path, capsys):
+        # strongly connected but not weight balanced: sum v is not conserved, so run
+        # refuses before writing anything, and certify still prints its report
+        cfg = {"graph": {"n": 3, "edges": [[1, 2, 1.0], [2, 3, 1.0], [3, 1, 1.0], [1, 3, 2.0]]},
+               "costs": [{"kind": "quadratic", "a": [float(a)]} for a in (1, 2, 3)], "t_final": 30.0}
+        path, out = write_json(tmp_path, cfg), tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 2
+        assert "graph is not weight balanced" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["certify", path]) == 4
+        assert '"topology_certified": false' in capsys.readouterr().out
+
     def test_run_certify_error_writes_nothing(self, tmp_path):
         # catalog costs without analysis.box: certify fails before anything runs
         cfg = preset_dict("fig3a") | {"t_final": 0.2}
