@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+import struct
 from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING, Callable
@@ -223,7 +224,9 @@ class AffineRK:
     inline (found by the function's identity, never from input), a call of any other
     ``scalar_gradient``, or (d > 1, or none) entries of one ``grad_list`` call per stage.
     The source holds generated names, float literals and that catalog text only.  Each step
-    ends the block once the held stop test holds for the new state (see :meth:`hold`).  A kernel
+    packs the new state into its row of the block's array (one ``pack_into`` of 2Nd floats,
+    no row object) and, under a held stop test, ends the block once that test of its x
+    entries holds (see :meth:`hold`).  A kernel
     advances up to BLOCK_STEPS steps, but ``simulate`` gives a sampled one ``block`` steps
     under a law it cannot stop at (the centralized law), as a dropped tail costs gradients."""
 
@@ -247,46 +250,49 @@ class AffineRK:
                 grad.append([(-alpha * c, f"y{e - k + m}") for m, c in enumerate(a.affine[0][k].tolist())])
                 self._offset[e] = -alpha * float(a.affine[1][k])
         self._times = times = sorted({h * sum(row) for row in rows})  # of the stages
-        state = ", ".join([f"x{e}" for e in es] + [f"v{e}" for e in es])
-        src = ["def run(z, steps, held, append):", f" {state}, = z", " " + "".join(
+        xs = ", ".join(f"x{e}" for e in es)
+        state = xs + ", " + ", ".join(f"v{e}" for e in es)
+        src = ["def run(z, steps, held, out, stop):", f" {state}, = z", " " + "".join(
             f"c{t}_{e}, " for t in range(len(times)) for e in es) + "".join(f"w{e}, " for e in es)
-            + "= held", " for _ in range(steps):"]  # c = b_e - t b_{N+e}, w = h sum b_j b_{N+e}
+            + "= held", " try:", "  for s in range(steps):"]  # c = b_e - t b_{N+e}, w = h sum b b_{N+e}
         if not coupled:  # b_e less u_e is c_e - v_e: without L it depends on the stage time alone
-            src += [f"  u{t}_{e} = c{t}_{e} - v{e}" for t in range(len(times)) for e in es]
+            src += [f"   u{t}_{e} = c{t}_{e} - v{e}" for t in range(len(times)) for e in es]
         for j, row in enumerate(rows):
             inc, t = [(h * c, m) for m, c in enumerate(row) if c], times.index(h * sum(row))
             u = f"u{j if coupled else t}_"
-            src += [f"  y{e} = " + _lin([(1, f"x{e}")] + [(c, f"kx{m}_{e}") for c, m in inc]) for e in es]
-            src += [f"  u{j}_{e} = " + _lin([(1, f"v{e}"), (-float(self._offset[e] != 0), f"c{t}_{e}")]
-                                            + [(-alpha * c, f"m{m}_{e}") for c, m in inc])  # kv = -alpha m
+            src += [f"   y{e} = " + _lin([(1, f"x{e}")] + [(c, f"kx{m}_{e}") for c, m in inc]) for e in es]
+            src += [f"   u{j}_{e} = " + _lin([(1, f"v{e}"), (-float(self._offset[e] != 0), f"c{t}_{e}")]
+                                             + [(-alpha * c, f"m{m}_{e}") for c, m in inc])  # kv = -alpha m
                     for e in es if coupled]
-            src += [f"  {', '.join(f'q{e}' for e in listed)}, = "
+            src += [f"   {', '.join(f'q{e}' for e in listed)}, = "
                     f"grads([{', '.join(f'y{e}' for e in listed)}])"] * bool(listed)
             for e in es:
                 lin = [(-p.beta * w, f"y{m * d + e % d}") for m, w in enumerate(lap[e // d])]
-                src += [f"  m{j}_{e} = {_lin(lin)}"] * coupled
-                src.append(f"  kx{j}_{e} = " + _lin(grad[e] + [(1, f"m{j}_{e}")] * coupled
-                                                     + [(-1 if coupled else 1, f"{u}{e}")]))
+                src += [f"   m{j}_{e} = {_lin(lin)}"] * coupled
+                src.append(f"   kx{j}_{e} = " + _lin(grad[e] + [(1, f"m{j}_{e}")] * coupled
+                                                      + [(-1 if coupled else 1, f"{u}{e}")]))
         groups = {h * w: [j for j, wj in enumerate(weights) if wj == w] for w in weights}
         for s, k, a in (("x", "kx", 1.0), ("v", "m", -alpha))[:1 + coupled]:  # one product a group
-            src += [f"  {s}{e} = " + _lin([(1, f"{s}{e}")] + [
+            src += [f"   {s}{e} = " + _lin([(1, f"{s}{e}")] + [
                 (a * c, "(" + " + ".join(f"{k}{j}_{e}" for j in js) + ")") for c, js in groups.items()])
                 for e in es]
-        src += [f"  v{e} = v{e} + w{e}" for e in es if not coupled]
-        # a list, not a tuple: CPython 3.11 frees a 20-tuple to a free list that never hands
-        # it out again, so a run with 2N d = 20 would keep 2,000 dead rows (368 KB)
-        src.append(f"  if append([{state}]): return")
+        src += [f"   v{e} = v{e} + w{e}" for e in es if not coupled]
+        src += [f"   pack(out, {16 * len(es)} * s, {state})"]  # row s of out, at byte 8 * 2Nd * s
+        src += [f"   if stop is not None and stop({xs}): return s + 1"] * (not coupled)
+        src += [" except OverflowError:", "  return ~s", " return steps"]
+        scope["pack"] = struct.Struct(f"{2 * len(es)}d").pack_into
         exec("\n".join(src), scope)  # generated names, float literals and catalog expressions
         self._run, self._span, self._coupled = scope["run"], h * sum(weights), coupled
         self.block = BLOCK_STEPS
         self.hold(np.zeros(2 * len(es)))
 
     def hold(self, b: np.ndarray, stop: Callable[..., bool] | None = None) -> None:
-        """Hold the (2N, d) term ``b`` of the flow (0 before the first call; L = 0 only) and
-        a test ``stop`` of a state's flat entries, or None: a block then ends with the first
-        state where it holds, e.g. :func:`schedulers.distributed_stop`."""
-        if self._coupled and b.any():
-            raise ValueError("a kernel over a nonzero L holds no term b")
+        """Hold the (2N, d) term ``b`` of the flow (0 before the first call) and a test
+        ``stop(x0, ..., x_{Nd-1})`` of a state's x entries, row-major, or None (L = 0 only,
+        both): a block then ends with the first state where it holds, e.g.
+        :func:`schedulers.distributed_stop`."""
+        if self._coupled and (b.any() or stop is not None):
+            raise ValueError("a kernel over a nonzero L holds no term b and no stop test")
         bx, bv = np.split(b.ravel(), 2)
         self._held = ((bx + self._offset) - np.outer(self._times, bv)).ravel().tolist() \
             + (self._span * bv).tolist()
@@ -295,15 +301,15 @@ class AffineRK:
     def advance(self, z: np.ndarray, steps: int) -> np.ndarray:
         """The next ``steps`` (at most ``block``) states after ``z``, stacked (steps, 2N, d),
         up to the first where the held stop test holds; after a gradient overflows, only
-        those up to its step's, which is inf."""
-        rows, stop = [], self._stop
-        try:  # the kernel returns once append does: rows.append never, the test when it holds
-            self._run(z.ravel().tolist(), steps, self._held, rows.append if stop is None
-                      else lambda row: rows.append(row) or stop(row))
-        except OverflowError:  # as grad_list maps it: that step's state is out of range
-            rows.append([math.inf] * z.size)
-        return np.fromiter(chain.from_iterable(rows), float, len(rows) * z.size).reshape(
-            len(rows), *z.shape)
+        those up to its step's, which is inf.  Each call fills a fresh array (``simulate``
+        goes on from one of its rows): the kernel packs the rows and returns how many, or ~s
+        after an ``OverflowError`` at step s."""
+        out = np.empty((steps, *z.shape))
+        rows = self._run(z.ravel().tolist(), steps, self._held, out, self._stop)
+        if rows < 0:  # as grad_list maps an overflow: that step's state is out of range
+            s = ~rows
+            out[s], rows = math.inf, s + 1
+        return out[:rows]
 
 
 class FoldedRK:

@@ -156,9 +156,9 @@ def _stop_maker(n: int, d: int):
     """The compiled maker of :func:`distributed_stop`'s test for N = ``n`` agents in R^``d``."""
     es, ns = range(n * d), range(n)
     args = [f"h{e}" for e in es] + [f"f{i}" for i in ns] + [f"t{i}" for i in ns]
-    src = [f"def watch({', '.join(args)}):", " def stop(z):",
+    src = [f"def watch({', '.join(args)}):", f" def stop({', '.join(f'x{e}' for e in es)}):",
            "  return " + " or ".join("f%d * (%s) > t%d" % (i, " + ".join(
-               f"(r := h{e} - z[{e}]) * r" for e in range(i * d, i * d + d)), i) for i in ns),
+               f"(r := h{e} - x{e}) * r" for e in range(i * d, i * d + d)), i) for i in ns),
            " return stop"]
     scope = {}
     exec("\n".join(src), scope)  # generated names only
@@ -166,8 +166,9 @@ def _stop_maker(n: int, d: int):
 
 
 def distributed_stop(x_hat, thr, dout):
-    """``stop(z)``: whether some :func:`distributed_g` g_i > 0 at the state x whose entries
-    lead the sequence ``z`` row-major, written out on floats for the RK kernel to test.
+    """``stop(*x.ravel().tolist())``: whether some :func:`distributed_g` g_i > 0 at the
+    (N, d) state x, whose entries it takes row-major as separate floats: the RK kernel
+    calls it on its own locals after each step.
     It sums each ||x_hat^i - x^i||^2 left to right, as numpy reduces fewer than 8 entries,
     so for d < 8 it agrees with distributed_g bit for bit; and 4 d_out^i s_i > thr_i holds
     exactly when their difference is > 0."""

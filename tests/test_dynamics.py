@@ -426,6 +426,8 @@ class TestGeneratedKernel:
         kernel.hold(np.zeros((20, 1)))
         with pytest.raises(ValueError, match="holds no term"):
             kernel.hold(np.ones((20, 1)))
+        with pytest.raises(ValueError, match="no stop test"):
+            kernel.hold(np.zeros((20, 1)), lambda *x: True)
 
 
 def counting(model: CostModel, counts: list, j: int) -> CostModel:
@@ -652,22 +654,27 @@ class TestBlockAdvance:
         simulate(sc)
         assert max(seen) == block > 1
 
-    @pytest.mark.parametrize("scheme", [Continuous(), Periodic(delta=0.05)])
-    def test_mid_block_overflow_stops_as_the_per_node_run(self, scheme):
-        # a gradient that raises OverflowError past x = 1.5, reached mid-block at
-        # t = 0.236: the same message and partial trace as one step per block, and
-        # no warning from the steps the block would have taken after it
+    @staticmethod
+    def overflow_case(scheme, limit: float):
+        """Two agents on k2 rising from x = 0 toward 4, whose gradient raises OverflowError
+        past x = ``limit``."""
         def brittle(x):
-            if x > 1.5:
+            if x > limit:
                 raise OverflowError("math range error")
             return 2.0 * (x - 4.0)
 
         cost = CostModel(dim=1, value=lambda x: float(x[0] - 4.0) ** 2,
                          gradient=lambda x: np.array([brittle(float(x[0]))]), scalar_gradient=brittle)
-        sc = make_scenario([cost, cost], graph=preset_graph("k2"), scheme=scheme, t_final=1.0,
-                           h=1e-3, stride=1, x0=np.zeros((2, 1)))
-        outcomes = []
-        for run in (simulate, self.per_node):
+        return make_scenario([cost, cost], graph=preset_graph("k2"), scheme=scheme, t_final=1.0,
+                             h=1e-3, stride=1, x0=np.zeros((2, 1)))
+
+    @classmethod
+    def overflow_node(cls, scheme, limit: float) -> int:
+        """The node whose step first overflows in :meth:`overflow_case`, once the block run
+        and the per-node run gave the same message and partial trace, and no warning from
+        the steps a block would have taken after it."""
+        sc, outcomes = cls.overflow_case(scheme, limit), []
+        for run in (simulate, cls.per_node):
             with warnings.catch_warnings(record=True) as caught, pytest.raises(NumericalBlowup) as exc:
                 warnings.simplefilter("always")
                 run(sc)
@@ -676,11 +683,33 @@ class TestBlockAdvance:
         (msg, got), (want_msg, want) = outcomes
         assert msg == want_msg
         k = round(float(msg.rsplit("= ", 1)[1]) / 1e-3)
-        block = dynamics.BLOCK_STEPS if isinstance(scheme, Continuous) else 50  # periodic nodes
-        assert 200 < k < 300 and 0 < (k - 1) % block < block - 1, "mid-block"
         assert got.t.size == k
         for name in ("t", "x", "v", "x_hat", "event_agents", "event_times"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+        return k
+
+    @staticmethod
+    def overflow_block(scheme) -> int:
+        """Steps per block of the overflow runs: BLOCK_STEPS, or 50 between periodic nodes."""
+        return dynamics.BLOCK_STEPS if isinstance(scheme, Continuous) else 50
+
+    @pytest.mark.parametrize("scheme", [Continuous(), Periodic(delta=0.05)])
+    def test_mid_block_overflow_stops_as_the_per_node_run(self, scheme):
+        # past x = 1.5, reached mid-block at t = 0.236
+        k, block = self.overflow_node(scheme, 1.5), self.overflow_block(scheme)
+        assert 200 < k < 300 and 0 < (k - 1) % block < block - 1, "mid-block"
+
+    @pytest.mark.parametrize("scheme", [Continuous(), Periodic(delta=0.05)])
+    @pytest.mark.parametrize("edge", ["first", "last"])
+    def test_block_edge_overflow_stops_as_the_per_node_run(self, scheme, edge):
+        # the limit halfway between nodes k - 1 and k of the unbroken run: every stage input
+        # of the step to k - 1 lies below it, the last of the step to k above, so the kernel
+        # overflows at the first step of a block (k = 4 blocks + 1) or at its last (k = 4 blocks)
+        block = self.overflow_block(scheme)
+        want = 4 * block + (edge == "first")
+        x = simulate(self.overflow_case(scheme, math.inf)).x[:, 0, 0]
+        k = self.overflow_node(scheme, 0.5 * (x[want - 1] + x[want]))
+        assert k == want and (k - 1) % block == (0 if edge == "first" else block - 1), edge
 
     @pytest.mark.parametrize("scheme", [Continuous(), CentralizedEvent(kappa=0.06, tau=0.5)])
     def test_blowup_at_the_same_node(self, scheme):
@@ -708,8 +737,9 @@ class TestInlineGradients:
 
     TEMPORARIES = {node.target.id for text in _EXPRESSIONS.values()
                    for node in ast.walk(ast.parse(text)) if isinstance(node, ast.NamedExpr)}
-    GENERATED = re.compile(r"(x|v|y|w|q|c\d+_|u\d+_|kx\d+_|m\d+_)\d+|run|z|steps|held|append|_|range")
-    SCOPE = re.compile(r"exp|log|inf|nan|grads|g\d+")
+    GENERATED = re.compile(r"(x|v|y|w|q|c\d+_|u\d+_|kx\d+_|m\d+_)\d+|run|z|steps|held|out|stop|s"
+                           r"|range|OverflowError")
+    SCOPE = re.compile(r"exp|log|inf|nan|grads|g\d+|pack")
 
     @staticmethod
     def source(monkeypatch, costs, lap) -> str:
@@ -749,8 +779,8 @@ class TestInlineGradients:
         calls = {node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call)}
         inlined = {f"g{i}" for i, c in enumerate(costs) if id(c.scalar_gradient) in _EXPRESSIONS}
         assert not calls & inlined
-        assert calls - {"exp", "log", "range", "append"} == (set() if network == "ten"
-                                                              else {"g3", "grads"})
+        assert calls - {"exp", "log", "range", "pack"} == (set() if network == "ten"
+                                                            else {"g3", "grads"})
 
     def test_only_catalog_functions_are_inlined(self, monkeypatch):
         # neither a src attribute nor a member's name is read: a function named f1 that
@@ -819,6 +849,58 @@ class TestNegationFree:
         rows = (tmp_path / "trace.csv").read_text().splitlines()[1:]
         assert len(rows) == 51 * 4
         assert not [row for row in rows if "-0" in row.split(",")[2:4]]
+
+
+class TestPackedRows:
+    """Each step packs its state into its row of a fresh (steps, 2N, d) array with one
+    ``pack_into`` and calls the held stop test on its own x locals: the step loop builds no
+    row list or tuple, no lambda, and ``advance`` flattens nothing."""
+
+    @staticmethod
+    def loop(kernel) -> list:
+        """The instructions of one pass of the generated step loop."""
+        ins = list(dis.get_instructions(kernel._run))
+        start = next(j for j, i in enumerate(ins) if i.opname == "FOR_ITER")
+        return ins[start:max(j for j, i in enumerate(ins) if i.opname == "JUMP_BACKWARD")]
+
+    @pytest.mark.parametrize("coupled", [True, False], ids=["coupled", "sampled"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_step_loop_builds_no_row(self, ten_suite, coupled, d):
+        # d = 1: ten catalog costs, every gradient inline; d = 2: a grads([...]) list per stage
+        costs = list(ten_suite) if d == 1 else [log_cosh_cost([0.5 * i, 1.0]) for i in range(4)]
+        graph = preset_graph("fig2") if d == 1 else WeightedDigraph(4, np.roll(np.eye(4), 1, axis=1))
+        kernel = AffineRK(network_cost(costs), AlgorithmParams(1.0, 1.0),
+                          out_laplacian(graph) * coupled, 1e-3, RK4_TABLEAU)
+        loop = self.loop(kernel)
+        ops = [i.opname for i in loop]
+        assert ops.count("BUILD_LIST") == (0 if d == 1 else 4)
+        assert not {"BUILD_TUPLE", "LIST_APPEND", "MAKE_FUNCTION", "CALL_FUNCTION_EX"} & set(ops)
+        assert [i.argval for i in loop if i.opname == "LOAD_GLOBAL"].count("pack") == 1
+        assert [i.argval for i in loop if i.opname == "LOAD_FAST"].count("stop") == 2 * (not coupled)
+
+    def test_each_block_is_a_fresh_array(self, ten_suite):
+        kernel = AffineRK(network_cost(ten_suite), AlgorithmParams(1.0, 1.0),
+                          out_laplacian(preset_graph("fig2")), 1e-3, RK4_TABLEAU)
+        z = np.linspace(-1.0, 1.0, 20)[:, None]
+        first = kernel.advance(z, 5)
+        kept = first.copy()
+        second = kernel.advance(first[-1], 5)
+        assert not np.shares_memory(first, second)
+        np.testing.assert_array_equal(first, kept)
+        np.testing.assert_array_equal(second[0], kernel.advance(kept[-1], 1)[0])
+
+    def test_stop_takes_the_x_entries_of_each_new_state(self):
+        # d = 2 rows of four agents: the test sees x's Nd entries row-major, the block ends
+        # with the first state where it holds
+        nc = network_cost([log_cosh_cost([0.5 * i, 1.0]) for i in range(4)])
+        kernel = AffineRK(nc, AlgorithmParams(1.0, 1.0), np.zeros((4, 4)), 1e-2, RK4_TABLEAU)
+        seen = []
+        kernel.hold(np.zeros((8, 2)), lambda *x: seen.append(x) or len(seen) == 3)
+        z = np.arange(16.0).reshape(8, 2) / 16.0
+        zs = kernel.advance(z, 10)
+        assert len(zs) == 3 and [list(x) for x in seen] == zs[:, :4].reshape(3, 8).tolist()
+        kernel.hold(np.zeros((8, 2)))
+        np.testing.assert_array_equal(kernel.advance(z, 10)[:3], zs)
 
 
 class TestBlowupCheck:

@@ -358,9 +358,9 @@ class TestStopTest:
                         rng.uniform(0.0, 2.0, size=n) * g0.max()):
                 stop = distributed_stop(x_hat, thr, dout)
                 for x in xs:
-                    z = x.ravel().tolist() + [math.nan] * x.size  # v entries follow, unread
-                    assert stop(z) == bool((distributed_g(x, x_hat, thr, dout) > 0).any())
-            assert not distributed_stop(x_hat, g0, dout)(xs[0].ravel().tolist())
+                    want = bool((distributed_g(x, x_hat, thr, dout) > 0).any())
+                    assert stop(*x.ravel().tolist()) == want
+            assert not distributed_stop(x_hat, g0, dout)(*xs[0].ravel().tolist())
 
     def test_law_watches_its_held_threshold(self):
         weights = preset_graph("fig2").weights
@@ -370,9 +370,9 @@ class TestStopTest:
         law.fire(0, x_hat, x_hat.copy(), 0)
         stop, x, edge = law.watch(x_hat), x_hat.copy(), 0.1 / 2 / math.sqrt(weights[3].sum())
         x[3] = 0.999 * edge
-        assert not stop(x.ravel().tolist())
+        assert not stop(*x.ravel().tolist())
         x[3] = 1.001 * edge
-        assert stop(x.ravel().tolist())
+        assert stop(*x.ravel().tolist())
         assert trigger_law(Periodic(delta=0.1), 1e-3, ()).watch(x_hat) is None
 
 
