@@ -1,6 +1,7 @@
 """Golden records: the exact event log and the states at t = 0, 1 and 2 of
-every figure preset and of the centralized ring case of criterion 8, run
-through `scenarios.run` to t = 2 and compared with the records stored in
+every figure preset, of the centralized ring case of criterion 8 and of fig5
+under the centralized law (kappa = 0.06, tau = 0.02), run through
+`scenarios.run` to t = 2 and compared with the records stored in
 tests/golden/.  Events must match exactly (agent, node index), states to
 1e-12.
 
@@ -24,7 +25,7 @@ from distopt.schedulers import CentralizedEvent
 from test_acceptance import ring_certificates, ring_quadratics
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-CASES = PRESET_NAMES + ("ring",)
+CASES = PRESET_NAMES + ("ring", "fig5-centralized")
 T_FINAL = 2.0
 TIMES = (0.0, 1.0, 2.0)
 STATE_TOL = 1e-12
@@ -36,6 +37,9 @@ def _scenario(name: str):
         return make_scenario(ring_quadratics(), graph=preset_graph("cycle10"),
                              scheme=CentralizedEvent(kappa=kap, tau=tau),
                              t_final=T_FINAL, h=1e-3, stride=1, seed=42)
+    if name == "fig5-centralized":  # catalog costs under the centralized law
+        scheme = {"kind": "centralized_event", "kappa": 0.06, "tau": 0.02}
+        return scenario_from_dict(preset_dict("fig5") | {"t_final": T_FINAL, "scheme": scheme})
     return scenario_from_dict(preset_dict(name) | {"t_final": T_FINAL})
 
 
