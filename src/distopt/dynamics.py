@@ -1,5 +1,5 @@
-"""Network state evolution: gradient-flow fields, RK4 integration, and the
-scenario-level simulation loop with topology switching and discrete
+"""Network state evolution: RK4 (and Euler) step kernels of the gradient flow and
+the scenario-level simulation loop with topology switching and discrete
 communication.
 
 Two state blocks evolve per agent: the estimate ``x^i`` and an integral
@@ -15,7 +15,7 @@ import re
 import struct
 from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover
 BLOWUP_LIMIT = 1e12
 CSV_CHUNK = 25  # samples formatted per write in Trace.to_csv
 ERR_CHUNK = 256  # samples per block of the trace's err column; larger blocks raise peak RSS
-BLOCK_STEPS = 64  # steps per advance of FoldedRK and of a coupled AffineRK, which no law screens
+BLOCK_STEPS = 64  # steps per advance of every kernel (FoldedRK: fewer past BLOCK_BYTES)
 BLOCK_BYTES = 2**19  # cap on FoldedRK's stacked powers and partial sums
 
 
@@ -145,46 +145,6 @@ def flow_matrix(lap: np.ndarray, p: AlgorithmParams) -> np.ndarray:
                      [p.alpha * p.beta * lap, np.zeros((n, n))]])
 
 
-def flow(nc: NetworkCost, p: AlgorithmParams,
-         lap: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The coordination flow on the stacked (2N, d) state z = [x; v].
-
-    dx = -alpha grad f(x) - beta L x - v,  dv = alpha beta L x,
-    that is, per agent,
-    dx^i = -alpha grad f^i(x^i) - beta sum_j a_ij (x^i - x^j) - v^i,
-    dv^i =  alpha beta sum_j a_ij (x^i - x^j).
-    The affine part is one product with :func:`flow_matrix`.  Stepped by
-    :func:`rk4`, it defines the step :class:`AffineRK` takes in ``simulate``.
-    """
-    grad, alpha, n = nc.grad_stack, p.alpha, nc.n_agents
-    m = flow_matrix(lap, p)
-
-    def field(z):
-        dz = m @ z
-        dz[:n] -= alpha * grad(z[:n])
-        return dz
-
-    return field
-
-
-def rk4(f: Callable, z: np.ndarray, h: float) -> np.ndarray:
-    """Classical fourth-order step of ``z`` under ``f(z) -> dz``, e.g.
-    ``f = flow(nc, p, L)``.  ``f`` must return a new array: the stage
-    sums accumulate in place in the second one."""
-    h2 = 0.5 * h
-    k1 = f(z)
-    k2 = f(z + h2 * k1)
-    k3 = f(z + h2 * k2)
-    k4 = f(z + h * k3)
-    k2 += k3
-    k2 *= 2.0
-    k2 += k1
-    k2 += k4
-    k2 *= h / 6.0
-    k2 += z
-    return k2
-
-
 def held_terms(lap: np.ndarray, p: AlgorithmParams, x_hat: np.ndarray) -> np.ndarray:
     """b = [-beta L x_hat; alpha beta L x_hat], the held term of the sampled flow:
     fixed between broadcasts and topology switches, so formed there only."""
@@ -225,12 +185,8 @@ class AffineRK:
     ``scalar_gradient``, or (d > 1, or none) entries of one ``grad_list`` call per stage.
     The source holds generated names, float literals and that catalog text only.  Each step
     packs the new state into its row of the block's array (one ``pack_into`` of 2Nd floats,
-    no row object) and, under a held stop test, ends the block once that test of its x
-    entries holds (see :meth:`hold`).  A kernel
-    advances up to BLOCK_STEPS steps, but ``simulate`` gives a sampled one ``block`` steps
-    under a law it cannot stop at (the centralized law), as a dropped tail costs gradients."""
-
-    block = 8  # steps per sampled advance under a law that may flag a node the kernel passes
+    no row object) and, under a held law's stop test, ends the block once that test of its
+    x entries holds (see :meth:`hold`): the kernel alone judges where a block ends."""
 
     def __init__(self, nc: NetworkCost, p: AlgorithmParams, lap: np.ndarray, h: float, tableau):
         (rows, weights), d, alpha, coupled = tableau, nc.dim, p.alpha, bool(lap.any())
@@ -252,7 +208,7 @@ class AffineRK:
         self._times = times = sorted({h * sum(row) for row in rows})  # of the stages
         xs = ", ".join(f"x{e}" for e in es)
         state = xs + ", " + ", ".join(f"v{e}" for e in es)
-        src = ["def run(z, steps, held, out, stop):", f" {state}, = z", " " + "".join(
+        src = ["def run(z, steps, held, out, stop, skip):", f" {state}, = z", " " + "".join(
             f"c{t}_{e}, " for t in range(len(times)) for e in es) + "".join(f"w{e}, " for e in es)
             + "= held", " try:", "  for s in range(steps):"]  # c = b_e - t b_{N+e}, w = h sum b b_{N+e}
         if not coupled:  # b_e less u_e is c_e - v_e: without L it depends on the stage time alone
@@ -278,38 +234,39 @@ class AffineRK:
                 for e in es]
         src += [f"   v{e} = v{e} + w{e}" for e in es if not coupled]
         src += [f"   pack(out, {16 * len(es)} * s, {state})"]  # row s of out, at byte 8 * 2Nd * s
-        src += [f"   if stop is not None and stop({xs}): return s + 1"] * (not coupled)
+        src += [f"   if s >= skip and stop({xs}): return s"] * (not coupled)
         src += [" except OverflowError:", "  return ~s", " return steps"]
         scope["pack"] = struct.Struct(f"{2 * len(es)}d").pack_into
         exec("\n".join(src), scope)  # generated names, float literals and catalog expressions
         self._run, self._span, self._coupled = scope["run"], h * sum(weights), coupled
-        self.block = BLOCK_STEPS
         self.hold(np.zeros(2 * len(es)))
 
-    def hold(self, b: np.ndarray, stop: Callable[..., bool] | None = None) -> None:
-        """Hold the (2N, d) term ``b`` of the flow (0 before the first call) and a test
-        ``stop(x0, ..., x_{Nd-1})`` of a state's x entries, row-major, or None (L = 0 only,
-        both): a block then ends with the first state where it holds, e.g.
-        :func:`schedulers.distributed_stop`."""
-        if self._coupled and (b.any() or stop is not None):
+    def hold(self, b: np.ndarray, law=None, x_hat: np.ndarray | None = None) -> None:
+        """Hold the (2N, d) term ``b`` of the flow (0 before the first call) and the trigger
+        ``law`` of :func:`schedulers.trigger_law` at the broadcast ``x_hat``, or None (L = 0
+        only, both): a block then ends with the first state where the law's stop test
+        ``law.watch(x_hat)(x0, ..., x_{Nd-1})`` of its x entries, row-major, holds, e.g.
+        :func:`schedulers.distributed_stop`, past the nodes ``law.dwell`` names."""
+        if self._coupled and (b.any() or law is not None):
             raise ValueError("a kernel over a nonzero L holds no term b and no stop test")
         bx, bv = np.split(b.ravel(), 2)
         self._held = ((bx + self._offset) - np.outer(self._times, bv)).ravel().tolist() \
             + (self._span * bv).tolist()
-        self._stop = stop
+        self._law, self._stop = law, None if law is None else law.watch(x_hat)
 
-    def advance(self, z: np.ndarray, steps: int) -> np.ndarray:
-        """The next ``steps`` (at most ``block``) states after ``z``, stacked (steps, 2N, d),
-        up to the first where the held stop test holds; after a gradient overflows, only
-        those up to its step's, which is inf.  Each call fills a fresh array (``simulate``
-        goes on from one of its rows): the kernel packs the rows and returns how many, or ~s
-        after an ``OverflowError`` at step s."""
+    def advance(self, z: np.ndarray, steps: int, k: int = 0) -> tuple[np.ndarray, int]:
+        """The next ``steps`` states after node ``k``'s state ``z``, stacked (steps, 2N, d), up
+        to the first where the held stop test holds, and its index (``steps`` if none); after
+        a gradient overflows, those up to its step's, which is inf, and their count.  Each
+        call fills a fresh array (``simulate`` goes on from one of its rows): the kernel
+        packs the rows and returns the flagged index, or ~s after an overflow at step s."""
         out = np.empty((steps, *z.shape))
-        rows = self._run(z.ravel().tolist(), steps, self._held, out, self._stop)
-        if rows < 0:  # as grad_list maps an overflow: that step's state is out of range
-            s = ~rows
-            out[s], rows = math.inf, s + 1
-        return out[:rows]
+        q = self._run(z.ravel().tolist(), steps, self._held, out, self._stop,
+                      steps if self._stop is None else self._law.dwell(k, steps))
+        if q < 0:  # as grad_list maps an overflow: that step's state is out of range
+            out[~q], q = math.inf, -q  # -q = ~q + 1 rows
+            return out[:q], q
+        return out[:q + 1], q
 
 
 class FoldedRK:
@@ -337,15 +294,19 @@ class FoldedRK:
         self._powers, self._sums = powers.reshape(k * n2, n2), sums.reshape(k * n2, n2)
         self.hold(np.zeros(n2))
 
-    def hold(self, b: np.ndarray, stop=None) -> None:
+    def hold(self, b: np.ndarray, law=None, x_hat: np.ndarray | None = None) -> None:
         """As :meth:`AffineRK.hold`, but a block is one product, whose tail costs little
-        past a flagged node: ``stop`` is not tested."""
+        past a flagged node: the law's numpy ``screen``, not its stop test, finds that node."""
         self._offsets = self._sums @ (self._b_map @ (b.ravel() + self._offset))
+        self._screen, self._x_hat = getattr(law, "screen", None), x_hat
 
-    def advance(self, z: np.ndarray, steps: int) -> np.ndarray:
-        """The next ``steps`` (at most ``block``) states after ``z``, stacked (steps, 2N, d)."""
+    def advance(self, z: np.ndarray, steps: int, k: int = 0) -> tuple[np.ndarray, int]:
+        """As :meth:`AffineRK.advance`, for at most ``block`` steps, all returned: the flagged
+        index is the held law's screen of the stack (``steps`` under no law or screen)."""
+        steps = min(steps, self.block)
         rows = steps * z.size
-        return (self._powers[:rows] @ z.ravel() + self._offsets[:rows]).reshape(steps, *z.shape)
+        zs = (self._powers[:rows] @ z.ravel() + self._offsets[:rows]).reshape(steps, *z.shape)
+        return zs, steps if self._screen is None else self._screen(zs[:, :len(z) // 2], k, self._x_hat)
 
 
 def rk_kernel(nc: NetworkCost, p: AlgorithmParams, lap: np.ndarray, h: float, tableau):
@@ -379,12 +340,12 @@ def simulate(scenario: "Scenario") -> Trace:
     graph, or under sampled information one over L = 0 for all, as the held b carries it.
 
     A sampled scheme's :func:`schedulers.trigger_law` fires first at a polled node, so
-    samples reflect post-broadcast state.  The kernel advances a block (``block`` steps at
-    most) up to t_final, a topology switch, a periodic node or the first node the law's stop
-    test flags; the law screens all of it, and the run goes on from the first flagged node,
-    polled, else from the block's last node, unpolled.  The quiet nodes before are recorded
-    in bulk, the rest dropped.  Past t = 0 the law is polled only at flagged nodes and at
-    switches to an unequal graph, where the distributed threshold must follow it.  The
+    samples reflect post-broadcast state.  The kernel advances a block (BLOCK_STEPS steps at
+    most) up to t_final, a topology switch or a periodic node, and names its first node the
+    law flags (an AffineRK stops there); the run goes on from it, polled, else from the
+    block's last node, polled if periodic.  The quiet nodes before are recorded in bulk,
+    the rest dropped.  Past t = 0 the law is polled only at flagged and periodic nodes and
+    at switches to an unequal graph, where the distributed threshold must follow it.  The
     scenario was validated when built, apart from a fixed graph's strong connectivity and
     weight balance, which a switching schedule checks in its members: ValidationError,
     before any step.  Past that the only error raised here is NumericalBlowup (carrying the
@@ -425,13 +386,10 @@ def simulate(scenario: "Scenario") -> Trace:
     ERR = np.full((n_smp, n), np.nan)
 
     gi = 0
-    every = getattr(law, "every", n_steps)  # the periodic cadence (the horizon if none)
+    every = getattr(law, "every", n_steps + 1)  # the periodic cadence (past the horizon if none)
     tableau = EULER_TABLEAU if scheme.kind == "euler" else RK4_TABLEAU
     kernels = (dict.fromkeys(ids, rk_kernel(nc, p, 0 * laps[0], h, tableau)) if sampled
                else {j: rk_kernel(nc, p, laps[j], h, tableau) for j in dict.fromkeys(ids)})
-    block = kernels[0].block  # steps per advance
-    if sampled and not law.stops and isinstance(kernels[0], AffineRK):
-        block = AffineRK.block
 
     def trace(si: int) -> Trace:
         """The first ``si`` samples and the event log so far."""
@@ -460,18 +418,19 @@ def simulate(scenario: "Scenario") -> Trace:
         graph = ids[c % m]
         switched, gi = graph != gi, graph
         if sampled and (poll or switched) and (law.fire(k, x, x_hat, gi) or switched):
-            kernels[gi].hold(held_terms(laps[gi], p, x_hat), law.watch(x_hat))
+            kernels[gi].hold(held_terms(laps[gi], p, x_hat), law, x_hat)
         if k == ks[si]:
             X[si], V[si], XH[si] = x, z[n:], x_hat if sampled else x
             si += 1
         if k == n_steps:
             break
-        # advance to t_final, a switch or a periodic node, then screen the block
-        zs = kernels[gi].advance(z, min(block, n_steps - k, (c + runs[c % m]) * spd - k,
-                                        every - k % every))
+        # advance to t_final, a switch or a periodic node, or to the first node the law flags
+        cap = every - k % every
+        zs, q = kernels[gi].advance(z, min(BLOCK_STEPS, n_steps - k, (c + runs[c % m]) * spd - k,
+                                           cap), k)
         ok = _within_limit(zs)
-        q = law.screen(zs[:ok, :n], k, x_hat) if sampled else ok  # the first flagged node
-        poll, nxt = q < len(zs), min(q, len(zs) - 1)  # a cleared block goes on from its end
+        q = min(q, ok)  # the first flagged node, or the first out of range
+        poll, nxt = q < len(zs) or len(zs) == cap, min(q, len(zs) - 1)
         rows = zs[ks[si] - k - 1:nxt:stride]  # the samples among the quiet nodes
         e = si + len(rows)
         X[si:e], V[si:e] = rows[:, :n], rows[:, n:]

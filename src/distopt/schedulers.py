@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ValidationError
 
 GRID_SLACK = 1e-9  # absorbs float noise when node times are k*h products
+STOP_MARGIN = 1e-6  # relative margin of a stop test that cannot round as its law's numpy g
 _ZERO = np.zeros(())  # numpy compares an array with it faster than with a Python 0
 
 
@@ -152,14 +153,22 @@ def distributed_g(x, x_hat, thr, dout):
 
 
 @functools.cache
-def _stop_maker(n: int, d: int):
-    """The compiled maker of :func:`distributed_stop`'s test for N = ``n`` agents in R^``d``."""
+def _stop_maker(n: int, d: int, centralized: bool = False):
+    """The compiled maker of :func:`distributed_stop`'s test, or :func:`centralized_stop`'s,
+    for N = ``n`` agents in R^``d``."""
     es, ns = range(n * d), range(n)
-    args = [f"h{e}" for e in es] + [f"f{i}" for i in ns] + [f"t{i}" for i in ns]
+    if centralized:  # Pi x = a = x - m, m_c the mean of coordinate c, and Pi (x_hat - x) = p - a
+        args = [f"p{e}" for e in es] + ["P", "Q", "R"]
+        body = [f"  m{c} = ({' + '.join(f'x{i * d + c}' for i in ns)}) / {n}" for c in range(d)] + [
+            "  return P * (" + " + ".join(f"(r := p{e} - (a{e} := x{e} - m{e % d})) * r" for e in es)
+            + ") + R * (" + " + ".join(f"m{c} * m{c}" for c in range(d)) + ") > Q * ("
+            + " + ".join(f"a{e} * a{e}" for e in es) + ")"]
+    else:
+        args = [f"h{e}" for e in es] + [f"f{i}" for i in ns] + [f"t{i}" for i in ns]
+        body = ["  return " + " or ".join("f%d * (%s) > t%d" % (i, " + ".join(
+            f"(r := h{e} - x{e}) * r" for e in range(i * d, i * d + d)), i) for i in ns)]
     src = [f"def watch({', '.join(args)}):", f" def stop({', '.join(f'x{e}' for e in es)}):",
-           "  return " + " or ".join("f%d * (%s) > t%d" % (i, " + ".join(
-               f"(r := h{e} - x{e}) * r" for e in range(i * d, i * d + d)), i) for i in ns),
-           " return stop"]
+           *body, " return stop"]
     scope = {}
     exec("\n".join(src), scope)  # generated names only
     return scope["watch"]
@@ -171,9 +180,24 @@ def distributed_stop(x_hat, thr, dout):
     calls it on its own locals after each step.
     It sums each ||x_hat^i - x^i||^2 left to right, as numpy reduces fewer than 8 entries,
     so for d < 8 it agrees with distributed_g bit for bit; and 4 d_out^i s_i > thr_i holds
-    exactly when their difference is > 0."""
-    return _stop_maker(*x_hat.shape)(*x_hat.ravel().tolist(), *(4.0 * dout).tolist(),
-                                      *thr.tolist())
+    exactly when their difference is > 0.  For d >= 8, where numpy sums pairwise, it scales
+    4 d_out^i by 1 + STOP_MARGIN, so it holds wherever some g_i > 0 (and within that margin)."""
+    f = 4.0 * dout * (1.0 + STOP_MARGIN if x_hat.shape[1] >= 8 else 1.0)
+    return _stop_maker(*x_hat.shape)(*x_hat.ravel().tolist(), *f.tolist(), *thr.tolist())
+
+
+def centralized_stop(pi_x_hat, kappa):
+    """``stop(*x.ravel().tolist())``: the RK kernel's test of :func:`centralized_g` > 0 at
+    the (N, d) state x, given ``pi_x_hat`` as the poll forms it.  numpy's ``pi @ x`` rounds
+    in its own order, each entry within eta max_i |x_ic| of the exact one, eta = 2 (N + 4)
+    2^-53.  So with Pi x formed in two passes (the coordinate means m_c, then deviations,
+    free of cancellation), A = ||Pi (x_hat - x)||^2 and B = ||Pi x||^2, it holds when
+    A - kappa B > -r (A + kappa B) - rho (B + N sum_c m_c^2), r = STOP_MARGIN and
+    rho = 16 (1 + kappa) N eta^2 / r: wherever centralized_g > 0, and within that margin."""
+    n, d = pi_x_hat.shape
+    rho = 16 * (1 + kappa) * n * (2 * (n + 4) * 2.0**-53) ** 2 / STOP_MARGIN
+    return _stop_maker(n, d, True)(*pi_x_hat.ravel().tolist(), 1 + STOP_MARGIN,
+                                   kappa * (1 - STOP_MARGIN) - rho, rho * n)
 
 
 def _cascade(x: np.ndarray, x_hat: np.ndarray, thr: np.ndarray, weights: np.ndarray,
@@ -210,15 +234,13 @@ def first_true(flags: np.ndarray) -> int:
 class _Law:
     """Trigger state of one run of a sampled scheme, stepped by ``h`` over the switching
     ``graphs``.  ``fire(k, x, x_hat, gi)`` polls node k under graph ``gi``: everyone at
-    k = 0, later those the law finds due, whose ``x_hat`` it refreshes and logs.
-    ``screen(xs, k, x_hat)`` returns the index of the first state of the (kb, N, d) stack
-    of nodes k + 1 .. k + kb where the poll may fire (kb if none): the next periodic
-    node, or the first with g > 0, which rounds as at a node.  ``watch(x_hat)`` is the RK
-    kernel's stop test at the held ``x_hat`` (None but for the distributed law).  ``stops``
-    says whether a block can end at every node the screen may flag: a periodic one by the
-    block's length, a distributed one by that test."""
-
-    stops = True
+    k = 0, later those the law finds due, whose ``x_hat`` it refreshes and logs.  An event
+    law also finds the first node of a block where its poll may fire, two ways:
+    ``watch(x_hat)`` is the RK kernel's stop test at the held ``x_hat`` (None for the
+    periodic law, whose nodes end blocks by their length), passed over the first
+    ``dwell(k, kb)`` of the nodes k + 1 .. k + kb, and ``screen(xs, k, x_hat)`` returns the
+    index of the first state of the (kb, N, d) stack of those nodes where g > 0, which
+    rounds as at a node (kb if none)."""
 
     def __init__(self, scheme, h: float, graphs):
         self.scheme, self.h, self.graphs, self.gi, self.last = scheme, h, graphs, None, -math.inf
@@ -235,6 +257,9 @@ class _Law:
     def watch(self, x_hat):
         return None
 
+    def dwell(self, k: int, kb: int) -> int:
+        return 0
+
 
 class _PeriodicLaw(_Law):
     def __init__(self, scheme, h, graphs):
@@ -245,24 +270,25 @@ class _PeriodicLaw(_Law):
         due = periodic_due(k * self.h, self.every * self.h, self.last)
         return self._broadcast(k, x, x_hat, list(range(len(x))) if due else [])
 
-    def screen(self, xs, k, x_hat) -> int:
-        return min(-(k + 1) % self.every, len(xs))
-
 
 class _CentralizedLaw(_Law):
-    stops = False  # Pi couples the agents: g has no per-agent form that rounds as the screen
-
     def fire(self, k, x, x_hat, gi):  # x_hat holds every agent's state at the last broadcast
         kappa, tau = self.scheme.kappa, self.scheme.tau
         due = k == 0 or _centralized_due(x, x_hat, kappa, self.last, tau, k * self.h)
         fired = self._broadcast(k, x, x_hat, list(range(len(x))) if due else [])
-        if fired:  # Pi x_hat for the screens, rounded as the poll forms it
+        if fired:  # Pi x_hat for the screens and stop tests, rounded as the poll forms it
             self.pi_x_hat = _projector(len(x)) @ x_hat
         return fired
 
-    def screen(self, xs, k, x_hat) -> int:  # g past the dwell, found by the poll's own test
+    def dwell(self, k, kb) -> int:  # the leading nodes where the poll's t - last >= tau fails
         h, last, tau = self.h, self.last, self.scheme.tau
-        j = bisect.bisect_left(range(len(xs)), True, key=lambda i: (k + 1 + i) * h - last >= tau)
+        return bisect.bisect_left(range(kb), True, key=lambda j: (k + 1 + j) * h - last >= tau)
+
+    def watch(self, x_hat):
+        return centralized_stop(self.pi_x_hat, self.scheme.kappa)
+
+    def screen(self, xs, k, x_hat) -> int:  # g past the dwell
+        j = self.dwell(k, len(xs))
         return j + first_true(centralized_g(xs[j:], x_hat, self.scheme.kappa, self.pi_x_hat) > 0)
 
 

@@ -127,3 +127,43 @@ def isometry_violation(trace, nc, alpha: float, beta: float) -> float:
     z_norm = np.sqrt((coords.z1**2).sum(axis=-1) + (coords.z_rest**2).sum(axis=-1))
     y_norm = np.linalg.norm((trace.x - eq[0]).reshape(trace.t.size, -1), axis=1)
     return float(np.abs(z_norm - y_norm).max(initial=0.0))
+
+
+def flow(nc, p: AlgorithmParams, lap: np.ndarray):
+    """The coordination flow on the stacked (2N, d) state z = [x; v], the tests' reference
+    for the kernels of ``dynamics.rk_kernel``.
+
+    dx = -alpha grad f(x) - beta L x - v,  dv = alpha beta L x,
+    that is, per agent,
+    dx^i = -alpha grad f^i(x^i) - beta sum_j a_ij (x^i - x^j) - v^i,
+    dv^i =  alpha beta sum_j a_ij (x^i - x^j).
+    The affine part is one product with ``flow_matrix``.  Stepped by :func:`rk4`, it
+    defines the step the kernels take in ``simulate``.
+    """
+    grad, alpha, n = nc.grad_stack, p.alpha, nc.n_agents
+    m = flow_matrix(lap, p)
+
+    def field(z):
+        dz = m @ z
+        dz[:n] -= alpha * grad(z[:n])
+        return dz
+
+    return field
+
+
+def rk4(f, z: np.ndarray, h: float) -> np.ndarray:
+    """Classical fourth-order step of ``z`` under ``f(z) -> dz``, e.g.
+    ``f = flow(nc, p, L)``.  ``f`` must return a new array: the stage
+    sums accumulate in place in the second one."""
+    h2 = 0.5 * h
+    k1 = f(z)
+    k2 = f(z + h2 * k1)
+    k3 = f(z + h2 * k2)
+    k4 = f(z + h * k3)
+    k2 += k3
+    k2 *= 2.0
+    k2 += k1
+    k2 += k4
+    k2 *= h / 6.0
+    k2 += z
+    return k2

@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import linear_system_matrix, make_scenario
+from conftest import flow, linear_system_matrix, make_scenario
 from distopt.certificates import (
     ConvexityBounds,
     certify,
@@ -34,7 +34,6 @@ from distopt.diagnostics import decay_check, lyapunov_series, reconstruct_gradie
 from distopt.dynamics import (
     AlgorithmParams,
     equilibrium,
-    flow,
     simulate,
 )
 from distopt.errors import InsufficientVisibility

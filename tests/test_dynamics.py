@@ -7,6 +7,7 @@ import operator
 import re
 import struct
 import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import balanced_weights, col, linear_system_matrix, make_scenario
+from conftest import balanced_weights, col, flow, linear_system_matrix, make_scenario, rk4
 from distopt import dynamics, schedulers
 from distopt.costs import (
     _EXPRESSIONS,
@@ -34,9 +35,7 @@ from distopt.dynamics import (
     AlgorithmParams,
     SwitchingSchedule,
     equilibrium,
-    flow,
     held_terms,
-    rk4,
     rk_kernel,
     simulate,
 )
@@ -66,7 +65,7 @@ def stack(x, v):
 
 def kernel_step(nc, p, lap, h, tableau, z):
     """One step from ``z`` of the kernel ``simulate`` builds for ``nc`` over ``lap``."""
-    return rk_kernel(nc, p, lap, h, tableau).advance(z, 1)[0]
+    return rk_kernel(nc, p, lap, h, tableau).advance(z, 1)[0][0]
 
 
 def sampled_step(nc, p, lap, x_hat, h):
@@ -74,7 +73,7 @@ def sampled_step(nc, p, lap, x_hat, h):
     holding ``x_hat``, as a function of the state."""
     kernel = rk_kernel(nc, p, 0 * lap, h, RK4_TABLEAU)
     kernel.hold(held_terms(lap, p, x_hat))
-    return lambda z: kernel.advance(z, 1)[0]
+    return lambda z: kernel.advance(z, 1)[0][0]
 
 
 def rk4_factor(w):
@@ -256,7 +255,7 @@ class TestAffineFold:
                     kernel = rk_kernel(nc, p, a, h, tableau)
                     if b is not None:
                         kernel.hold(b)
-                    got = kernel.advance(z, 1)[0]
+                    got = kernel.advance(z, 1)[0][0]
                 assert got.shape == z.shape
                 np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
@@ -531,15 +530,14 @@ def block_cases(draw, curved=False, mixed=False):
 
 class TestBlockAdvance:
     """Every network advances blocks of RK4 (or Euler) steps, an affine one per
-    product, the screens clear the quiet nodes and the exact law decides at
-    the others: the same run with one step per block (BLOCK_STEPS = 1 and
-    AffineRK.block = 1) gives the same event log and states, to rounding on
-    an affine network and exactly on a curved one, whose blocks take the
-    same steps."""
+    product, the stop tests or screens clear the quiet nodes and the exact law
+    decides at the others: the same run with one step per block (BLOCK_STEPS = 1)
+    gives the same event log and states, to rounding on an affine network and
+    exactly on a curved one, whose blocks take the same steps."""
 
     @staticmethod
     def per_node(sc):
-        with mock.patch.object(dynamics, "BLOCK_STEPS", 1), mock.patch.object(AffineRK, "block", 1):
+        with mock.patch.object(dynamics, "BLOCK_STEPS", 1):
             return simulate(sc)
 
     @staticmethod
@@ -591,7 +589,7 @@ class TestBlockAdvance:
 
     def test_wide_state_block_run_equals_per_node_run(self):
         # d = 8: numpy sums ||x_hat^i - x^i||^2 pairwise there, the kernel's stop test left
-        # to right, so the two may round apart; the screen still judges every state
+        # to right, so the two may round apart; the test's margin still flags every firing node
         rng = np.random.default_rng(3)
         sc = make_scenario([log_cosh_cost(rng.uniform(-1.0, 1.0, 8)) for _ in range(4)],
                            graph=WeightedDigraph(4, np.roll(np.eye(4), 1, axis=1)),
@@ -635,17 +633,16 @@ class TestBlockAdvance:
         pytest.param(AffineRK, False, Periodic(delta=0.9), dynamics.BLOCK_STEPS, id="AffineRK-sampled"),
         pytest.param(AffineRK, False, DistributedEvent(eps=np.full(10, 0.05)), dynamics.BLOCK_STEPS,
                      id="AffineRK-distributed"),
-        pytest.param(AffineRK, False, CentralizedEvent(kappa=0.06, tau=0.02), AffineRK.block,
+        pytest.param(AffineRK, False, CentralizedEvent(kappa=0.06, tau=0.02), dynamics.BLOCK_STEPS,
                      id="AffineRK-centralized"),
         pytest.param(dynamics.FoldedRK, True, Continuous(), dynamics.BLOCK_STEPS, id="FoldedRK-True")])
     def test_per_node_run_steps_one_node_per_advance(self, monkeypatch, ten_suite, cls, affine,
                                                      scheme, block):
-        # per_node's patches reach the kernel simulate builds, else it compares blocks to blocks;
-        # a kernel takes BLOCK_STEPS (periodic: 90 steps apart), a sampled AffineRK under the
-        # centralized law, whose flagged nodes it cannot stop at, its block
+        # per_node's patch reaches the kernel simulate builds, else it compares blocks to blocks;
+        # every kernel takes BLOCK_STEPS (periodic: 90 steps apart), under every law
         seen, advance = [], cls.advance
-        monkeypatch.setattr(cls, "advance", lambda kernel, z, steps: seen.append(steps)
-                            or advance(kernel, z, steps))
+        monkeypatch.setattr(cls, "advance", lambda kernel, z, steps, k: seen.append(steps)
+                            or advance(kernel, z, steps, k))
         sc = make_scenario(ring_quadratics() if affine else ten_suite, graph=preset_graph("cycle10"),
                            scheme=scheme, t_final=1.0, h=1e-2)
         self.per_node(sc)
@@ -737,7 +734,7 @@ class TestInlineGradients:
 
     TEMPORARIES = {node.target.id for text in _EXPRESSIONS.values()
                    for node in ast.walk(ast.parse(text)) if isinstance(node, ast.NamedExpr)}
-    GENERATED = re.compile(r"(x|v|y|w|q|c\d+_|u\d+_|kx\d+_|m\d+_)\d+|run|z|steps|held|out|stop|s"
+    GENERATED = re.compile(r"(x|v|y|w|q|c\d+_|u\d+_|kx\d+_|m\d+_)\d+|run|z|steps|held|out|stop|skip|s"
                            r"|range|OverflowError")
     SCOPE = re.compile(r"exp|log|inf|nan|grads|g\d+|pack")
 
@@ -851,6 +848,12 @@ class TestNegationFree:
         assert not [row for row in rows if "-0" in row.split(",")[2:4]]
 
 
+def holding(stop, dwell: int = 0):
+    """A stand-in trigger law for :meth:`AffineRK.hold`: its stop test is ``stop``, passed
+    over the first ``dwell`` nodes of each block."""
+    return SimpleNamespace(watch=lambda x_hat: stop, dwell=lambda k, kb: min(dwell, kb))
+
+
 class TestPackedRows:
     """Each step packs its state into its row of a fresh (steps, 2N, d) array with one
     ``pack_into`` and calls the held stop test on its own x locals: the step loop builds no
@@ -876,31 +879,54 @@ class TestPackedRows:
         assert ops.count("BUILD_LIST") == (0 if d == 1 else 4)
         assert not {"BUILD_TUPLE", "LIST_APPEND", "MAKE_FUNCTION", "CALL_FUNCTION_EX"} & set(ops)
         assert [i.argval for i in loop if i.opname == "LOAD_GLOBAL"].count("pack") == 1
-        assert [i.argval for i in loop if i.opname == "LOAD_FAST"].count("stop") == 2 * (not coupled)
+        loads = [i.argval for i in loop if i.opname == "LOAD_FAST"]
+        assert loads.count("stop") == loads.count("skip") == (not coupled)
 
     def test_each_block_is_a_fresh_array(self, ten_suite):
         kernel = AffineRK(network_cost(ten_suite), AlgorithmParams(1.0, 1.0),
                           out_laplacian(preset_graph("fig2")), 1e-3, RK4_TABLEAU)
         z = np.linspace(-1.0, 1.0, 20)[:, None]
-        first = kernel.advance(z, 5)
+        first, _ = kernel.advance(z, 5)
         kept = first.copy()
-        second = kernel.advance(first[-1], 5)
+        second, _ = kernel.advance(first[-1], 5)
         assert not np.shares_memory(first, second)
         np.testing.assert_array_equal(first, kept)
-        np.testing.assert_array_equal(second[0], kernel.advance(kept[-1], 1)[0])
+        np.testing.assert_array_equal(second[0], kernel.advance(kept[-1], 1)[0][0])
+
+    @staticmethod
+    def stop_case():
+        """A sampled kernel of four agents in R^2 and a state z for it."""
+        nc = network_cost([log_cosh_cost([0.5 * i, 1.0]) for i in range(4)])
+        kernel = AffineRK(nc, AlgorithmParams(1.0, 1.0), np.zeros((4, 4)), 1e-2, RK4_TABLEAU)
+        return kernel, np.arange(16.0).reshape(8, 2) / 16.0
 
     def test_stop_takes_the_x_entries_of_each_new_state(self):
         # d = 2 rows of four agents: the test sees x's Nd entries row-major, the block ends
         # with the first state where it holds
-        nc = network_cost([log_cosh_cost([0.5 * i, 1.0]) for i in range(4)])
-        kernel = AffineRK(nc, AlgorithmParams(1.0, 1.0), np.zeros((4, 4)), 1e-2, RK4_TABLEAU)
+        kernel, z = self.stop_case()
         seen = []
-        kernel.hold(np.zeros((8, 2)), lambda *x: seen.append(x) or len(seen) == 3)
-        z = np.arange(16.0).reshape(8, 2) / 16.0
-        zs = kernel.advance(z, 10)
-        assert len(zs) == 3 and [list(x) for x in seen] == zs[:, :4].reshape(3, 8).tolist()
+        kernel.hold(np.zeros((8, 2)), holding(lambda *x: seen.append(x) or len(seen) == 3))
+        zs, q = kernel.advance(z, 10)
+        assert len(zs) == 3 and q == 2
+        assert [list(x) for x in seen] == zs[:, :4].reshape(3, 8).tolist()
         kernel.hold(np.zeros((8, 2)))
-        np.testing.assert_array_equal(kernel.advance(z, 10)[:3], zs)
+        np.testing.assert_array_equal(kernel.advance(z, 10)[0][:3], zs)
+
+    @pytest.mark.parametrize("dwell", [0, 2])
+    def test_stop_at_the_last_step_reads_as_flagged(self, dwell):
+        # the test holds from the third state it sees on; a block that ends there, at its
+        # last step, is flagged, a block one step shorter is not; the dwell's nodes are
+        # passed over, never shown to the test
+        kernel, z = self.stop_case()
+        seen = []
+        kernel.hold(np.zeros((8, 2)), holding(lambda *x: seen.append(x) or len(seen) >= 3, dwell))
+        zs, q = kernel.advance(z, dwell + 3)
+        assert len(zs) == dwell + 3 and q == dwell + 2
+        assert [list(x) for x in seen] == zs[dwell:, :4].reshape(3, 8).tolist()
+        seen.clear()
+        assert kernel.advance(z, dwell + 2)[1] == dwell + 2
+        kernel.hold(np.zeros((8, 2)))
+        assert kernel.advance(z, dwell + 3)[1] == dwell + 3
 
 
 class TestBlowupCheck:

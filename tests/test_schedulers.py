@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import balanced_weights, col, make_scenario
 from distopt import dynamics, schedulers
 from distopt.certificates import certify
-from distopt.costs import quadratic_cost
+from distopt.costs import catalog, quadratic_cost
 from distopt.dynamics import SwitchingSchedule, simulate
 from distopt.errors import ValidationError
 from distopt.graph import WeightedDigraph, preset_graph, spectral_summary
@@ -340,11 +340,15 @@ class TestScreens:
 
 
 class TestStopTest:
-    """The RK kernel's stop test, :func:`distributed_stop`, is the distributed screen's
-    g > 0 on Python floats: bit for bit for d < 8, where numpy sums left to right."""
+    """The RK kernel's stop tests are the laws' g > 0 on Python floats: the distributed
+    one, :func:`distributed_stop`, bit for bit for d < 8, where numpy sums left to right;
+    for d >= 8 and for the centralized law, whose numpy g rounds in another order, they
+    flag every state where g > 0, within a relative margin below it."""
 
-    @pytest.mark.parametrize("d", range(1, 8))
-    def test_stop_equals_the_sign_of_g(self, d):
+    @staticmethod
+    def distributed_cases(d: int):
+        """200 draws of a threshold, a (6, N, d) stack and the stop test, with the threshold
+        at, just above and just below state 0's own 4 d_out ||drift||^2, or random."""
         rng = np.random.default_rng(d)
         for _ in range(200):
             n = int(rng.integers(2, 8))
@@ -353,14 +357,59 @@ class TestStopTest:
             dout = rng.uniform(0.5, 3.0, size=n)
             drift = x_hat - xs[0]
             g0 = 4.0 * dout * np.add.reduce(drift * drift, axis=-1)
-            # thresholds at, just above and just below state 0's own 4 d_out ||drift||^2
             for thr in (g0, np.nextafter(g0, np.inf), np.nextafter(g0, -np.inf),
                         rng.uniform(0.0, 2.0, size=n) * g0.max()):
-                stop = distributed_stop(x_hat, thr, dout)
-                for x in xs:
-                    want = bool((distributed_g(x, x_hat, thr, dout) > 0).any())
-                    assert stop(*x.ravel().tolist()) == want
+                yield x_hat, xs, thr, dout, g0
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_stop_equals_the_sign_of_g(self, d):
+        for x_hat, xs, thr, dout, g0 in self.distributed_cases(d):
+            stop = distributed_stop(x_hat, thr, dout)
+            for x in xs:
+                want = bool((distributed_g(x, x_hat, thr, dout) > 0).any())
+                assert stop(*x.ravel().tolist()) == want
             assert not distributed_stop(x_hat, g0, dout)(*xs[0].ravel().tolist())
+
+    @pytest.mark.parametrize("d", [8, 9, 16])
+    def test_wide_stop_flags_every_state_with_g_above_zero(self, d):
+        # numpy sums d >= 8 entries pairwise: the test may round apart, never to a miss
+        for x_hat, xs, thr, dout, _ in self.distributed_cases(d):
+            stop = distributed_stop(x_hat, thr, dout)
+            for x in xs:
+                g = distributed_g(x, x_hat, thr, dout)
+                flagged = stop(*x.ravel().tolist())
+                assert flagged or not (g > 0).any()
+                assert not flagged or (g > -2e-6 * thr).any()  # the margin is relative
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(screen_cases())
+    def test_centralized_stop_flags_every_state_with_g_above_zero(self, case):
+        xs, x_hat, _, _, kappa, _, _ = case
+        assume(kappa < 1.0)
+        stop = centralized_law(kappa, 0.0, x_hat).watch(x_hat)
+        pi = np.eye(len(x_hat)) - 1.0 / len(x_hat)
+        for x in xs:
+            g, flagged = centralized_g(x, x_hat, kappa), stop(*x.ravel().tolist())
+            assert flagged or not g > 0
+            dev, xc = pi @ (x_hat - x), pi @ x
+            assert not flagged or g > -2e-6 * (np.vdot(dev, dev) + kappa * np.vdot(xc, xc))
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(screen_cases(), st.integers(1, 3))
+    def test_dwell_counts_the_nodes_the_poll_refuses(self, case, fire):
+        # from each node k after a broadcast at node `fire`, the stop test passes over
+        # exactly the nodes where _centralized_due refuses a state with g > 0
+        xs, x_hat, _, tau, _, _, _ = case
+        law, h = centralized_law(0.0, tau, x_hat), 1e-3  # kappa = 0: g > 0 off consensus
+        x = x_hat.copy()
+        x[0] += 1.0
+        law.last = -math.inf  # no dwell holds the broadcast at node `fire` back
+        law.fire(fire, x, x_hat.copy(), 0)
+        assert law.last == fire * h
+        for k in range(fire, fire + 30):
+            refused = [not _centralized_due(x, x_hat, 0.0, law.last, tau, (k + 1 + j) * h)
+                       for j in range(len(xs))]
+            assert law.dwell(k, len(xs)) == sum(refused) == first_true([not r for r in refused])
 
     def test_law_watches_its_held_threshold(self):
         weights = preset_graph("fig2").weights
@@ -378,8 +427,7 @@ class TestStopTest:
 
 class TestPollIsSignOfG:
     """Each event law's node poll fires exactly where its signed g is positive (past the
-    dwell, for the centralized law), and the periodic screen names the next node its
-    poll fires at."""
+    dwell, for the centralized law), and a periodic run polls at its periodic nodes only."""
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(screen_cases(), st.integers(1, 12))
@@ -400,13 +448,20 @@ class TestPollIsSignOfG:
         assert bool(law.fire(1, x, x_hat.copy(), 0)) == (g > 0).any()
 
     @pytest.mark.parametrize("delta", [0.005, 0.0075, 0.03])
-    def test_periodic_poll_matches_its_screen(self, delta):
+    def test_periodic_run_polls_at_each_cap_node(self, monkeypatch, k2, quad_pair, delta):
+        # a block ends at each periodic node by its length, and the run polls there and
+        # nowhere else: at the nodes where a law polled at every node fires, t_final too
         law, x = trigger_law(Periodic(delta=delta), 1e-3, ()), col([1.0, 2.0])
-        fires = [bool(law.fire(k, x, x.copy(), 0)) for k in range(41)]
-        assert fires[0]
-        # from any node k, the screen of nodes k + 1 .. 40 names the next one that fires
-        for k in range(40):
-            assert law.screen(np.zeros((40 - k, 2, 1)), k, x) == first_true(fires[k + 1:])
+        fires = [k for k in range(41) if law.fire(k, x, x.copy(), 0)]
+        assert fires[0] == 0
+        polled, due = [], periodic_due
+        monkeypatch.setattr(schedulers, "periodic_due",
+                            lambda t, *a: polled.append(round(t / 1e-3)) or due(t, *a))
+        for costs in (quad_pair, [catalog("f1"), catalog("f3")]):  # FoldedRK, AffineRK
+            polled.clear()
+            trace = simulate(make_scenario(costs, graph=k2, scheme=Periodic(delta=delta),
+                                           t_final=0.04, h=1e-3))
+            assert polled == fires == np.rint(trace.event_times[::2] / 1e-3).astype(int).tolist()
 
 
 class TestEventStats:
