@@ -570,7 +570,7 @@ class TestBlockAdvance:
 
     def test_curved_blocks_drop_at_most_a_tail_per_flagged_node(self, monkeypatch, ten_suite):
         # f1 counted: four calls per RK4 step taken, kept or dropped; the kernel's stop test
-        # ends each block at the node the distributed screen flags (d = 1), so none is dropped
+        # ends each block at the first node where g > 0 (d = 1), so none is dropped
         grads, polls, cascade = [0], [0], schedulers._cascade
 
         def counted_cascade(*args):
@@ -597,6 +597,23 @@ class TestBlockAdvance:
                            x0=np.full((4, 8), 0.5))  # at consensus: the threshold starts at eps^2
         got, want = simulate(sc), self.per_node(sc)
         assert np.unique(want.event_times).size > 50
+        for name in ("t", "x", "v", "x_hat", "event_agents", "event_times"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+
+    @pytest.mark.parametrize("switching", [False, True], ids=["fixed", "switching"])
+    def test_centralized_catalog_run_equals_per_node_run(self, ten_suite, switching):
+        # the kernel's centralized stop test ends each block at the first node the poll may
+        # fire at, past the dwell counted from the last broadcast, also across switches
+        # (every 13 nodes, inside the 20-node dwell): the same run as polling every node;
+        # kappa is small enough that most broadcasts wait for the dwell to end
+        g = preset_graph("fig2")
+        topology = ({"schedule": SwitchingSchedule((g, preset_graph("cycle10")), dwell=0.013)}
+                    if switching else {"graph": g})
+        sc = make_scenario(ten_suite, scheme=CentralizedEvent(kappa=0.002, tau=0.02),
+                           t_final=1.0, stride=1, **topology)
+        got, want = simulate(sc), self.per_node(sc)
+        nodes = np.unique(np.rint(want.event_times / sc.h).astype(int))
+        assert np.count_nonzero(np.diff(nodes) == 20) > 10
         for name in ("t", "x", "v", "x_hat", "event_agents", "event_times"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
 

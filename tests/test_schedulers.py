@@ -696,5 +696,5 @@ class TestCachedTerms:
         assert np.count_nonzero(nodes) > np.unique(nodes[nodes > 0]).size > 0  # cascades too
         assert counts["_threshold"] == 1 + np.count_nonzero(nodes)  # fig5 never switches
         assert counts["held_terms"] == np.unique(nodes).size
-        # polled only at the nodes the block screen flags past t = 0, and each poll fires
+        # polled only at the nodes the kernel's stop test flags past t = 0, and each poll fires
         assert counts["_cascade"] == np.unique(nodes[nodes > 0]).size
