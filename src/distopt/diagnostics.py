@@ -19,7 +19,7 @@ from .errors import InsufficientVisibility, ValidationError
 from .graph import DisagreementBasis, WeightedDigraph, complement_basis, reduced_laplacian
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnalysisCoordinates:
     """Deviation state split along the consensus line and its complement.
 
@@ -217,7 +217,7 @@ def decay_check(trace: Trace, which: str, bound: float, *, g: WeightedDigraph,
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Reconstruction:
     """Gradient estimates recovered by a passive observer.
 

@@ -55,7 +55,7 @@ def _require_coupling(g: WeightedDigraph, name: str) -> None:
         raise ValidationError(f"{name} is not weight balanced")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SwitchingSchedule:
     """Piecewise-constant topology: cycle through ``graphs`` as listed, one per ``dwell``.
 
@@ -75,7 +75,7 @@ class SwitchingSchedule:
             _require_coupling(g, f"switching graph {k}")
 
 
-@dataclass
+@dataclass(eq=False)
 class Trace:
     """Time-indexed samples of a run plus the communication event log.
 

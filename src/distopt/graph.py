@@ -27,7 +27,7 @@ FIG2_EDGES = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedDigraph:
     """Immutable weighted digraph on ``n`` nodes.
 
@@ -68,7 +68,7 @@ class WeightedDigraph:
         return int(np.count_nonzero(self.weights))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphSpectrum:
     """Eigenvalue summary of a digraph Laplacian.
 
@@ -88,7 +88,7 @@ class GraphSpectrum:
     sym_eigenvalues: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DisagreementBasis:
     """Orthonormal split of R^n into the consensus line and its complement.
 

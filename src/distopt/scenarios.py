@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import certificates, diagnostics, dynamics, schedulers
+from . import _rng, certificates, diagnostics, dynamics, schedulers
 from .certificates import AnalysisOptions
 from .costs import CostModel, NetworkCost, catalog, network_cost, quadratic_cost
 from .errors import NumericalBlowup, ValidationError
@@ -44,7 +44,7 @@ def grid_steps(span: float, h: float, name: str) -> int:
     return steps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """Fully materialized run description (see module docstring), validated when built;
     ``graphs``, ``step``, ``n_steps`` and ``network`` resolve the run it describes."""
@@ -64,8 +64,8 @@ class Scenario:
     schedule: dynamics.SwitchingSchedule | None = None
     analysis: AnalysisOptions = field(default_factory=AnalysisOptions)
     out_dir: str | None = None
-    network: NetworkCost = field(init=False, repr=False, compare=False)
-    n_steps: int = field(init=False, repr=False, compare=False)  # steps of size step to t_final
+    network: NetworkCost = field(init=False, repr=False)
+    n_steps: int = field(init=False, repr=False)  # steps of size step to t_final
 
     def __post_init__(self):
         if not isinstance(self.scheme, schedulers.CommScheme):
@@ -145,11 +145,16 @@ def _one_of(spec: dict, keys, where: str) -> str | None:
     return given[0] if given else None
 
 
+def _real(value) -> bool:
+    """Whether ``value`` is a number: a JSON string or boolean is not."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def _number(value, where: str, cast=float):
     """``cast(value)``, or a ValidationError naming the field ``where``; with
     ``cast=int`` a fractional value is refused, not rounded, and inf and NaN always."""
     try:
-        if cast is int and isinstance(value, float) and not value.is_integer():
+        if not _real(value) or cast is int and isinstance(value, float) and not value.is_integer():
             raise ValueError(value)
         if math.isfinite(out := cast(value)):
             return out
@@ -161,7 +166,8 @@ def _number(value, where: str, cast=float):
 def _floats(spec, where: str) -> np.ndarray:
     """``spec`` as a finite float array, or a ValidationError naming the field ``where``."""
     try:
-        if np.isfinite(arr := np.asarray(spec, dtype=float)).all():
+        arr = np.asarray(spec, dtype=float)
+        if np.isfinite(arr).all() and all(map(_real, np.asarray(spec, dtype=object).flat)):
             return arr
     except (TypeError, ValueError):
         pass
@@ -214,11 +220,14 @@ def _box(spec, where: str) -> tuple[float, float]:
     return float(box[0]), float(box[1])
 
 
-def _draw_initial(spec, n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+def _draw_initial(spec, n: int, d: int, seed: int) -> np.ndarray:
+    """``spec``'s states, or ``np.random.default_rng(seed).uniform(lo, hi, (n, d))`` over its box."""
     if spec is None or isinstance(spec, dict):
         lo, hi = DEFAULT_BOX if spec is None else _box(
             _required(_known(spec, ("box",), "x0."), "box", "x0.box"), "x0.box")
-        return rng.uniform(lo, hi, size=(n, d))
+        if not math.isfinite(hi - lo):
+            raise ValidationError(f"x0.box [{lo}, {hi}] is wider than the largest float")
+        return np.reshape(_rng.uniform(seed, lo, hi, n * d), (n, d))
     return _state(spec, n, d, "x0")
 
 
@@ -285,8 +294,7 @@ def scenario_from_dict(cfg: dict, seed: int | None = None) -> Scenario:
     use_seed = _number(cfg.get("seed", DEFAULT_SEED), "seed", int) if seed is None else int(seed)
     if use_seed < 0:
         raise ValidationError(f"seed must be non-negative, got {use_seed}")
-    rng = np.random.default_rng(use_seed)
-    x0 = _draw_initial(cfg.get("x0"), n, d, rng)
+    x0 = _draw_initial(cfg.get("x0"), n, d, use_seed)
     v0 = np.zeros((n, d)) if cfg.get("v0") is None else _state(cfg["v0"], n, d, "v0")
     ana = _known(_typed(cfg.get("analysis", {}), dict, "analysis"),
                  [f.name for f in fields(AnalysisOptions)], "analysis.")

@@ -60,7 +60,7 @@ class CentralizedEvent:
             raise ValidationError(f"dwell tau must be positive, got {self.tau}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistributedEvent:
     """Asynchronous per-agent triggers with thresholds ``eps`` (all positive)."""
 
@@ -317,7 +317,7 @@ def trigger_law(scheme: CommScheme, h: float, graphs) -> _Law | None:
     return None if law is None else law(scheme, h, graphs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EventStats:
     """Per-agent broadcast counts and inter-event gaps for one trace.
 

@@ -159,7 +159,26 @@ class TestParsing:
         ({"switching": {"presets": ["fig2", "fig2r3"], "dwell": 0.0105}}, "switching.dwell"),
         ({"switching": {"presets": ["fig2", "fig2r3"], "dwell": "two"}}, "switching.dwell"),
         ({"switching": {"presets": ["fig2", "k3"], "dwell": 2.0}}, "graph has 3 nodes"),
-    ] + MALFORMED)
+    ] + MALFORMED + [
+        ({"x0": {"box": [-1e308, 1e308]}}, "x0.box"),
+        # JSON strings and booleans are not numbers, though float() and int() take them
+        ({"alpha": "2"}, "alpha"),
+        ({"alpha": True}, "alpha"),
+        ({"seed": "3"}, "seed"),
+        ({"seed": False}, "seed"),
+        ({"stride": True}, "stride"),
+        ({"h": "0.001"}, "h"),
+        ({"x0": [True] + [0.0] * 9}, "x0"),
+        ({"x0": ["0.5"] * 10}, "x0"),
+        ({"x0": {"box": ["-1", 1.0]}}, "x0.box"),
+        ({"v0": [False] * 10}, "v0"),
+        ({"scheme": {"kind": "distributed_event", "eps": "0.1"}}, "scheme.eps"),
+        ({"scheme": {"kind": "distributed_event", "eps": [0.1] * 9 + [True]}}, "scheme.eps"),
+        ({"scheme": {"kind": "periodic", "delta": True}}, "scheme.delta"),
+        ({"analysis": {"box": [-1.0, "1"]}}, "analysis.box"),
+        ({"costs": [{"kind": "quadratic", "a": [1.0], "b": True}]}, "costs[0].b"),
+        ({"graph": {"n": True, "edges": [[1, 2, 1.0]]}}, "graph.n"),
+    ])
     def test_bad_field_fails_at_parse_naming_it(self, change, named):
         with pytest.raises(ValidationError, match=re.escape(named)):
             scenario_from_dict(merged(MINIMAL, change))
@@ -200,6 +219,13 @@ class TestParsing:
         assert sc.graphs == (sc.graph,) and sc.step == sc.h and sc.n_steps == 2000
         moved = dataclasses.replace(sc, alpha=2.0)  # a changed copy is validated afresh
         assert moved.alpha == 2.0 and moved.network is not sc.network
+
+    def test_array_records_compare_and_hash_by_identity(self):
+        # generated __eq__ would compare arrays, whose truth value is ambiguous
+        for make in (lambda: preset_graph("cycle10"), lambda: DistributedEvent(np.ones(3)),
+                     lambda: scenario_from_dict(dict(MINIMAL) | {"t_final": 0.1})):
+            a, b = make(), make()
+            assert a == a and a != b and hash(a) == hash(a) != hash(b) and len({a, a, b}) == 2
 
     def test_t_final_off_the_step_grid_rejected(self):
         # 0.2005 with h = 1e-3 would otherwise be cut to 0.2
