@@ -37,8 +37,7 @@ scenario = Scenario(
     analysis=AnalysisOptions(eps=eps_s, delta=delta_s),
 )
 trace = simulate(scenario)
-V, _ = lyapunov_series(trace, "undirected", g=g, nc=network_cost(costs),
-                       alpha=1.0, beta=1.0, phi=phi)
+V, _ = lyapunov_series(trace, "undirected", g=g, nc=network_cost(costs), alpha=1.0, phi=phi)
 
 print(f"running with Delta = 0.9 tau = {delta:.5f} s for 40 s:")
 print(f"  final max error: {trace.err[-1].max():.3e}")

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .costs import NetworkCost, with_estimated_constants
+from .diagnostics import ENERGIES
 from .dynamics import AlgorithmParams, equilibrium
 from .errors import Infeasible, ValidationError
 from .graph import WeightedDigraph, reduced_laplacian, spectral_summary
@@ -149,46 +150,46 @@ def kappa(alpha: float, beta: float, eps: float, delta: float, phi: float,
 
 
 def matrix_F_extremes(alpha: float, phi: float, N: int) -> tuple[float, float]:
-    """Extreme eigenvalues of the energy-coefficient matrix F.
+    """Extreme eigenvalues of the coefficient matrix F of the ``"digraph"`` energy.
 
-    F is block diagonal: a scalar block alpha (phi+1)/18 of size d and
-    (N-1)d copies of the symmetric pair
-    0.5 [[alpha (phi+1), 1], [1, 1/alpha]], so the extremes follow from
-    the 2x2 closed form and do not depend on d.
+    F is block diagonal: c1 of size d and (N-1)d copies of the pair
+    [[c2 + c3 alpha^2, c3 alpha], [c3 alpha, c3]], so the extremes follow
+    from the 2x2 closed form and do not depend on d.
     """
     if not (alpha > 0 and phi > 0):
         raise ValidationError("alpha and phi must be positive")
     if N < 2:
         raise ValidationError(f"need N >= 2, got {N}")
-    a = alpha * (phi + 1)
-    first = a / 18.0
-    tr = a + 1.0 / alpha
-    disc = math.hypot(a - 1.0 / alpha, 2.0)
-    pair_lo, pair_hi = (tr - disc) / 4.0, (tr + disc) / 4.0
-    return min(first, pair_lo), max(first, pair_hi)
+    c1, c2, c3, _ = ENERGIES["digraph"][1](alpha, None, phi)
+    a = c2 + c3 * alpha**2
+    radius = math.hypot((a - c3) / 2, c3 * alpha)
+    return min(c1, (a + c3) / 2 - radius), max(c1, (a + c3) / 2 + radius)
+
+
+def _energy_matrix(coefficients, alpha, g, d):
+    """Q with V = p' Q p for the (c1, c2, c3, c4) of a ``diagnostics.ENERGIES`` row, over
+    p = (z1, z_rest, w_rest) with the agent index slow."""
+    c1, c2, c3, c4 = coefficients
+    nd = (g.n - 1) * d
+    out = np.zeros((d + 2 * nd,) * 2)
+    out[:d, :d] = c1 * np.eye(d)
+    out[d:, d:] = np.kron([[c2 + c3 * alpha**2, c3 * alpha], [c3 * alpha, c3]], np.eye(nd))
+    if c4:
+        out[d + nd:, d + nd:] += c4 * np.kron(np.linalg.inv(reduced_laplacian(g)), np.eye(d))
+    return out
 
 
 def matrix_E(alpha: float, beta: float, phi: float, g: WeightedDigraph,
              d: int = 1) -> np.ndarray:
-    """Energy-coefficient matrix for connected undirected topologies.
+    """Coefficient matrix of the ``"undirected"`` energy, for connected
+    undirected topologies, at any phi > 0.
 
     The lower-right block carries the inverse reduced Laplacian, so this
     raises ValidationError for disconnected graphs.
     """
     if not (alpha > 0 and beta > 0 and phi > 0):
         raise ValidationError("alpha, beta and phi must be positive")
-    red_inv = np.linalg.inv(reduced_laplacian(g))
-    nd = (g.n - 1) * d
-    top = 0.5 * alpha * (phi + 1) * np.eye(d)
-    lower_right = (1.0 / alpha) * np.eye(nd) + (phi + 1) / beta * np.kron(red_inv, np.eye(d))
-    mid = 0.5 * np.block([
-        [alpha * (phi + 1) * np.eye(nd), np.eye(nd)],
-        [np.eye(nd), lower_right],
-    ])
-    out = np.zeros((d + 2 * nd, d + 2 * nd))
-    out[:d, :d] = top
-    out[d:, d:] = mid
-    return out
+    return _energy_matrix(ENERGIES["undirected"][1](alpha, beta, phi), alpha, g, d)
 
 
 def matrix_E_extreme(alpha: float, beta: float, phi: float, g: WeightedDigraph,
@@ -331,7 +332,7 @@ class CertificateReport:
     lamF_max: float
     lamE_max: float | None
     rate_digraph: float | None
-    rate_quadratic: float
+    rate_quadratic: float | None
     rate_periodic: float | None
     rate_centralized: float | None
     rate_distributed: float | None
@@ -340,19 +341,6 @@ class CertificateReport:
     suggested_delta_comm: float | None
     topology_certified: bool
     feasible: dict = field(default_factory=dict)
-
-
-def _resolve_bounds(costs: NetworkCost, box) -> tuple[ConvexityBounds, NetworkCost]:
-    if costs.m_lower is not None and costs.M_upper is not None:
-        return ConvexityBounds(costs.m_lower, costs.M_upper), costs
-    if box is None:
-        missing = [a.name or str(i) for i, a in enumerate(costs.agents)
-                   if a.m is None or a.M is None]
-        raise ValidationError(
-            "convexity constants unavailable for: " + ", ".join(missing)
-            + "; provide an estimation box in the analysis options")
-    est = NetworkCost(tuple(with_estimated_constants(a, box) for a in costs.agents))
-    return ConvexityBounds(est.m_lower, est.M_upper), est
 
 
 def certify(scenario) -> CertificateReport:
@@ -366,8 +354,16 @@ def certify(scenario) -> CertificateReport:
     lambda_2, the largest lambda_N and lambda_E, each agent's largest d_out.
     """
     analysis = scenario.analysis
-    costs = scenario.network
-    bounds, costs_est = _resolve_bounds(costs, analysis.box)
+    costs = costs_est = scenario.network
+    if costs.m_lower is None or costs.M_upper is None:
+        if analysis.box is None:
+            missing = [a.name or str(i) for i, a in enumerate(costs.agents)
+                       if a.m is None or a.M is None]
+            raise ValidationError(
+                "convexity constants unavailable for: " + ", ".join(missing)
+                + "; provide an estimation box in the analysis options")
+        costs_est = NetworkCost(tuple(with_estimated_constants(a, analysis.box) for a in costs.agents))
+    bounds = ConvexityBounds(costs_est.m_lower, costs_est.M_upper)
     graphs = scenario.graphs
     spectra = [spectral_summary(g) for g in graphs]
     undirected = all(g.is_undirected for g in graphs)
@@ -378,13 +374,14 @@ def certify(scenario) -> CertificateReport:
     alpha, beta = float(scenario.alpha), float(scenario.beta)
     eps_s, delta_s = float(analysis.eps), float(analysis.delta)
     m, M = bounds.m_lower, bounds.M_upper
+    affine = costs.affine  # rate_quadratic holds only for H = I
 
     if analysis.phi is not None:
         phi = phi_d = float(analysis.phi)
     else:
-        # maximizers of gamma and of gamma', pushed into phi + 1 > 4M
-        phi = max(m / 8.0 + 9.0 * beta * lh2 / (8.0 * alpha), 4.0 * M * (1 + 1e-9)) - 1.0
-        phi_d = max(m / 8.0 + 9.0 * beta * lh2 / (16.0 * alpha), 4.0 * M * (1 + 1e-9)) - 1.0
+        # maximizers of gamma and of gamma' (gamma at beta / 2), pushed into phi + 1 > 4M
+        phi, phi_d = (max(m / 8.0 + 9.0 * b * lh2 / (8.0 * alpha), 4.0 * M * (1 + 1e-9)) - 1.0
+                      for b in (beta, beta / 2))
     g_val = gamma(alpha, beta, phi, bounds, lh2)
     gp_val = gamma_prime(alpha, beta, phi_d, bounds, lh2)
     lamF_min, lamF_max = matrix_F_extremes(alpha, phi, costs.n_agents)
@@ -393,8 +390,7 @@ def certify(scenario) -> CertificateReport:
     feasible_distributed = gp_val > 0 and phi_d + 1 > 4 * M
 
     phi_step = phi_from_delta(alpha, delta_s, bounds)
-    zeta = tau = kap = lamE = None
-    r_per = r_cen = None
+    zeta = tau = kap = lamE = r_per = r_cen = None
     if phi_step > 0:
         zeta, tau = tau_period(alpha, beta, eps_s, delta_s, bounds, lam2, lamN)
         kap = kappa(alpha, beta, eps_s, delta_s, phi_step, lam2, lamN)
@@ -405,19 +401,16 @@ def certify(scenario) -> CertificateReport:
 
     eta = min(7.0 / 16.0, gp_val / 9.0) if gp_val > 0 else None
     theta = tau_i = ss_bound = r_dist = None
-    eps_vec = None
-    if scenario.scheme.kind == "distributed_event":
-        eps_vec = np.asarray(scenario.scheme.eps, dtype=float)
-    elif analysis.eps_vec is not None:
-        eps_vec = np.asarray(analysis.eps_vec, dtype=float)
+    eps_vec = scenario.scheme.eps if scenario.scheme.kind == "distributed_event" else analysis.eps_vec
     if eps_vec is not None and feasible_distributed:
+        eps_vec = np.asarray(eps_vec, dtype=float)
         ss_bound = steady_state_bound(phi_d, alpha, beta, lamFd_min, lamFd_max, eta, eps_vec)
         dout = np.max([g.out_degrees for g in graphs], axis=0)
         tau_i, theta = _tau_i_and_theta(alpha, beta, eps_vec, costs_est, dout, scenario.x0,
                                         scenario.v0, phi_d, gp_val, lamFd_min, lamFd_max)
         r_dist = eta / lamFd_max
 
-    report = CertificateReport(
+    return CertificateReport(
         alpha=alpha, beta=beta, epsilon=eps_s, delta=delta_s, phi=phi, phi_distributed=phi_d,
         phi_step=phi_step, m_lower=m, M_upper=M,
         lambda_hat_2=lh2, lambda_2=lam2, lambda_N=lamN, re_lambda_2=re_lam2,
@@ -425,7 +418,8 @@ def certify(scenario) -> CertificateReport:
         zeta=zeta, tau=tau, kappa=kap, eta=eta, theta=theta, tau_i=tau_i,
         lamF_min=lamF_min, lamF_max=lamF_max, lamE_max=lamE,
         rate_digraph=rate_digraph(g_val, lamF_max) if feasible_digraph else None,
-        rate_quadratic=rate_quadratic(alpha, beta, re_lam2),
+        rate_quadratic=rate_quadratic(alpha, beta, re_lam2)
+        if affine is not None and np.array_equal(affine[0], np.eye(len(affine[0]))) else None,
         rate_periodic=r_per, rate_centralized=r_cen, rate_distributed=r_dist,
         steady_state_bound=ss_bound,
         suggested_beta=suggest_beta(alpha, phi, lh2) if lh2 > 0 else math.inf,
@@ -438,5 +432,4 @@ def certify(scenario) -> CertificateReport:
             "distributed_event": bool(feasible_distributed),
         },
     )
-    return report
 

@@ -84,50 +84,57 @@ def _over_agents(m: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (y.swapaxes(1, 2).reshape(k * d, n) @ m.T).reshape(k, d, -1).swapaxes(1, 2)
 
 
-def lyapunov_digraph(coords: AnalysisCoordinates, alpha: float, phi: float) -> float | np.ndarray:
-    """Quadratic energy certified to decay over balanced digraphs.
+# The one definition of each energy over the certificate state p = (z1, z_rest, w_rest),
+#   V = c1 |z1|^2 + c2 |z2|^2 + c3 |alpha z2 + w2|^2 + c4 w2' (R'LR)^{-1} w2:
+# the least phi it is certified for (None: it reads no phi) and (c1, c2, c3, c4).  Every
+# gain given must be positive.  ``certificates`` builds its coefficient matrices from these rows.
+ENERGIES = {
+    "digraph": (0.0, lambda alpha, beta, phi: (  # balanced digraphs
+        alpha * (phi + 1) / 18.0, phi * alpha / 2, 1 / (2 * alpha), 0.0)),
+    "undirected": (1.0, lambda alpha, beta, phi: (  # connected undirected graphs
+        alpha * (phi + 1) / 2, phi * alpha / 2, 1 / (2 * alpha), (phi + 1) / (2 * beta))),
+    "lasalle": (None, lambda alpha, beta, phi: (  # merely convex costs
+        0.5, 0.5, 0.0, 1 / (2 * alpha * beta))),
+}
 
-    V = alpha (phi+1)/18 ||z1||^2 + phi alpha / 2 ||z2||^2
-        + ||alpha z2 + w2||^2 / (2 alpha).
-    Zero exactly at the transformed origin of (z, w_rest).
-    """
-    if not (alpha > 0 and phi > 0):
-        raise ValidationError("alpha and phi must be positive")
-    z1, z2, w2 = coords.z1, coords.z_rest, coords.w_rest
-    return _per_state((alpha * (phi + 1) / 18.0) * _sq(z1) + 0.5 * phi * alpha * _sq(z2)
-                      + _sq(alpha * z2 + w2) / (2.0 * alpha))
+
+def _energy(which, coords, alpha, beta, phi, g):
+    """V of the energy ``which`` of :data:`ENERGIES` at ``coords``, after its checks, one
+    sum of squares per term: a dense p' Q p is slower on a trace."""
+    if which not in ENERGIES:
+        raise ValidationError(f"unknown function id {which!r}; pick from {tuple(ENERGIES)}")
+    phi_min, coefficients = ENERGIES[which]
+    if phi_min is None:
+        phi = None  # not read
+    elif phi is None or phi < phi_min:
+        raise ValidationError(f"function {which!r} needs phi >= {phi_min:g}, got {phi}")
+    if not all(gain is None or gain > 0 for gain in (alpha, beta, phi)):
+        raise ValidationError("alpha, beta and phi must be positive")
+    c1, c2, c3, c4 = coefficients(alpha, beta, phi)
+    z2, w2 = coords.z_rest, coords.w_rest
+    value = c1 * _sq(coords.z1) + c2 * _sq(z2)
+    if c3:
+        value = value + c3 * _sq(alpha * z2 + w2)
+    if c4:
+        value = value + c4 * _reduced_inv_quad(g, w2)
+    return _per_state(value)
+
+
+def lyapunov_digraph(coords: AnalysisCoordinates, alpha: float, phi: float) -> float | np.ndarray:
+    """The ``"digraph"`` energy, certified to decay over balanced digraphs."""
+    return _energy("digraph", coords, alpha, None, phi, None)
 
 
 def lyapunov_undirected(coords: AnalysisCoordinates, alpha: float, beta: float,
                         phi: float, g: WeightedDigraph) -> float | np.ndarray:
-    """Energy for connected undirected topologies (needs phi >= 1).
-
-    Adds the inverse-reduced-Laplacian term
-    (phi+1)/(2 beta) w2' (R'LR)^{-1} w2 and uses weight alpha (phi+1)/2 on
-    the consensus block.
-    """
-    if not (alpha > 0 and beta > 0):
-        raise ValidationError("alpha and beta must be positive")
-    if phi < 1:
-        raise ValidationError(f"phi must be at least 1, got {phi}")
-    z1, z2, w2 = coords.z1, coords.z_rest, coords.w_rest
-    return _per_state(0.5 * alpha * (phi + 1) * _sq(z1) + 0.5 * phi * alpha * _sq(z2)
-                      + _sq(alpha * z2 + w2) / (2.0 * alpha)
-                      + 0.5 * (phi + 1) / beta * _reduced_inv_quad(g, w2))
+    """The ``"undirected"`` energy, for connected undirected graphs (needs phi >= 1)."""
+    return _energy("undirected", coords, alpha, beta, phi, g)
 
 
 def lasalle_function(coords: AnalysisCoordinates, alpha: float, beta: float,
                      g: WeightedDigraph) -> float | np.ndarray:
-    """Invariance-principle energy for merely convex local costs.
-
-    V = ||z||^2 / 2 + w2' (R'LR)^{-1} w2 / (2 alpha beta); non-increasing
-    along trajectories over connected undirected graphs.
-    """
-    if not (alpha > 0 and beta > 0):
-        raise ValidationError("alpha and beta must be positive")
-    z1, z2, w2 = coords.z1, coords.z_rest, coords.w_rest
-    return _per_state(0.5 * (_sq(z1) + _sq(z2))
-                      + _reduced_inv_quad(g, w2) / (2.0 * alpha * beta))
+    """The ``"lasalle"`` energy, for merely convex costs over connected undirected graphs."""
+    return _energy("lasalle", coords, alpha, beta, None, g)
 
 
 def _reduced_inv_quad(g: WeightedDigraph, w2: np.ndarray) -> np.ndarray:
@@ -138,30 +145,17 @@ def _reduced_inv_quad(g: WeightedDigraph, w2: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ij->...", w2m, _over_agents(np.linalg.inv(reduced_laplacian(g)), w2m))
 
 
-_ENERGIES = {
-    "digraph": lambda c, g, alpha, beta, phi: lyapunov_digraph(c, alpha, phi),
-    "undirected": lambda c, g, alpha, beta, phi: lyapunov_undirected(c, alpha, beta, phi, g),
-    "lasalle": lambda c, g, alpha, beta, phi: lasalle_function(c, alpha, beta, g),
-}
-
-
 def lyapunov_series(trace: Trace, which: str, *, g: WeightedDigraph, nc: NetworkCost,
-                    alpha: float, phi: float | None = None,
-                    beta: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate one energy function along a trace.
+                    alpha: float, phi: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate one energy of :data:`ENERGIES` along a trace, at its beta.
 
     Returns (V, p_sq) sampled at the trace times, where p_sq is the
     squared norm of the certificate state (z, w_rest).  The equilibrium
     comes from the centralized oracle.
     """
-    if which not in _ENERGIES:
-        raise ValidationError(f"unknown function id {which!r}; pick from {tuple(_ENERGIES)}")
-    if which in ("digraph", "undirected") and phi is None:
-        raise ValidationError(f"function {which!r} needs phi")
-    beta = trace.beta if beta is None else beta
-    eq = equilibrium(nc, AlgorithmParams(alpha, beta))
+    eq = equilibrium(nc, AlgorithmParams(alpha, trace.beta))
     coords = to_analysis_coords(trace.x, trace.v, eq, complement_basis(trace.n_agents))
-    return _ENERGIES[which](coords, g, alpha, beta, phi), coords.p_norm_sq
+    return _energy(which, coords, alpha, trace.beta, phi, g), coords.p_norm_sq
 
 
 @dataclass(frozen=True)
@@ -178,12 +172,11 @@ class DecayReport:
 
 
 def decay_check(trace: Trace, which: str, bound: float, *, g: WeightedDigraph,
-                nc: NetworkCost, alpha: float, phi: float | None = None,
-                beta: float | None = None) -> DecayReport:
+                nc: NetworkCost, alpha: float, phi: float | None = None) -> DecayReport:
     """Verify dV/dt <= -bound ||p||^2 along a densely sampled trace.
 
-    dV/dt is estimated by central differences at interior samples with the
-    trace's native stride; the slack 1e-6 (1 + ||p||^2) absorbs the
+    dV/dt is estimated by central differences at interior samples over
+    their neighbours' times; the slack 1e-6 (1 + ||p||^2) absorbs the
     floating-point floor near the equilibrium.  ``fitted_rate`` is the
     least-squares slope of -ln V over the window where V is still well
     above the floor, divided by two so it compares against state-decay
@@ -197,8 +190,8 @@ def decay_check(trace: Trace, which: str, bound: float, *, g: WeightedDigraph,
     dt = float(trace.t[1] - trace.t[0])
     if dt > 10.0 * trace.h + 1e-12:
         raise ValidationError(f"trace stride {dt:.4g} exceeds 10 h = {10 * trace.h:.4g}")
-    V, p_sq = lyapunov_series(trace, which, g=g, nc=nc, alpha=alpha, phi=phi, beta=beta)
-    dV = (V[2:] - V[:-2]) / (2.0 * dt)
+    V, p_sq = lyapunov_series(trace, which, g=g, nc=nc, alpha=alpha, phi=phi)
+    dV = (V[2:] - V[:-2]) / (trace.t[2:] - trace.t[:-2])
     mid = p_sq[1:-1]
     margin = dV + bound * mid - 1e-6 * (1.0 + mid)
     ok = margin <= 0.0

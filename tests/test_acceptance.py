@@ -207,7 +207,7 @@ def test_criterion_07_periodic_scheme():
     trace = simulate(sc)
     err = float(trace.err[-1].max())
     V, _ = lyapunov_series(trace, "undirected", g=g, nc=network_cost(costs),
-                           alpha=1.0, beta=1.0, phi=phi)
+                           alpha=1.0, phi=phi)
     monotone = bool((np.diff(V) <= 1e-10).all())
     # the bundled figure presets converge qualitatively on the digraph
     qualitative = True
@@ -294,8 +294,7 @@ def test_criterion_10_convex_only_lasalle(k2):
     costs = (quartic, shifted)
     sc = make_scenario(costs, graph=k2, t_final=100.0, seed=2)
     trace = simulate(sc)
-    V, _ = lyapunov_series(trace, "lasalle", g=k2, nc=network_cost(costs),
-                           alpha=1.0, beta=1.0)
+    V, _ = lyapunov_series(trace, "lasalle", g=k2, nc=network_cost(costs), alpha=1.0)
     monotone = bool((np.diff(V) <= 1e-10).all())
     final = float(np.abs(trace.x[-1] - 0.5).max())
     ok = monotone and final <= 1e-2

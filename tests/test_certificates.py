@@ -7,6 +7,7 @@ import pytest
 from conftest import make_scenario, matrix_F
 from distopt.certificates import (
     ConvexityBounds,
+    _energy_matrix,
     _tau_i_and_theta,
     certify,
     gamma,
@@ -23,10 +24,11 @@ from distopt.certificates import (
     tau_period,
 )
 from distopt.costs import catalog, network_cost, quadratic_cost
+from distopt.diagnostics import ENERGIES
 from distopt.dynamics import SwitchingSchedule
 from distopt.errors import Infeasible, ValidationError
-from distopt.graph import build_digraph, complement_basis, preset_graph
-from distopt.scenarios import AnalysisOptions, jsonable
+from distopt.graph import build_digraph, complement_basis, preset_graph, spectral_summary
+from distopt.scenarios import AnalysisOptions, jsonable, preset_dict, scenario_from_dict
 from distopt.schedulers import DistributedEvent
 
 B22 = ConvexityBounds(2.0, 2.0)
@@ -308,7 +310,8 @@ class TestCertify:
         assert rep.feasible["digraph_rate"] and rep.feasible["distributed_event"]
         assert rep.kappa is not None and rep.kappa < 1
         assert rep.tau is not None and rep.tau > 0
-        assert rep.rate_digraph > 0 and rep.rate_quadratic == 1.0
+        assert rep.rate_digraph > 0
+        assert rep.rate_quadratic is None  # curvature 2: min(alpha, beta Re lambda_2) does not hold
         assert rep.rate_periodic > 0 and rep.rate_centralized > 0
         assert rep.eta == pytest.approx(0.4375)
         assert rep.steady_state_bound == pytest.approx(0.0028034, rel=1e-4)
@@ -319,6 +322,39 @@ class TestCertify:
                     "eta", "theta", "lamF_min", "lamF_max", "lamE_max"):
             assert key in d
         assert d["tau_i"] == [float(t) for t in rep.tau_i]
+
+    @pytest.mark.parametrize("graph", ["cycle10", "k3", "path5"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_extremes_are_those_of_the_energy_matrices(self, graph, d):
+        # lamF from the hand-written F, lamE from the undirected row's assembled matrix
+        g = preset_graph(graph)
+        costs = [quadratic_cost(np.linspace(-1.0, 1.0, d) * i) for i in range(g.n)]
+        rep = certify(make_scenario(costs, graph=g, beta=2.0,
+                                    analysis=AnalysisOptions(eps=0.5, delta=3.0)))
+        f = np.linalg.eigvalsh(matrix_F(rep.alpha, rep.phi, g.n, d))
+        assert rep.lamF_min == pytest.approx(f[0], rel=1e-12)
+        assert rep.lamF_max == pytest.approx(f[-1], rel=1e-12)
+        e = _energy_matrix(ENERGIES["undirected"][1](rep.alpha, rep.beta, rep.phi_step),
+                           rep.alpha, g, d)
+        assert np.array_equal(e, matrix_E(rep.alpha, rep.beta, rep.phi_step, g, d))
+        assert rep.lamE_max == pytest.approx(np.linalg.eigvalsh(e)[-1], rel=1e-12)
+
+    def test_rate_quadratic_only_at_unit_curvature(self):
+        # the ring of unit quadratics keeps min(alpha, beta Re lambda_2)
+        g = preset_graph("cycle10")
+        ring = make_scenario([quadratic_cost([2.0 * (i - 5)]) for i in range(1, 11)], graph=g,
+                             analysis=AnalysisOptions(eps=0.5, delta=3.0))
+        rate = certify(ring).rate_quadratic
+        assert rate == rate_quadratic(1.0, 1.0, spectral_summary(g).re_lambda_2)
+        assert rate == pytest.approx(2 - 2 * math.cos(math.pi / 5))
+        # H = 2I: the exact rate is min(2 alpha, beta lambda_2) = 2, not 1
+        curved = make_scenario([catalog("f2"), catalog("f2"), catalog("f10"), catalog("f10")],
+                               graph=preset_graph("cycle4"))
+        rep = certify(curved)
+        assert rep.rate_quadratic is None and jsonable(vars(rep))["rate_quadratic"] is None
+        # fig5's catalog costs are not affine; their constants come from the box
+        fig5 = scenario_from_dict(preset_dict("fig5") | {"analysis": {"box": [-10.0, 10.0]}})
+        assert certify(fig5).rate_quadratic is None
 
     def test_distributed_verdict_at_gamma_prime_maximizer(self, k2, quad_pair):
         # without analysis.phi the distributed verdict takes the maximizer of

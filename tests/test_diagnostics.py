@@ -7,10 +7,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import balanced_weights, col, isometry_violation, make_scenario, matrix_F
-from distopt.certificates import certify, matrix_E_extreme, matrix_F_extremes
+from distopt.certificates import _energy_matrix, certify, matrix_E_extreme, matrix_F_extremes
 from distopt.costs import CostModel, network_cost, quadratic_cost
 from distopt.diagnostics import (
     _reduced_inv_quad,
+    ENERGIES,
     AnalysisCoordinates,
     conservation_violation,
     decay_check,
@@ -162,6 +163,50 @@ class TestEnergyFunctions:
             assert lasalle_function(c, 1.0, 1.0, k2) > 0
 
 
+class TestEnergyTable:
+    """Each evaluator against the coefficient matrix that ``certificates`` assembles from
+    the same row of ``ENERGIES``, and the digraph row against the hand-written F."""
+
+    EVALUATORS = {
+        "digraph": lambda c, alpha, beta, phi, g: lyapunov_digraph(c, alpha, phi),
+        "undirected": lambda c, alpha, beta, phi, g: lyapunov_undirected(c, alpha, beta, phi, g),
+        "lasalle": lambda c, alpha, beta, phi, g: lasalle_function(c, alpha, beta, g),
+    }
+
+    @pytest.mark.parametrize("graph", ["cycle5", "dicycle5"])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("which, alpha, beta, phi", [("digraph", 1.7, None, 0.6),
+                                                         ("undirected", 0.8, 2.5, 1.4),
+                                                         ("lasalle", 1.3, 0.4, None)])
+    def test_evaluator_equals_quadratic_form(self, graph, d, which, alpha, beta, phi):
+        g = preset_graph(graph)
+        q = _energy_matrix(ENERGIES[which][1](alpha, beta, phi), alpha, g, d)
+        nd = (g.n - 1) * d
+        p = np.random.default_rng(d).normal(size=(30, d + 2 * nd))
+        stack = coords_of(p[:, :d], p[:, d:d + nd], np.zeros((30, d)), p[:, d + nd:])
+        got = self.EVALUATORS[which](stack, alpha, beta, phi, g)
+        np.testing.assert_allclose(got, np.einsum("ki,ij,kj->k", p, q, p), rtol=1e-12, atol=0.0)
+        one = coords_of(p[0, :d], p[0, d:d + nd], np.zeros(d), p[0, d + nd:])
+        assert self.EVALUATORS[which](one, alpha, beta, phi, g) == pytest.approx(p[0] @ q @ p[0],
+                                                                                 rel=1e-12)
+
+    @pytest.mark.parametrize("n, d", [(2, 1), (5, 1), (4, 2)])
+    def test_digraph_matrix_is_the_reference_F(self, n, d):
+        for alpha, phi in ((1.0, 9.0), (0.3, 0.7), (4.0, 2.5)):
+            got = _energy_matrix(ENERGIES["digraph"][1](alpha, None, phi), alpha,
+                                 preset_graph(f"dicycle{n}"), d)
+            np.testing.assert_allclose(got, matrix_F(alpha, phi, n, d), rtol=1e-15, atol=0.0)
+
+    def test_rows_hold_their_checks(self, k2):
+        c = coords_of(1.0, 1.0, 0.0, 1.0)
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(ValidationError, match="positive"):
+                lyapunov_digraph(c, bad, 2.0)
+            with pytest.raises(ValidationError, match="positive"):
+                lasalle_function(c, 1.0, bad, k2)
+        assert lasalle_function(c, 1.0, 1.0, k2) > 0  # reads no phi
+
+
 class TestDecayCheck:
     def test_certified_digraph_run_passes(self, k2, quad_pair, quad_pair_nc):
         sc = make_scenario(quad_pair, graph=k2, beta=3.0, t_final=8.0,
@@ -189,6 +234,23 @@ class TestDecayCheck:
             decay_check(trace, "digraph", 0.4, g=k2, nc=quad_pair_nc,
                         alpha=1.0, phi=9.0)
 
+    def test_off_stride_last_sample_uses_its_own_gap(self):
+        # t_final = 2.001 at stride 7 appends a sample 6 steps after the last full stride;
+        # its central difference spans 13 steps, not 14, and decides the worst margin
+        costs = [quadratic_cost([2.0 * (i - 5)]) for i in range(1, 11)]
+        g, nc = preset_graph("cycle10"), network_cost(costs)
+        trace = simulate(make_scenario(costs, graph=g, t_final=2.001, stride=7, seed=3))
+        t = trace.t
+        assert t[-1] - t[-2] == pytest.approx(6e-3) and t[1] - t[0] == pytest.approx(7e-3)
+        V, p_sq = lyapunov_series(trace, "undirected", g=g, nc=nc, alpha=1.0, phi=2.0)
+        rest = 0.01 * p_sq[1:-1] - 1e-6 * (1.0 + p_sq[1:-1])
+        want = (V[2:] - V[:-2]) / (t[2:] - t[:-2]) + rest
+        even = (V[2:] - V[:-2]) / (2.0 * (t[1] - t[0])) + rest
+        assert want.argmax() == want.size - 1 and even.max() > want.max() + 1.0
+        report = decay_check(trace, "undirected", 0.01, g=g, nc=nc, alpha=1.0, phi=2.0)
+        assert report.worst_margin == pytest.approx(want.max(), rel=1e-12)
+        assert report.passed
+
     def test_lasalle_monotone_on_convex_run(self, k2):
         quartic = CostModel(dim=1, value=lambda x: float(x[0] ** 4),
                             gradient=lambda x: 4.0 * x**3, name="x4",
@@ -200,7 +262,7 @@ class TestDecayCheck:
         sc = make_scenario([quartic, shifted], graph=k2, t_final=10.0,
                            x0=np.array([[2.0], [-1.0]]))
         trace = simulate(sc)
-        V, _ = lyapunov_series(trace, "lasalle", g=k2, nc=nc, alpha=1.0, beta=1.0)
+        V, _ = lyapunov_series(trace, "lasalle", g=k2, nc=nc, alpha=1.0)
         assert (np.diff(V) <= 1e-10).all()
 
 
